@@ -21,6 +21,8 @@ from .scenarios import (
     CHAINED,
     GHZ,
     HARDY,
+    HARDY_MODE_PAPER,
+    HARDY_MODES,
     HARDY_NAIVE,
     ScenarioSpec,
     chained_pair,
@@ -31,7 +33,7 @@ from .scenarios import (
     hardy_q,
     scenario_pair,
 )
-from .simulate import GENERATOR, SimulationConfig, replication_summaries, summarize
+from .simulate import GENERATOR, SimulationConfig, replication_summaries, run_replications, summarize
 
 __all__ = ["main"]
 
@@ -77,11 +79,13 @@ def _target_d(value: float) -> float:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
-    if args.scenario == CHAINED:
-        return ScenarioSpec(kind=CHAINED, k=args.k)
-    if args.scenario == HARDY:
-        return ScenarioSpec(kind=HARDY, hardy_mode=args.hardy_mode)
-    return ScenarioSpec(kind=args.scenario)
+    """The scenario the flags name.  --k and --hardy-mode default to None, so
+    giving one to a scenario that ignores it is an error, not a no-op."""
+    for flag, value, kind in (("--k", args.k, CHAINED), ("--hardy-mode", args.hardy_mode, HARDY)):
+        if value is not None and args.scenario != kind:
+            raise ValueError(f"{flag} applies only to --scenario {kind}, not {args.scenario}")
+    k = 2 if args.scenario == CHAINED and args.k is None else args.k
+    return ScenarioSpec(kind=args.scenario, k=k, hardy_mode=args.hardy_mode or HARDY_MODE_PAPER)
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
@@ -89,9 +93,9 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
         "--scenario", required=True, choices=[GHZ, CHAINED, HARDY, HARDY_NAIVE],
         help="experiment family to analyze",
     )
-    parser.add_argument("--k", type=int, default=2, help="directions per observer (chained only)")
+    parser.add_argument("--k", type=int, default=None, help="directions per observer (chained only)")
     parser.add_argument(
-        "--hardy-mode", choices=["paper", "literal"], default="paper",
+        "--hardy-mode", choices=HARDY_MODES, default=None,
         help="rate convention for the zero-coincidence setups (hardy only)",
     )
 
@@ -160,9 +164,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         replications=args.reps,
     )
-    summaries = replication_summaries(config)
-    report = summarize(summaries)
     if args.dump_trajectories:
+        summaries = replication_summaries(config)
+        report = summarize(summaries)
         with open(args.dump_trajectories, "w") as fh:
             for s in summaries:
                 rec = {
@@ -172,6 +176,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     "final_log_d": s.final_log_d,
                 }
                 fh.write(json.dumps(_clean(rec), allow_nan=False) + "\n")
+    else:
+        report = run_replications(config)
     pair = config.resolved_pair()
     _emit_json(
         {

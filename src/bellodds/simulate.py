@@ -47,8 +47,6 @@ INCONCLUSIVE = "inconclusive"
 #: Identification of the random stream construction, echoed in CLI output.
 GENERATOR = "numpy.random.Philox keyed by SeedSequence(master_seed, spawn_key=(replication_index,))"
 
-_BLOCK = 1024
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -57,8 +55,8 @@ class SimulationConfig:
     The experiment stops once the LR:QM odds are <= lower_threshold (LR
     rejected) or >= upper_threshold (QM rejected), checked after each trial's
     update.  pair_override substitutes a synthetic hypothesis pair for the
-    scenario's; hardy_target_d only affects how a "hardy" scenario resolves
-    its optimized r1.
+    scenario's.  Replication indices stay below 2**32, the range in which a
+    one-word spawn key keys each substream.
     """
 
     scenario: ScenarioSpec
@@ -69,7 +67,6 @@ class SimulationConfig:
     max_trials: int = 100_000
     master_seed: int = 0
     replications: int = 1000
-    hardy_target_d: float = 1e4
     pair_override: HypothesisPair | None = None
 
     def __post_init__(self) -> None:
@@ -82,8 +79,8 @@ class SimulationConfig:
             )
         if self.max_trials < 1:
             raise ValueError(f"max_trials must be >= 1, got {self.max_trials}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if not 1 <= self.replications <= 2**32:
+            raise ValueError(f"replications must be in [1, 2**32], got {self.replications}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must be a 64-bit nonnegative integer, got {self.master_seed!r}")
         pair = self.resolved_pair()
@@ -93,7 +90,7 @@ class SimulationConfig:
     def resolved_pair(self) -> HypothesisPair:
         if self.pair_override is not None:
             return self.pair_override
-        return scenario_pair(self.scenario, self.hardy_target_d).pair
+        return scenario_pair(self.scenario).pair
 
 
 @dataclass
@@ -141,10 +138,233 @@ def trial_stream(master_seed: int, replication_index: int) -> np.random.Generato
 
     Philox is counter-based, keyed here by a SeedSequence over
     (master_seed, replication_index), so any replication can be generated on
-    any worker, in any order, with identical results.
+    any worker, in any order, with identical results.  The batch walker
+    derives the same keys in one vectorised pass (_philox_keys).
     """
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(replication_index,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx).  The helpers
+# take Python ints or uint32 arrays, which wrap as the hash needs.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, h: int, mult: int = _MULT_A):
+    """Hash value with constant h; returns the hash and the next constant."""
+    value = value ^ h
+    h = h * mult & _MASK32
+    value = value * h & _MASK32
+    return value ^ value >> 16, h
+
+
+def _mix(x: int, y):
+    r = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _philox_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
+    """The Philox keys of trial_stream(master_seed, i) for indices i below
+    2**32, as rows of a (len(indices), 2) uint64 array.
+
+    Row i equals SeedSequence(entropy=master_seed, spawn_key=(i,))
+    .generate_state(2, np.uint64).  The master seed's four zero-padded words
+    mix into a pool shared by every replication, computed once; only the
+    spawn word is hashed per replication, in uint32 arithmetic.
+    """
+    pool, h = [], _INIT_A
+    for shift in (0, 32, 64, 96):
+        v, h = _hashmix(master_seed >> shift & _MASK32, h)
+        pool.append(v)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    # The spawn word is hashed into each pool word in turn, then each pool
+    # word is hashed out as generate_state does: the same steps for all four
+    # words with successive hash constants, so they run as one (4, n) array.
+    spawn_h, out_h = [h], [_INIT_B]
+    for _ in range(3):
+        spawn_h.append(spawn_h[-1] * _MULT_A & _MASK32)
+        out_h.append(out_h[-1] * _MULT_B & _MASK32)
+    v, _ = _hashmix(np.asarray(indices, dtype=np.uint32), _column(spawn_h))
+    words, _ = _hashmix(_mix(_column(pool), v), _column(out_h), _MULT_B)
+    words = words.astype(np.uint64)
+    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
+
+
+def _column(values: list[int]) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+#: Decision codes of the batch walker, indexed by code.
+_DECISIONS = (INCONCLUSIVE, LR_REJECTED, QM_REJECTED)
+#: First block of trials when there is no stopping-time estimate to size it.
+_FIRST_BLOCK = 64
+#: Blocks double up to this size, which bounds the draws a replication makes
+#: past its stopping trial.
+_MAX_BLOCK = 1024
+#: Replications walked side by side; with _MAX_BLOCK it bounds the 2-D
+#: temporaries, so memory stays flat in the number of replications.
+_CHUNK_ROWS = 128
+
+
+def _first_block(config: SimulationConfig, pair: HypothesisPair, steps_finite: bool) -> int:
+    """The first block: when QM is true and no outcome falsifies, the drift
+    estimate of the stopping time, rounded up to a multiple of 4 and capped
+    at _MAX_BLOCK; else _FIRST_BLOCK."""
+    if config.true_theory == QM and steps_finite and kl_per_trial(pair) > 0.0:
+        estimate = expected_stop_estimate(pair, OddsRatio(config.prior_odds), config.lower_threshold)
+        return 4 * max(1, math.ceil(min(estimate, _MAX_BLOCK) / 4))
+    return _FIRST_BLOCK
+
+
+def _steps(pair: HypothesisPair) -> tuple[float, float]:
+    """Log D steps of a "yes" and a "no" outcome; +-inf for a falsifier."""
+    return (
+        log_bayes_factor(pair, TrialTally(1, 1)).log_value,
+        log_bayes_factor(pair, TrialTally(1, 0)).log_value,
+    )
+
+
+def _finite(step: float) -> float:
+    """A step as it enters the count formula.  An infinite step's outcome
+    ends the walk, so until then its count is 0 and 0 stands in, which
+    never forms 0 * inf."""
+    return step if math.isfinite(step) else 0.0
+
+
+def _log_d(n, c, big: float, small: float):
+    """Log D after n trials of which c had step big and n - c step small."""
+    return c * big + (n - c) * small
+
+
+def _count_bounds(n: np.ndarray, big: float, small: float, targets: tuple[float, ...]) -> np.ndarray:
+    """For each target t and each trial count in n, the fewest big-step
+    outcomes c in [0, n] with _log_d(n, c) >= t, or n + 1 if none; one row
+    per target.
+
+    Needs big >= 0 >= small: then both products in _log_d, and so their
+    rounded sum, are nondecreasing in c, and _log_d >= t is the same as
+    c >= the bound."""
+    t = np.array(targets)[:, None]
+    if big == small:  # both steps 0: log D stays 0
+        return np.where(0.0 >= t, 0, n + 1)
+    c = np.clip(np.ceil((t - n * small) / (big - small)), 0, n + 1).astype(np.int64)
+    # the real-valued solution is off from the rounded one by rounding only
+    while True:
+        down = (c > 0) & (_log_d(n, c - 1, big, small) >= t)
+        up = (c <= n) & (_log_d(n, c, big, small) < t)
+        if not (down.any() or up.any()):
+            return c
+        c = c - down + up
+
+
+def _draw(gen: np.random.Generator, keys: list[list[int]], done: int, width: int) -> np.ndarray:
+    """Draws done + 1 .. done + width of the Philox substreams with the given
+    keys, one row each, from one generator set to each key in turn.  done
+    must be a multiple of 4: Philox makes 4 draws per counter step."""
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [done // 4, 0, 0, 0], "key": None},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    draws = np.empty((len(keys), width))
+    for row, key in zip(draws, keys):
+        state["state"]["key"] = key
+        gen.bit_generator.state = state
+        gen.random(out=row)
+    return draws
+
+
+def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk replications [start, stop) side by side.
+
+    Returns their stopping trials, decision codes (indices into _DECISIONS)
+    and final log Bayes factors.  Replications go in chunks of _CHUNK_ROWS,
+    each drawn in blocks of a multiple of 4 trials (_draw), so every row gets
+    exactly the draws of its trial_stream.
+
+    Log D after n trials with m "yes" outcomes is
+    m ln(q/r) + (n - m) ln((1-q)/(1-r)), a function of the integer counts
+    alone, so it does not depend on the block or chunk layout.  The walk
+    counts the outcome with the larger step, which makes log D nondecreasing
+    in that count, so a threshold is crossed exactly when the count reaches
+    a bound that depends on n only (_count_bounds).  An outcome with an
+    infinite step ends the walk at its first occurrence; until then its
+    count is 0 (_finite).
+    """
+    pair = config.resolved_pair()
+    p_true = pair.q if config.true_theory == QM else pair.r
+    step_yes, step_no = _steps(pair)
+    # q >= r gives step_yes >= 0 >= step_no, and q <= r the reverse
+    count_yes = _finite(step_yes) >= _finite(step_no)
+    step_big, step_small = (step_yes, step_no) if count_yes else (step_no, step_yes)
+    big, small = _finite(step_big), _finite(step_small)
+    big_falsifies, small_falsifies = math.isinf(step_big), math.isinf(step_small)
+    hi = math.log(config.prior_odds / config.lower_threshold)
+    lo = math.log(config.prior_odds / config.upper_threshold)
+    first_block = _first_block(config, pair, not (big_falsifies or small_falsifies))
+
+    gen = np.random.Generator(np.random.Philox(0))
+    bounds = {}  # by trials done: every chunk walks the same blocks
+    stops = np.empty(stop - start, dtype=np.int64)
+    finals = np.empty(stop - start)
+    for base in range(start, stop, _CHUNK_ROWS):
+        keys = _philox_keys(config.master_seed, np.arange(base, min(base + _CHUNK_ROWS, stop))).tolist()
+        live = np.arange(len(keys))  # chunk rows still walking
+        count = np.zeros(len(keys), dtype=np.int64)  # big-step outcomes so far
+        done, block = 0, first_block
+        while live.size:
+            width = min(block, config.max_trials - done)
+            if done not in bounds:
+                n = np.arange(done + 1, done + width + 1)
+                # count >= reach_hi: log D >= hi; count < pass_lo: log D <= lo
+                bounds[done] = (n, *_count_bounds(n, big, small, (hi, math.nextafter(lo, math.inf))))
+            n, reach_hi, pass_lo = bounds[done]
+            # the draws are freed before the counts are made, which keeps the
+            # 2-D temporaries small
+            is_big = _draw(gen, [keys[j] for j in live.tolist()], done, width) < p_true
+            if not count_yes:
+                np.logical_not(is_big, out=is_big)
+            c = is_big.astype(np.int64)
+            c[:, 0] += count
+            np.cumsum(c, axis=1, out=c)
+            stopped = c >= reach_hi
+            stopped |= c < pass_lo
+            if big_falsifies:
+                stopped |= is_big
+            if small_falsifies:
+                stopped |= ~is_big
+            rows = np.arange(live.size)
+            first = stopped.argmax(axis=1)
+            ended = stopped[rows, first]
+            done += width
+            if done == config.max_trials:
+                first[~ended] = width - 1
+                ended[:] = True
+            rows, first = rows[ended], first[ended]
+            at = live[ended] + (base - start)
+            stops[at] = n[first]
+            final = _log_d(n[first], c[rows, first], big, small)
+            at_big = is_big[rows, first]
+            if big_falsifies:
+                final[at_big] = step_big
+            if small_falsifies:
+                final[~at_big] = step_small
+            finals[at] = final
+            live, count = live[~ended], c[~ended, -1]
+            block = min(2 * block, _MAX_BLOCK)
+    # a falsified walk's final is +-inf, beyond either threshold
+    codes = np.where(finals >= hi, 1, np.where(finals <= lo, 2, 0))
+    return stops, codes, finals
 
 
 def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajectory:
@@ -154,85 +374,31 @@ def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajecto
     the cumulative log Bayes factor moves by ln(q/r) on "yes" and
     ln((1-q)/(1-r)) on "no".  The walk stops the first time the implied odds
     reach a threshold; an outcome one theory declared impossible settles the
-    experiment on the spot.
+    experiment on the spot.  The batch walker decides the stop; the outcomes
+    are then redrawn from trial_stream and log D rebuilt from their counts.
     """
     if not 0 <= replication_index < config.replications:
         raise ValueError(
             f"replication_index must be in [0, {config.replications}), got {replication_index}"
         )
+    stops, codes, finals = _walk(config, replication_index, replication_index + 1)
+    stop, final = int(stops[0]), float(finals[0])
     pair = config.resolved_pair()
     p_true = pair.q if config.true_theory == QM else pair.r
-    step_yes = log_bayes_factor(pair, TrialTally(1, 1)).log_value
-    step_no = log_bayes_factor(pair, TrialTally(1, 0)).log_value
-    hi = math.log(config.prior_odds / config.lower_threshold)
-    lo = math.log(config.prior_odds / config.upper_threshold)
-    rng = trial_stream(config.master_seed, replication_index)
-
-    if math.isfinite(step_yes) and math.isfinite(step_no):
-        return _run_finite(config, rng, p_true, step_yes, step_no, lo, hi)
-    return _run_with_falsifiers(config, rng, p_true, step_yes, step_no, lo, hi)
-
-
-def _run_finite(config, rng, p_true, step_yes, step_no, lo, hi) -> Trajectory:
-    """Vectorized walk for the common case of two finite step sizes."""
-    outcome_parts: list[np.ndarray] = []
-    cum_parts: list[np.ndarray] = []
-    carry = 0.0
-    remaining = config.max_trials
-    decision = INCONCLUSIVE
-    while remaining > 0:
-        block = min(_BLOCK, remaining)
-        yes = rng.random(block) < p_true
-        cum = carry + np.cumsum(np.where(yes, step_yes, step_no))
-        crossed = (cum >= hi) | (cum <= lo)
-        if crossed.any():
-            stop = int(np.argmax(crossed))
-            outcome_parts.append(yes[: stop + 1])
-            cum_parts.append(cum[: stop + 1])
-            decision = LR_REJECTED if cum[stop] >= hi else QM_REJECTED
-            break
-        outcome_parts.append(yes)
-        cum_parts.append(cum)
-        carry = float(cum[-1])
-        remaining -= block
-    outcomes = np.concatenate(outcome_parts) if outcome_parts else np.zeros(0, dtype=bool)
-    cumulative = np.concatenate(cum_parts) if cum_parts else np.zeros(0)
-    return Trajectory(outcomes, cumulative, decision, len(outcomes))
-
-
-def _run_with_falsifiers(config, rng, p_true, step_yes, step_no, lo, hi) -> Trajectory:
-    """Per-trial walk for pairs where some outcome carries infinite evidence."""
-    outcomes: list[bool] = []
-    cums: list[float] = []
-    cum = 0.0
-    decision = INCONCLUSIVE
-    for _ in range(config.max_trials):
-        yes = bool(rng.random() < p_true)
-        step = step_yes if yes else step_no
-        outcomes.append(yes)
-        if math.isinf(step):
-            cums.append(step)
-            decision = LR_REJECTED if step > 0 else QM_REJECTED
-            break
-        cum += step
-        cums.append(cum)
-        if cum >= hi:
-            decision = LR_REJECTED
-            break
-        if cum <= lo:
-            decision = QM_REJECTED
-            break
-    return Trajectory(np.asarray(outcomes, dtype=bool), np.asarray(cums), decision, len(outcomes))
+    outcomes = trial_stream(config.master_seed, replication_index).random(stop) < p_true
+    step_yes, step_no = _steps(pair)
+    cumulative = _log_d(np.arange(1, stop + 1), np.cumsum(outcomes), _finite(step_yes), _finite(step_no))
+    cumulative[-1] = final  # +-inf if the last outcome falsified a theory
+    return Trajectory(outcomes, cumulative, _DECISIONS[codes[0]], stop)
 
 
 def replication_summaries(config: SimulationConfig) -> list[TrajectorySummary]:
     """Run every replication and keep only what the report needs."""
-    out = []
-    for i in range(config.replications):
-        t = run_trajectory(config, i)
-        final = float(t.cumulative_log_d[-1]) if t.stop_trial else 0.0
-        out.append(TrajectorySummary(i, t.stop_trial, t.decision, final))
-    return out
+    stops, codes, finals = _walk(config, 0, config.replications)
+    return [
+        TrajectorySummary(i, stop, _DECISIONS[code], final)
+        for i, (stop, code, final) in enumerate(zip(stops.tolist(), codes.tolist(), finals.tolist()))
+    ]
 
 
 def summarize(summaries: list[TrajectorySummary]) -> StoppingReport:
@@ -241,9 +407,12 @@ def summarize(summaries: list[TrajectorySummary]) -> StoppingReport:
         raise ValueError("nothing to summarize")
     stops = np.array([s.stop_trial for s in summaries], dtype=np.int64)
     finals = np.array([s.final_log_d for s in summaries])
-    counts = {LR_REJECTED: 0, QM_REJECTED: 0, INCONCLUSIVE: 0}
-    for s in summaries:
-        counts[s.decision] += 1
+    codes = np.array([_DECISIONS.index(s.decision) for s in summaries])
+    return _report(stops, codes, finals)
+
+
+def _report(stops: np.ndarray, codes: np.ndarray, finals: np.ndarray) -> StoppingReport:
+    counts = np.bincount(codes, minlength=len(_DECISIONS)).tolist()
     q05, q50, q95 = (float(x) for x in np.percentile(stops, [5.0, 50.0, 95.0]))
     return StoppingReport(
         mean_stop=float(stops.mean()),
@@ -251,7 +420,7 @@ def summarize(summaries: list[TrajectorySummary]) -> StoppingReport:
         q05=q05,
         q50=q50,
         q95=q95,
-        decision_counts=counts,
+        decision_counts={LR_REJECTED: counts[1], QM_REJECTED: counts[2], INCONCLUSIVE: counts[0]},
         mean_log_d_per_trial=float(finals.sum() / stops.sum()),
     )
 
@@ -260,7 +429,7 @@ def run_replications(config: SimulationConfig) -> StoppingReport:
     """All replications, aggregated.  Deterministic given the configuration:
     substreams are keyed by replication index and the aggregation does not
     depend on completion order."""
-    return summarize(replication_summaries(config))
+    return _report(*_walk(config, 0, config.replications))
 
 
 def expected_stop_estimate(pair: HypothesisPair, prior: OddsRatio, lower_threshold: float) -> float:

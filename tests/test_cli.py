@@ -191,6 +191,12 @@ class TestSimulate:
             assert rec["decision"] == "lr_rejected"
             assert math.isclose(rec["final_log_d"], 33 * math.log(4 / 3), rel_tol=1e-12)
 
+    def test_dump_leaves_the_report_unchanged(self, capsys, tmp_path):
+        argv = ("simulate", "--scenario", "chained", "--reps", "40", "--seed", "3")
+        _, plain, _ = run_cli(capsys, *argv)
+        _, dumped, _ = run_cli(capsys, *argv, "--dump-trajectories", str(tmp_path / "t.jsonl"))
+        assert plain == dumped
+
     def test_infinite_evidence_dumps_null(self, capsys, tmp_path):
         path = tmp_path / "naive.jsonl"
         code, out, _ = run_cli(
@@ -210,6 +216,33 @@ class TestSimulate:
         second = run_proc(*argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--scenario", "ghz", "--k", "7"),
+            ("--scenario", "hardy", "--k", "2"),
+            ("--scenario", "hardy-naive", "--k", "2"),
+            ("--scenario", "chained", "--hardy-mode", "paper"),
+            ("--scenario", "ghz", "--hardy-mode", "literal"),
+            ("--scenario", "hardy-naive", "--hardy-mode", "paper"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_flag_the_scenario_ignores_exits_1(self, capsys, command, argv):
+        extra = ("--reps", "2") if command == "simulate" else ()
+        code, out, err = run_cli(capsys, command, *argv, *extra)
+        assert code == 1
+        assert out == ""
+        assert "applies only to --scenario" in err
+
+    def test_scenario_flag_defaults(self, capsys):
+        _, plain, _ = run_cli(capsys, "simulate", "--scenario", "chained", "--reps", "3")
+        _, explicit, _ = run_cli(capsys, "simulate", "--scenario", "chained", "--k", "2", "--reps", "3")
+        assert plain == explicit and json.loads(plain)["config"]["scenario"] == "chained-k2"
+        _, plain, _ = run_cli(capsys, "simulate", "--scenario", "hardy", "--reps", "3")
+        _, explicit, _ = run_cli(capsys, "simulate", "--scenario", "hardy", "--hardy-mode", "paper", "--reps", "3")
+        assert plain == explicit and json.loads(plain)["config"]["scenario"] == "hardy-paper"
 
     def test_bad_thresholds_exit_1(self, capsys):
         code, _, err = run_cli(

@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from bellodds.bayes import HypothesisPair, IndistinguishableError, OddsRatio, kl_per_trial
+from bellodds import simulate
+from bellodds.bayes import HypothesisPair, IndistinguishableError, OddsRatio, TrialTally, kl_per_trial, log_bayes_factor
 from bellodds.scenarios import ScenarioSpec, chained_pair, hardy_q
 from bellodds.simulate import (
     INCONCLUSIVE,
     LR,
     LR_REJECTED,
+    QM,
     QM_REJECTED,
     SimulationConfig,
     expected_stop_estimate,
@@ -193,6 +195,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ghz_config(replications=0)
 
+    def test_replications_bounded_by_the_spawn_word(self):
+        # indices must fit the one-word spawn key; constructing runs nothing
+        ghz_config(replications=2**32)
+        with pytest.raises(ValueError):
+            ghz_config(replications=2**32 + 1)
+
     def test_seed_range(self):
         with pytest.raises(ValueError):
             ghz_config(master_seed=-1)
@@ -226,3 +234,132 @@ class TestSingleReplicationReport:
         assert math.isclose(
             report.mean_log_d_per_trial, t.cumulative_log_d[-1] / t.stop_trial, rel_tol=1e-12
         )
+
+
+def reference_walk(config: SimulationConfig, index: int) -> tuple[int, str]:
+    """One trial at a time with a running float sum: the per-trial walk the
+    batch walker replaces, kept as its oracle for stopping trials and
+    decisions."""
+    pair = config.resolved_pair()
+    p_true = pair.q if config.true_theory == QM else pair.r
+    step_yes = log_bayes_factor(pair, TrialTally(1, 1)).log_value
+    step_no = log_bayes_factor(pair, TrialTally(1, 0)).log_value
+    hi = math.log(config.prior_odds / config.lower_threshold)
+    lo = math.log(config.prior_odds / config.upper_threshold)
+    rng = trial_stream(config.master_seed, index)
+    cum = 0.0
+    for trial in range(1, config.max_trials + 1):
+        step = step_yes if rng.random() < p_true else step_no
+        if math.isinf(step):
+            return trial, LR_REJECTED if step > 0 else QM_REJECTED
+        cum += step
+        if cum >= hi:
+            return trial, LR_REJECTED
+        if cum <= lo:
+            return trial, QM_REJECTED
+    return config.max_trials, INCONCLUSIVE
+
+
+SCENARIOS = {
+    "ghz": ScenarioSpec("ghz"),
+    "chained-k2": ScenarioSpec("chained", k=2),
+    "chained-k4": ScenarioSpec("chained", k=4),
+    "hardy-paper": ScenarioSpec("hardy"),
+    "hardy-naive": ScenarioSpec("hardy-naive"),
+}
+# q < r, both outcomes falsifying, and zero drift
+OVERRIDES = {
+    "q<r": HypothesisPair(0.2, 0.6),
+    "q=1,r=0": HypothesisPair(1.0, 0.0),
+    "q=r": HypothesisPair(0.3, 0.3),
+}
+
+
+def walk_config(name: str, truth: str, **kwargs) -> SimulationConfig:
+    if name in OVERRIDES:
+        kwargs.update(scenario=ScenarioSpec("ghz"), pair_override=OVERRIDES[name])
+    else:
+        kwargs.update(scenario=SCENARIOS[name])
+    return SimulationConfig(true_theory=truth, master_seed=SEED, **kwargs)
+
+
+class TestPhiloxKeys:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_match_seed_sequence(self, seed):
+        indices = [0, 1, 99, 2**31, 2**32 - 1]
+        keys = simulate._philox_keys(seed, np.array(indices, dtype=np.int64))
+        for index, key in zip(indices, keys):
+            expected = np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(2, np.uint64)
+            assert np.array_equal(key, expected), (seed, index)
+
+
+class TestCountBounds:
+    @pytest.mark.parametrize("name", ["chained-k2", "chained-k4", "hardy-paper", "q<r"])
+    def test_match_brute_force_at_rounding_ties(self, name):
+        # targets that are log D values themselves, and their float
+        # neighbours, put the real-valued estimate right at the rounded bound
+        pair = walk_config(name, QM).resolved_pair()
+        big, small = sorted(simulate._steps(pair), reverse=True)
+        n = np.arange(1, 301)
+        rng = np.random.default_rng(SEED)
+        ties = [
+            simulate._log_d(int(k), int(c), big, small)
+            for k, c in zip(rng.integers(1, 301, 40), rng.integers(0, 301, 40))
+            if c <= k
+        ]
+        targets = [t for x in ties for t in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+        got = simulate._count_bounds(n, big, small, tuple(targets))
+        counts = np.arange(301)
+        log_d = simulate._log_d(n[:, None], counts, big, small)
+        possible = counts <= n[:, None]
+        for row, t in zip(got, targets):
+            reached = (log_d >= t) & possible
+            assert np.array_equal(row, np.where(reached.any(axis=1), reached.argmax(axis=1), n + 1))
+
+
+class TestBatchWalkerMatchesPerTrialWalk:
+    @pytest.mark.parametrize("truth", [QM, LR])
+    @pytest.mark.parametrize("name", list(SCENARIOS) + list(OVERRIDES))
+    @pytest.mark.parametrize("max_trials", [30, 2_001])
+    def test_stop_and_decision_per_replication(self, name, truth, max_trials):
+        # 30 is below every first block and not a multiple of 4; 2001 takes
+        # continuation blocks and cuts the last one short
+        cfg = walk_config(name, truth, max_trials=max_trials, replications=40)
+        got = [(s.stop_trial, s.decision) for s in replication_summaries(cfg)]
+        assert got == [reference_walk(cfg, i) for i in range(40)]
+
+    def test_several_chunks(self):
+        cfg = walk_config("chained-k2", QM, max_trials=3_000, replications=simulate._CHUNK_ROWS * 2 + 5)
+        got = [(s.stop_trial, s.decision) for s in replication_summaries(cfg)]
+        assert got == [reference_walk(cfg, i) for i in range(cfg.replications)]
+
+
+class TestFinalLogD:
+    @pytest.mark.parametrize("truth", [QM, LR])
+    @pytest.mark.parametrize("name", list(SCENARIOS) + list(OVERRIDES))
+    def test_is_the_count_formula_of_the_outcomes(self, name, truth):
+        cfg = walk_config(name, truth, max_trials=2_001, replications=12)
+        pair = cfg.resolved_pair()
+        for s in replication_summaries(cfg):
+            t = run_trajectory(cfg, s.replication)
+            assert (t.stop_trial, t.decision) == (s.stop_trial, s.decision)
+            tally = TrialTally(t.stop_trial, int(t.outcomes.sum()))
+            assert s.final_log_d == log_bayes_factor(pair, tally).log_value
+            assert t.cumulative_log_d[-1] == s.final_log_d
+            assert not np.isnan(t.cumulative_log_d).any()
+
+    def test_outcomes_are_the_trial_stream(self):
+        cfg = walk_config("chained-k4", QM, max_trials=3_000, replications=3)
+        t = run_trajectory(cfg, 2)
+        draws = trial_stream(SEED, 2).random(t.stop_trial)
+        assert np.array_equal(t.outcomes, draws < cfg.resolved_pair().q)
+
+    @pytest.mark.parametrize("truth", [QM, LR])
+    @pytest.mark.parametrize("name", ["chained-k2", "hardy-naive", "ghz"])
+    def test_independent_of_chunk_and_block_layout(self, name, truth, monkeypatch):
+        cfg = walk_config(name, truth, max_trials=2_001, replications=50)
+        default = replication_summaries(cfg)
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(simulate, "_FIRST_BLOCK", 4)
+        monkeypatch.setattr(simulate, "_MAX_BLOCK", 12)
+        assert replication_summaries(cfg) == default
