@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bayes import _kl
 from .scenarios import (
     HARDY_MODE_PAPER,
     HARDY_MODES,
@@ -42,27 +43,6 @@ _FEAS_TOL = 1e-9
 
 class GridBudgetError(ValueError):
     """The requested exhaustive grid exceeds the configured point budget."""
-
-
-def _kl_scalar(q: float, r: float) -> float:
-    """KL(Bernoulli(q) || Bernoulli(r)) in nats; +inf at falsifying boundaries
-    instead of an exception, so grids can include them."""
-    if q > 0.0 and r == 0.0:
-        return math.inf
-    if q < 1.0 and r == 1.0:
-        return math.inf
-    yes = 0.0 if q == 0.0 else q * (math.log(q) - math.log(r))
-    no = 0.0 if q == 1.0 else (1.0 - q) * (math.log1p(-q) - math.log1p(-r))
-    return yes + no
-
-
-def _kl_vs_grid(q: float, r: np.ndarray) -> np.ndarray:
-    """Vectorized KL(Bernoulli(q) || Bernoulli(r)) over an array of r."""
-    r = np.asarray(r, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        yes = 0.0 if q == 0.0 else q * (math.log(q) - np.log(r))
-        no = 0.0 if q == 1.0 else (1.0 - q) * (math.log1p(-q) - np.log1p(-r))
-    return yes + no
 
 
 @dataclass(frozen=True)
@@ -168,8 +148,8 @@ def minimax_lr_chained(
             f"(grid_steps+1)^2k = {n_points:.3g} exceeds the budget of {max_grid_points:.3g} points"
         )
     g = np.linspace(0.0, 1.0, grid_steps + 1)
-    kl_left = _kl_vs_grid(pair.q, g)
-    kl_last = _kl_vs_grid(1.0 - pair.q, g)
+    kl_left = np.array([_kl(pair.q, r) for r in g.tolist()])
+    kl_last = np.array([_kl(1.0 - pair.q, r) for r in g.tolist()])
 
     def axis_view(vec: np.ndarray, pos: int) -> np.ndarray:
         shape = [1] * (n_axes - 1)
@@ -210,13 +190,20 @@ def hardy_objective(r: tuple[float, float, float, float], mode: str = HARDY_MODE
     if mode not in HARDY_MODES:
         raise ValueError(f"mode must be one of {HARDY_MODES}, got {mode!r}")
     r1, r2, r3, r4 = r
-    setup1 = _kl_scalar(hardy_q(), r1)
-    if mode == HARDY_MODE_PAPER:
-        family = math.inf if r1 >= 1.0 else -math.log1p(-r1)
-    else:
-        worst = max(r2, r3, r4)
-        family = math.inf if worst >= 1.0 else -math.log1p(-worst)
+    setup1 = _kl(hardy_q(), r1)
+    share = r1 if mode == HARDY_MODE_PAPER else max(r2, r3, r4)
+    family = math.inf if share >= 1.0 else -math.log1p(-share)
     return max(setup1, family)
+
+
+def _balanced_split(i: int, cell: float, mode: str) -> tuple[float, float, float, float]:
+    """The balanced split of r1 = i grid cells over setups 2..4: r1/3 each
+    in "paper" mode; whole cells, the largest ceil(i/3), in "literal" mode."""
+    r1 = i * cell
+    if mode == HARDY_MODE_PAPER:
+        return r1, r1 / 3.0, r1 / 3.0, r1 / 3.0
+    c, rem = divmod(i, 3)
+    return r1, c * cell, (c + (1 if rem == 2 else 0)) * cell, (c + (1 if rem == 1 else 0)) * cell
 
 
 def minimax_lr_hardy(
@@ -231,39 +218,18 @@ def minimax_lr_hardy(
     split r1/3 is reported.  In "literal" mode the best split is solved
     exactly: max_j -ln(1 - r_j) grows with the largest share, and with the
     shares confined to the same grid the smallest achievable largest share is
-    ceil(i/3) cells out of r1's i, the balanced split.  hardy_objective
-    exposes the raw objective for independent full-grid sweeps.
+    ceil(i/3) cells out of r1's i, the balanced split.  Each r1 is scored by
+    hardy_objective on that split in whole cells.  The reported r4 is
+    r1 - r2 - r3 instead, which saturates CH exactly in floating point but
+    may round past the cell value, so it is not the one scored.
     """
     if grid_steps < 50:
         raise ValueError(f"grid_steps must be >= 50, got {grid_steps}")
-    if mode not in HARDY_MODES:
-        raise ValueError(f"mode must be one of {HARDY_MODES}, got {mode!r}")
     if not (math.isfinite(target_d) and target_d > 1.0):
         raise ValueError(f"target_d must be finite and > 1, got {target_d!r}")
-    q = hardy_q()
     cell = 1.0 / grid_steps
-    best_val = math.inf
-    best_i = -1
-    for i in range(grid_steps + 1):
-        r1 = i * cell
-        setup1 = _kl_scalar(q, r1)
-        if mode == HARDY_MODE_PAPER:
-            family_share = r1
-        else:
-            family_share = ((i + 2) // 3) * cell
-        family = math.inf if family_share >= 1.0 else -math.log1p(-family_share)
-        val = max(setup1, family)
-        if val < best_val:
-            best_val = val
-            best_i = i
-    r1 = best_i * cell
-    if mode == HARDY_MODE_PAPER:
-        r2 = r3 = r1 / 3.0
-    else:
-        c = best_i // 3
-        rem = best_i % 3
-        r2 = c * cell
-        r3 = (c + (1 if rem == 2 else 0)) * cell
+    splits = (_balanced_split(i, cell, mode) for i in range(grid_steps + 1))
+    best_val, (r1, r2, r3, _) = min((hardy_objective(split, mode), split) for split in splits)
     r4 = r1 - r2 - r3  # saturates the CH inequality exactly
     n_real = math.log(target_d) / best_val
     return HardyAssignment(r=(r1, r2, r3, r4)), n_real

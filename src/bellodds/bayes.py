@@ -186,21 +186,30 @@ def update_odds(prior: OddsRatio, evidence: LogBayesFactor) -> OddsRatio:
     return OddsRatio(prior.ratio * math.exp(x))
 
 
+def _kl(q: float, r: float) -> float:
+    """KL(Bernoulli(q) || Bernoulli(r)) in nats; +inf where r forbids an
+    outcome q allows.  Scalar math.log/log1p on purpose: numpy's array logs
+    can differ from them in the last bit."""
+    if (r == 0.0 and q > 0.0) or (r == 1.0 and q < 1.0):
+        return math.inf
+    yes = 0.0 if q == 0.0 else q * (math.log(q) - math.log(r))
+    no = 0.0 if q == 1.0 else (1.0 - q) * (math.log1p(-q) - math.log1p(-r))
+    return yes + no
+
+
 def kl_per_trial(pair: HypothesisPair) -> float:
     """Expected log Bayes factor earned per trial when QM is true.
 
     This is the Kullback-Leibler divergence of Bernoulli(q) from
     Bernoulli(r), in nats; nonnegative, and zero exactly when q == r.
     """
-    q, r = pair.q, pair.r
-    if (r == 0.0 and q > 0.0) or (r == 1.0 and q < 1.0):
+    kl = _kl(pair.q, pair.r)
+    if kl == math.inf:
         raise InfiniteInformationError(
             "LR assigns probability 0 to an outcome QM can produce; "
             "per-trial information is unbounded"
         )
-    yes = 0.0 if q == 0.0 else q * (math.log(q) - math.log(r))
-    no = 0.0 if q == 1.0 else (1.0 - q) * (math.log1p(-q) - math.log1p(-r))
-    return yes + no
+    return kl
 
 
 def required_trials(pair: HypothesisPair, target_factor: float) -> float:

@@ -15,8 +15,7 @@ import json
 import math
 import sys
 
-from . import scenarios
-from .bayes import HypothesisPair, kl_per_trial, required_trials
+from .bayes import kl_per_trial, required_trials
 from .scenarios import (
     CHAINED,
     GHZ,
@@ -25,12 +24,7 @@ from .scenarios import (
     HARDY_MODES,
     HARDY_NAIVE,
     ScenarioSpec,
-    chained_pair,
-    find_optimal_k,
-    ghz_pair,
     hardy_naive_trials,
-    hardy_optimize_r,
-    hardy_q,
     scenario_pair,
 )
 from .simulate import GENERATOR, SimulationConfig, replication_summaries, run_replications, summarize
@@ -40,8 +34,15 @@ __all__ = ["main"]
 _USAGE = 1
 _NUMERICAL = 2
 
-#: Fixed row order of the compare table.
-COMPARE_ROWS = ("ghz", "chained-k2", "chained-k4", "hardy-paper", "hardy-naive")
+#: The scenarios of the compare table, in row order.
+COMPARE_SPECS = (
+    ScenarioSpec(GHZ),
+    ScenarioSpec(CHAINED, k=2),
+    ScenarioSpec(CHAINED, k=4),
+    ScenarioSpec(HARDY),
+    ScenarioSpec(HARDY_NAIVE),
+)
+COMPARE_ROWS = tuple(spec.label() for spec in COMPARE_SPECS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,11 +51,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_code_with_message(message))
-
-    def exit_code_with_message(self, message: str) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return _USAGE
+        raise SystemExit(_USAGE)
 
 
 def _clean(value):
@@ -103,7 +101,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     target = _target_d(args.target_d)
     spec = _spec_from_args(args)
-    res = scenario_pair(spec, target)
+    res = scenario_pair(spec)
     pair = res.pair
     extras: dict = {}
     if spec.kind == CHAINED:
@@ -122,7 +120,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         }
     else:
         kl = kl_per_trial(pair)
-        n_real = math.log(target) / kl
+        n_real = required_trials(pair, target)
         n_ceil = math.ceil(n_real)
     _emit_json(
         {
@@ -146,9 +144,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["k", "theta", "q", "r", "kl_nats", "n_real"])
     for k in range(args.k_min, args.k_max + 1):
-        pair = chained_pair(k)
+        res = scenario_pair(ScenarioSpec(CHAINED, k=k))
+        pair = res.pair
         kl = kl_per_trial(pair)
-        writer.writerow([k, math.pi / (2 * k), pair.q, pair.r, kl, math.log(target) / kl])
+        writer.writerow([k, res.geometry.theta, pair.q, pair.r, kl, required_trials(pair, target)])
     return 0
 
 
@@ -206,17 +205,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _compare_rows(target: float) -> list[tuple[str, float, float, float, str]]:
     rows = []
-    pair = ghz_pair()
-    rows.append(("ghz", pair.q, pair.r, required_trials(pair, target), "trials_for_target_d"))
-    for k in (2, 4):
-        pair = chained_pair(k)
-        rows.append(
-            (f"chained-k{k}", pair.q, pair.r, required_trials(pair, target), "trials_for_target_d")
-        )
-    sol = hardy_optimize_r("paper", target)
-    rows.append(("hardy-paper", hardy_q(), sol.r_opt, sol.n_real, "trials_for_target_d"))
-    rows.append(("hardy-naive", hardy_q(), 0.0, float(hardy_naive_trials(0.5)), "trials_to_half_survival"))
-    assert tuple(r[0] for r in rows) == COMPARE_ROWS
+    for spec in COMPARE_SPECS:
+        pair = scenario_pair(spec).pair
+        if spec.kind == HARDY_NAIVE:  # unbounded per-trial information
+            n, kind = float(hardy_naive_trials(0.5)), "trials_to_half_survival"
+        else:
+            n, kind = required_trials(pair, target), "trials_for_target_d"
+        rows.append((spec.label(), pair.q, pair.r, n, kind))
     return rows
 
 
@@ -227,8 +222,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     else:
         cells = [header] + [[row[0], repr(row[1]), repr(row[2]), repr(row[3]), row[4]] for row in rows]
         widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
@@ -241,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bellodds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[], help="hypothesis pair and trial count for one scenario")
+    p = sub.add_parser("analyze", help="hypothesis pair and trial count for one scenario")
     _add_scenario_flags(p)
     p.add_argument("--target-d", type=float, default=1e4, help="target Bayes factor (default 1e4)")
     p.set_defaults(func=cmd_analyze)

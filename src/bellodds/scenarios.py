@@ -196,11 +196,10 @@ def hardy_optimize_r(mode: str = HARDY_MODE_PAPER, target_d: float = 1e4) -> Har
     r1 = _bisect_decreasing(gap, 1e-12, q - 1e-12)
     r23 = r1 / 3.0
     r4 = r1 - 2.0 * r23  # summing r23 + r23 + r4 reproduces r1 exactly
-    kl = kl_per_trial(HypothesisPair(q, r1))
     return HardySolution(
         r_opt=r1,
         setup_probs=((q, r1), (0.0, r23), (0.0, r23), (0.0, r4)),
-        n_real=math.log(target_d) / kl,
+        n_real=required_trials(HypothesisPair(q, r1), target_d),
         mode=mode,
     )
 
@@ -224,11 +223,11 @@ def hardy_naive_trials(survival_threshold: float) -> int:
 
 
 @functools.lru_cache(maxsize=128)
-def scenario_pair(spec: ScenarioSpec, target_d: float = 1e4) -> ScenarioResolution:
+def scenario_pair(spec: ScenarioSpec) -> ScenarioResolution:
     """Resolve a scenario to its hypothesis pair plus derivation metadata.
 
-    target_d only matters for "hardy", whose optimized r1 depends on it
-    through the trial count it reports.  Pure and cached.
+    No target factor enters the pair (the Hardy r1 equalizes two rates), so
+    trial counts come from required_trials.  Pure and cached.
     """
     if spec.kind == GHZ:
         return ScenarioResolution(spec, ghz_pair())
@@ -236,7 +235,7 @@ def scenario_pair(spec: ScenarioSpec, target_d: float = 1e4) -> ScenarioResoluti
         assert spec.k is not None
         return ScenarioResolution(spec, chained_pair(spec.k), geometry=ChainedGeometry.for_k(spec.k))
     if spec.kind == HARDY:
-        sol = hardy_optimize_r(spec.hardy_mode, target_d)
+        sol = hardy_optimize_r(spec.hardy_mode)
         return ScenarioResolution(spec, HypothesisPair(hardy_q(), sol.r_opt), hardy=sol)
     return ScenarioResolution(spec, HypothesisPair(hardy_q(), 0.0))
 

@@ -77,6 +77,13 @@ class SimulationConfig:
                 "need 0 < lower_threshold < prior_odds < upper_threshold, got "
                 f"{self.lower_threshold!r} / {self.prior_odds!r} / {self.upper_threshold!r}"
             )
+        for name in ("lower_threshold", "upper_threshold"):
+            threshold = getattr(self, name)
+            if not 0.0 < self.prior_odds / threshold < math.inf:  # the walk works in ln(prior / threshold)
+                raise ValueError(
+                    f"{name} {threshold!r} is too far from prior_odds {self.prior_odds!r}: "
+                    "the log of their ratio is not finite"
+                )
         if self.max_trials < 1:
             raise ValueError(f"max_trials must be >= 1, got {self.max_trials}")
         if not 1 <= self.replications <= 2**32:

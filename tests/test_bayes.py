@@ -20,6 +20,7 @@ from bellodds.bayes import (
     LogBayesFactor,
     OddsRatio,
     TrialTally,
+    _kl,
     binomial_log_likelihood,
     kl_per_trial,
     log_bayes_factor,
@@ -170,6 +171,24 @@ class TestKlPerTrial:
                     assert kl == 0.0
                 else:
                     assert kl > 0.0, (q, r)
+
+    FALSIFYING = [(0.5, 0.0), (0.5, 1.0), (0.09, 0.0)]
+
+    @pytest.mark.parametrize(
+        "q,r",
+        FALSIFYING + [(0.0, 0.0), (1.0, 1.0), (0.0, 0.4), (1.0, 0.75), (0.3, 0.2), (0.4, 0.4),
+                      (0.09016994374947428, 0.0335836813641357)],
+    )
+    def test_private_kl_is_kl_per_trial_or_inf(self, q, r):
+        # the one KL formula: adversary grids use _kl, which returns inf where
+        # kl_per_trial raises
+        pair = HypothesisPair(q, r)
+        if (q, r) in self.FALSIFYING:
+            assert _kl(q, r) == math.inf
+            with pytest.raises(InfiniteInformationError):
+                kl_per_trial(pair)
+        else:
+            assert _kl(q, r).hex() == kl_per_trial(pair).hex()
 
     def test_infinite_information_raises(self):
         with pytest.raises(InfiniteInformationError):

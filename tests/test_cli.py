@@ -12,7 +12,7 @@ import pytest
 
 from bellodds.bayes import kl_per_trial, required_trials
 from bellodds.cli import main
-from bellodds.scenarios import chained_pair, ghz_pair, hardy_optimize_r, hardy_q
+from bellodds.scenarios import chained_pair, ghz_pair, hardy_optimize_r, hardy_q, scenario_pair
 from bellodds.simulate import GENERATOR
 
 ANALYZE_KEYS = {"scenario", "q", "r", "kl_nats", "target_d", "n_real", "n_ceil", "extras"}
@@ -81,6 +81,13 @@ class TestAnalyze:
         assert code == 0
         data = json.loads(out)
         assert data["extras"]["r_opt"] == hardy_optimize_r("literal", 1e4).r_opt
+
+    def test_target_does_not_key_the_scenario_cache(self, capsys):
+        scenario_pair.cache_clear()
+        for target in ("1e2", "1e8"):
+            code, _, _ = run_cli(capsys, "analyze", "--scenario", "hardy", "--target-d", target)
+            assert code == 0
+        assert scenario_pair.cache_info().misses == 1
 
     def test_hardy_naive_reports_survival_count(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--scenario", "hardy-naive")
@@ -249,6 +256,8 @@ class TestSimulate:
             capsys, "simulate", "--scenario", "ghz", "--prior-ratio", "0.001", "--reps", "2"
         )
         assert code == 1 and err != ""
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "ghz", "--upper", "inf", "--reps", "2")
+        assert code == 1 and "upper_threshold" in err
 
 
 class TestCompare:
@@ -305,3 +314,65 @@ class TestExitCodes:
         _, out, _ = run_cli(capsys, "analyze", "--scenario", "hardy")
         parsed = json.loads(out)
         assert json.loads(json.dumps(parsed)) == parsed
+
+
+# stdout of the CLI, pinned byte for byte.  Unlike the tests above, these do not
+# recompute the values through the library, so a change that moves both the
+# library and the CLI still shows here.
+GOLDEN = {
+    ("compare",): (
+        "scenario     q                    r                   n_real              n_kind\n"
+        "ghz          1.0                  0.75                32.01569111860438   trials_for_target_d\n"
+        "chained-k2   0.1464466094067262   0.25                287.15383057830115  trials_for_target_d\n"
+        "chained-k4   0.03806023374435663  0.125               200.82073520208976  trials_for_target_d\n"
+        "hardy-paper  0.09016994374947428  0.0335836813641357  269.6190803330111   trials_for_target_d\n"
+        "hardy-naive  0.09016994374947428  0.0                 8.0                 trials_to_half_survival\n"
+    ),
+    ("compare", "--format", "csv"): (
+        "scenario,q,r,n_real,n_kind\n"
+        "ghz,1.0,0.75,32.01569111860438,trials_for_target_d\n"
+        "chained-k2,0.1464466094067262,0.25,287.15383057830115,trials_for_target_d\n"
+        "chained-k4,0.03806023374435663,0.125,200.82073520208976,trials_for_target_d\n"
+        "hardy-paper,0.09016994374947428,0.0335836813641357,269.6190803330111,trials_for_target_d\n"
+        "hardy-naive,0.09016994374947428,0.0,8.0,trials_to_half_survival\n"
+    ),
+    ("sweep", "--scenario", "chained", "--k-min", "2", "--k-max", "12"): (
+        "k,theta,q,r,kl_nats,n_real\n"
+        "2,0.7853981633974483,0.1464466094067262,0.25,0.03207458648010167,287.15383057830115\n"
+        "3,0.5235987755982988,0.06698729810778065,0.16666666666666666,0.04435808735167085,207.63610249821232\n"
+        "4,0.39269908169872414,0.03806023374435663,0.125,0.0458634929441307,200.82073520208976\n"
+        "5,0.3141592653589793,0.024471741852423234,0.1,0.04416464940199189,208.54553351352504\n"
+        "6,0.2617993877991494,0.017037086855465844,0.08333333333333333,0.041592205067574224,221.4439065448029\n"
+        "7,0.2243994752564138,0.01253604390908819,0.07142857142857142,0.038907970154060154,236.72117397815623\n"
+        "8,0.19634954084936207,0.009607359798384785,0.0625,0.03636631728410861,253.26568813721835\n"
+        "9,0.17453292519943295,0.00759612349389599,0.05555555555555555,0.0340426795359204,270.5527443060944\n"
+        "10,0.15707963267948966,0.006155829702431115,0.05,0.031946552747671796,288.30467076443534\n"
+        "11,0.14279966607226333,0.005089279059533658,0.045454545454545456,0.030063589078071183,306.36196989182304\n"
+        "12,0.1308996938995747,0.004277569313094809,0.041666666666666664,0.02837205359382445,324.6272019583713\n"
+    ),
+    ("analyze", "--scenario", "ghz"): (
+        '{"scenario": "ghz", "q": 1.0, "r": 0.75, "kl_nats": 0.2876820724517809, "target_d": 10000.0, "n_real": 32.01569111860438, "n_ceil": 33, "extras": {}}\n'
+    ),
+    ("analyze", "--scenario", "chained", "--k", "2"): (
+        '{"scenario": "chained", "q": 0.1464466094067262, "r": 0.25, "kl_nats": 0.03207458648010167, "target_d": 10000.0, "n_real": 287.15383057830115, "n_ceil": 288, "extras": {"k": 2, "theta": 0.7853981633974483}}\n'
+    ),
+    ("analyze", "--scenario", "chained", "--k", "4"): (
+        '{"scenario": "chained", "q": 0.03806023374435663, "r": 0.125, "kl_nats": 0.0458634929441307, "target_d": 10000.0, "n_real": 200.82073520208976, "n_ceil": 201, "extras": {"k": 4, "theta": 0.39269908169872414}}\n'
+    ),
+    ("analyze", "--scenario", "hardy", "--hardy-mode", "paper"): (
+        '{"scenario": "hardy", "q": 0.09016994374947428, "r": 0.0335836813641357, "kl_nats": 0.034160565938435576, "target_d": 10000.0, "n_real": 269.6190803330111, "n_ceil": 270, "extras": {"mode": "paper", "r_opt": 0.0335836813641357}}\n'
+    ),
+    ("analyze", "--scenario", "hardy", "--hardy-mode", "literal"): (
+        '{"scenario": "hardy", "q": 0.09016994374947428, "r": 0.04760651934561896, "kl_nats": 0.015996097908218418, "target_d": 10000.0, "n_real": 575.7866965320416, "n_ceil": 576, "extras": {"mode": "literal", "r_opt": 0.04760651934561896}}\n'
+    ),
+    ("analyze", "--scenario", "hardy-naive"): (
+        '{"scenario": "hardy-naive", "q": 0.09016994374947428, "r": 0.0, "kl_nats": null, "target_d": 10000.0, "n_real": null, "n_ceil": null, "extras": {"naive_trials": 8, "survival_threshold": 0.5, "mean_trials_to_first_coincidence": 11.09016994374947}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_golden_stdout(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == GOLDEN[argv]

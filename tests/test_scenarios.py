@@ -229,7 +229,7 @@ class TestScenarioSpec:
         assert res.pair == chained_pair(4)
         assert res.geometry == ChainedGeometry.for_k(4)
 
-        res = scenario_pair(ScenarioSpec(HARDY), 1e4)
+        res = scenario_pair(ScenarioSpec(HARDY))
         assert res.hardy is not None
         assert res.pair.q == hardy_q()
         assert res.pair.r == res.hardy.r_opt

@@ -189,6 +189,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ghz_config(upper_threshold=50.0)
 
+    def test_log_ratio_to_the_prior_must_be_finite(self):
+        with pytest.raises(ValueError, match="upper_threshold"):
+            ghz_config(upper_threshold=math.inf)
+        with pytest.raises(ValueError, match="upper_threshold"):
+            ghz_config(prior_odds=1e-320, lower_threshold=1e-321)  # prior / upper underflows
+        with pytest.raises(ValueError, match="lower_threshold"):
+            ghz_config(prior_odds=1e300, lower_threshold=1e-300, upper_threshold=1e301)
+
     def test_counts(self):
         with pytest.raises(ValueError):
             ghz_config(max_trials=0)
