@@ -164,9 +164,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         replications=args.reps,
     )
     if args.dump_trajectories:
-        summaries = replication_summaries(config)
-        report = summarize(summaries)
-        with open(args.dump_trajectories, "w") as fh:
+        with open(args.dump_trajectories, "w") as fh:  # before the walk, so a bad path fails fast
+            summaries = replication_summaries(config)
+            report = summarize(summaries)
             for s in summaries:
                 rec = {
                     "replication": s.replication,
@@ -276,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --dump-trajectories path
         print(f"bellodds: error: {exc}", file=sys.stderr)
         return _USAGE
     except (RuntimeError, ArithmeticError) as exc:

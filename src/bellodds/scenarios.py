@@ -111,6 +111,9 @@ class HardySolution:
     r2 = r3 = r4 = r1/3, and r1 is tuned so the experimenter gains evidence
     at the same per-trial rate whichever setup family they choose to test.
     setup_probs lists (q_j, r_j) for setups 1..4; only setup 1 has q > 0.
+    n_real is the trial count at the target_d given to hardy_optimize_r,
+    which is 1e4 when the solution comes through scenario_pair; r_opt does
+    not depend on the target.
     """
 
     r_opt: float

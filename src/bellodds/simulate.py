@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import HypothesisPair, OddsRatio, TrialTally, IndistinguishableError, kl_per_trial, log_bayes_factor
+from .bayes import HypothesisPair, OddsRatio, TrialTally, kl_per_trial, log_bayes_factor, required_trials
 from .scenarios import ScenarioSpec, scenario_pair
 
 __all__ = [
@@ -45,7 +45,7 @@ QM_REJECTED = "qm_rejected"
 INCONCLUSIVE = "inconclusive"
 
 #: Identification of the random stream construction, echoed in CLI output.
-GENERATOR = "numpy.random.Philox keyed by SeedSequence(master_seed, spawn_key=(replication_index,))"
+GENERATOR = "numpy.random.Philox(master_seed).jumped(replication_index)"
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class SimulationConfig:
     The experiment stops once the LR:QM odds are <= lower_threshold (LR
     rejected) or >= upper_threshold (QM rejected), checked after each trial's
     update.  pair_override substitutes a synthetic hypothesis pair for the
-    scenario's.  Replication indices stay below 2**32, the range in which a
-    one-word spawn key keys each substream.
+    scenario's.  replications is at most 2**32.
     """
 
     scenario: ScenarioSpec
@@ -143,69 +142,20 @@ class StoppingReport:
 def trial_stream(master_seed: int, replication_index: int) -> np.random.Generator:
     """Independent substream for one replication.
 
-    Philox is counter-based, keyed here by a SeedSequence over
-    (master_seed, replication_index), so any replication can be generated on
-    any worker, in any order, with identical results.  The batch walker
-    derives the same keys in one vectorised pass (_philox_keys).
+    Philox is counter-based: every replication shares the key of
+    Philox(master_seed) and starts from its own counter (0, 0, index, 0), so
+    it is Philox(master_seed).jumped(index), 2**128 draws from its
+    neighbours.  Any replication can be generated on any worker, in any
+    order, with identical results.  The batch walker (_draw) sets the same
+    key and counter.
     """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(replication_index,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(key=_key(master_seed), counter=[0, 0, replication_index, 0]))
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx).  The helpers
-# take Python ints or uint32 arrays, which wrap as the hash needs.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hashmix(value, h: int, mult: int = _MULT_A):
-    """Hash value with constant h; returns the hash and the next constant."""
-    value = value ^ h
-    h = h * mult & _MASK32
-    value = value * h & _MASK32
-    return value ^ value >> 16, h
-
-
-def _mix(x: int, y):
-    r = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _philox_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
-    """The Philox keys of trial_stream(master_seed, i) for indices i below
-    2**32, as rows of a (len(indices), 2) uint64 array.
-
-    Row i equals SeedSequence(entropy=master_seed, spawn_key=(i,))
-    .generate_state(2, np.uint64).  The master seed's four zero-padded words
-    mix into a pool shared by every replication, computed once; only the
-    spawn word is hashed per replication, in uint32 arithmetic.
-    """
-    pool, h = [], _INIT_A
-    for shift in (0, 32, 64, 96):
-        v, h = _hashmix(master_seed >> shift & _MASK32, h)
-        pool.append(v)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    # The spawn word is hashed into each pool word in turn, then each pool
-    # word is hashed out as generate_state does: the same steps for all four
-    # words with successive hash constants, so they run as one (4, n) array.
-    spawn_h, out_h = [h], [_INIT_B]
-    for _ in range(3):
-        spawn_h.append(spawn_h[-1] * _MULT_A & _MASK32)
-        out_h.append(out_h[-1] * _MULT_B & _MASK32)
-    v, _ = _hashmix(np.asarray(indices, dtype=np.uint32), _column(spawn_h))
-    words, _ = _hashmix(_mix(_column(pool), v), _column(out_h), _MULT_B)
-    words = words.astype(np.uint64)
-    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
-
-
-def _column(values: list[int]) -> np.ndarray:
-    return np.array(values, dtype=np.uint32)[:, None]
+def _key(master_seed: int) -> np.ndarray:
+    """The Philox key shared by every replication of a run: that of
+    Philox(master_seed)."""
+    return np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
 
 
 #: Decision codes of the batch walker, indexed by code.
@@ -271,21 +221,22 @@ def _count_bounds(n: np.ndarray, big: float, small: float, targets: tuple[float,
         c = c - down + up
 
 
-def _draw(gen: np.random.Generator, keys: list[list[int]], done: int, width: int) -> np.ndarray:
-    """Draws done + 1 .. done + width of the Philox substreams with the given
-    keys, one row each, from one generator set to each key in turn.  done
-    must be a multiple of 4: Philox makes 4 draws per counter step."""
+def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: int, width: int) -> np.ndarray:
+    """Draws done + 1 .. done + width of the substreams of the given
+    replication indices under the run's key, one row each, from one
+    generator set to each counter in turn.  done must be a multiple of 4:
+    Philox makes 4 draws per counter step."""
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": [done // 4, 0, 0, 0], "key": None},
+        "state": {"counter": None, "key": key},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    draws = np.empty((len(keys), width))
-    for row, key in zip(draws, keys):
-        state["state"]["key"] = key
+    draws = np.empty((len(indices), width))
+    for row, index in zip(draws, indices):
+        state["state"]["counter"] = [done // 4, 0, index, 0]
         gen.bit_generator.state = state
         gen.random(out=row)
     return draws
@@ -296,8 +247,8 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
 
     Returns their stopping trials, decision codes (indices into _DECISIONS)
     and final log Bayes factors.  Replications go in chunks of _CHUNK_ROWS,
-    each drawn in blocks of a multiple of 4 trials (_draw), so every row gets
-    exactly the draws of its trial_stream.
+    each drawn in blocks of a multiple of 4 trials (_draw) under the run's
+    one key, so every row gets exactly the draws of its trial_stream.
 
     Log D after n trials with m "yes" outcomes is
     m ln(q/r) + (n - m) ln((1-q)/(1-r)), a function of the integer counts
@@ -321,13 +272,13 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
     first_block = _first_block(config, pair, not (big_falsifies or small_falsifies))
 
     gen = np.random.Generator(np.random.Philox(0))
+    key = _key(config.master_seed).tolist()
     bounds = {}  # by trials done: every chunk walks the same blocks
     stops = np.empty(stop - start, dtype=np.int64)
     finals = np.empty(stop - start)
     for base in range(start, stop, _CHUNK_ROWS):
-        keys = _philox_keys(config.master_seed, np.arange(base, min(base + _CHUNK_ROWS, stop))).tolist()
-        live = np.arange(len(keys))  # chunk rows still walking
-        count = np.zeros(len(keys), dtype=np.int64)  # big-step outcomes so far
+        live = np.arange(min(_CHUNK_ROWS, stop - base))  # chunk rows still walking
+        count = np.zeros(live.size, dtype=np.int64)  # big-step outcomes so far
         done, block = 0, first_block
         while live.size:
             width = min(block, config.max_trials - done)
@@ -338,7 +289,7 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
             n, reach_hi, pass_lo = bounds[done]
             # the draws are freed before the counts are made, which keeps the
             # 2-D temporaries small
-            is_big = _draw(gen, [keys[j] for j in live.tolist()], done, width) < p_true
+            is_big = _draw(gen, key, (live + base).tolist(), done, width) < p_true
             if not count_yes:
                 np.logical_not(is_big, out=is_big)
             c = is_big.astype(np.int64)
@@ -434,8 +385,8 @@ def _report(stops: np.ndarray, codes: np.ndarray, finals: np.ndarray) -> Stoppin
 
 def run_replications(config: SimulationConfig) -> StoppingReport:
     """All replications, aggregated.  Deterministic given the configuration:
-    substreams are keyed by replication index and the aggregation does not
-    depend on completion order."""
+    each replication's substream is fixed by its index and the aggregation
+    does not depend on completion order."""
     return _report(*_walk(config, 0, config.replications))
 
 
@@ -449,7 +400,4 @@ def expected_stop_estimate(pair: HypothesisPair, prior: OddsRatio, lower_thresho
         raise ValueError(
             f"lower_threshold must be in (0, prior], got {lower_threshold!r} vs prior {prior.ratio!r}"
         )
-    kl = kl_per_trial(pair)
-    if kl == 0.0:
-        raise IndistinguishableError("q == r: the odds never drift")
-    return math.log(prior.ratio / lower_threshold) / kl
+    return required_trials(pair, prior.ratio / lower_threshold)

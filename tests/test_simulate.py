@@ -180,6 +180,8 @@ class TestExpectedStopEstimate:
             expected_stop_estimate(HypothesisPair(0.4, 0.4), OddsRatio(100.0), 0.01)
         with pytest.raises(ValueError):
             expected_stop_estimate(HypothesisPair(1.0, 0.75), OddsRatio(100.0), 200.0)
+        with pytest.raises(ValueError):  # prior / lower overflows to inf
+            expected_stop_estimate(HypothesisPair(1.0, 0.75), OddsRatio(1e300), 1e-300)
 
 
 class TestConfigValidation:
@@ -204,7 +206,7 @@ class TestConfigValidation:
             ghz_config(replications=0)
 
     def test_replications_bounded_by_the_spawn_word(self):
-        # indices must fit the one-word spawn key; constructing runs nothing
+        # constructing runs nothing
         ghz_config(replications=2**32)
         with pytest.raises(ValueError):
             ghz_config(replications=2**32 + 1)
@@ -291,14 +293,26 @@ def walk_config(name: str, truth: str, **kwargs) -> SimulationConfig:
     return SimulationConfig(true_theory=truth, master_seed=SEED, **kwargs)
 
 
-class TestPhiloxKeys:
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-    def test_match_seed_sequence(self, seed):
-        indices = [0, 1, 99, 2**31, 2**32 - 1]
-        keys = simulate._philox_keys(seed, np.array(indices, dtype=np.int64))
-        for index, key in zip(indices, keys):
-            expected = np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(2, np.uint64)
-            assert np.array_equal(key, expected), (seed, index)
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+INDICES = [0, 1, 99, 2**31, 2**32 - 1]
+
+
+class TestSubstreams:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_walker_matches_per_trial_walk_over_the_index_range(self, seed):
+        # LR true, so the walk stops at the first "no" (probability 1/4),
+        # which QM forbids: the stop depends on the draws
+        cfg = ghz_config(master_seed=seed, replications=2**32, true_theory=LR)
+        for index in INDICES:
+            stops, codes, _ = simulate._walk(cfg, index, index + 1)
+            got = (int(stops[0]), simulate._DECISIONS[codes[0]])
+            assert got == reference_walk(cfg, index), (seed, index)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_trial_stream_is_the_jumped_master_stream(self, seed):
+        for index in INDICES:
+            jumped = np.random.Generator(np.random.Philox(seed).jumped(index))
+            assert np.array_equal(trial_stream(seed, index).random(16), jumped.random(16)), (seed, index)
 
 
 class TestCountBounds:
