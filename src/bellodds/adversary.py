@@ -1,19 +1,22 @@
-"""Brute-force grid search for the strongest local-realist strategies.
+"""Grid minimax searches for the strongest local-realist strategies.
 
-Each function asks: over all probability assignments the relevant locality
-inequality allows, which one minimizes the per-trial evidence rate of the
-best experimental setup?  The experimenter is assumed to test the single
-setup with the largest per-trial KL against the assignment, so the
-assignment's value is that maximum and the searches are minimax.  None of
-them presume the symmetric answer; the grids (dis)confirm it.
+Each function asks: over all probability assignments on a uniform grid that
+the relevant locality inequality allows, which one minimizes the per-trial
+evidence rate of the best experimental setup?  The experimenter is assumed
+to test the single setup with the largest per-trial KL against the
+assignment, so the assignment's value is that maximum and the searches are
+minimax.  None of them presume the symmetric answer; the grids (dis)confirm
+it.
 
-Ties are broken toward the lexicographically smallest assignment, and every
-objective is a pure function of the assignment, so results are independent
-of evaluation order.
+Each search returns the exact optimum of its grid without enumerating it,
+ties broken toward the lexicographically smallest assignment as an
+enumeration in index order breaks them.  The tests keep the GHZ and chained
+enumerations as oracles.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -95,54 +98,61 @@ class HardyAssignment:
 
 
 def minimax_lr_ghz(grid_steps: int = 200) -> tuple[GhzAssignment, float]:
-    """Grid-search the Mermin polytope for the assignment that minimizes the
-    best setup's per-trial evidence rate.
+    """Exact optimum of the grid minimax over the Mermin polytope: the
+    assignment that minimizes the best setup's per-trial evidence rate.
 
     QM predicts "yes" with certainty in every setup, so setup j's rate
     against a claimed average e_j is -ln((1 + e_j) / 2).  The first three
     components run over a uniform grid of [-1, 1]; the fourth is set to the
     largest value the bound allows, which lowers its own rate and leaves the
     others untouched, so no candidate optimum is lost to the reduction.
+
+    The rate falls as e grows, and the float e4 = 2 - e1 - e2 - e3 falls as
+    any of e1, e2, e3 grows, so the diagonal triple (m, m, m) scores no worse
+    than any triple whose smallest index is m.  The grid optimum is thus the
+    best diagonal value, and the lexicographically smallest triple attaining
+    it is (a, a, a), a the first index whose rate does not exceed it: bit for
+    bit what the enumeration of all triples, kept as a test oracle, returns.
     """
     if grid_steps < 10:
         raise ValueError(f"grid_steps must be >= 10, got {grid_steps}")
     g = np.linspace(-1.0, 1.0, grid_steps + 1)
+    e4 = np.clip(2.0 - g - g - g, -1.0, 1.0)
     with np.errstate(divide="ignore"):
         rate = -np.log((1.0 + g) / 2.0)
-    r2 = rate[:, None]
-    r3 = rate[None, :]
-    best_val = math.inf
-    best: tuple[float, float, float, float] | None = None
-    for i1, e1 in enumerate(g):
-        e4 = np.clip(2.0 - e1 - g[:, None] - g[None, :], -1.0, 1.0)
-        with np.errstate(divide="ignore"):
-            rate4 = -np.log((1.0 + e4) / 2.0)
-        val = np.maximum(np.maximum(rate[i1], np.maximum(r2, r3)), rate4)
-        flat = int(np.argmin(val))
-        v = float(val.flat[flat])
-        if v < best_val:
-            i2, i3 = np.unravel_index(flat, val.shape)
-            best_val = v
-            best = (float(e1), float(g[i2]), float(g[i3]), float(e4[i2, i3]))
-    assert best is not None
-    return GhzAssignment(e=best), best_val
+        rate4 = -np.log((1.0 + e4) / 2.0)
+    best_val = float(np.min(np.maximum(rate, rate4)))
+    a = int(np.argmax(rate <= best_val))
+    return GhzAssignment(e=(float(g[a]),) * 3 + (float(e4[a]),)), best_val
 
 
 def minimax_lr_chained(
     k: int = 2, grid_steps: int = 100, max_grid_points: float = 2e8
 ) -> tuple[ChainAssignment, float]:
-    """Exhaustive-grid minimax over the chained-inequality polytope.
+    """Exact optimum of the grid minimax over the chained-inequality polytope.
 
     QM predicts q = (1 - cos(pi/2k))/2 for the first 2k - 1 setups and 1 - q
     for the last.  All 2k axes are gridded over [0, 1]; points where the
     leading probabilities sum to less than the last are infeasible.  The
-    point count (grid_steps + 1)^2k must fit max_grid_points, which in
-    practice limits the exhaustive search to k = 2 at meaningful resolutions;
-    larger k needs a coarser opt-in grid.
+    point count (grid_steps + 1)^2k must fit max_grid_points, although the
+    grid is never enumerated.
+
+    A point's value is the largest of its per-axis KL values, so the optimum
+    is the smallest of them that bounds every axis of some feasible point.
+    Feasibility is decided in whole cells (leading indices summing to at
+    least the last), as the float sums with their 1e-12 slack decide it
+    while the cell is far above 1e-12.  So v is attainable iff
+    (2k - 1) * max{i : KL(q, g_i) <= v} >= min{i : KL(1 - q, g_i) <= v}, and
+    a bisection over the sorted KL values finds the optimum.  The
+    lexicographically smallest point attaining it follows slot by slot: bit
+    for bit what the enumeration of all points, kept as a test oracle,
+    returns.
     """
     pair = chained_pair(k)  # validates k >= 2
-    n_axes = 2 * k
-    n_points = float(grid_steps + 1) ** n_axes
+    if grid_steps < 2:  # a 1-cell grid has only the corners, where every KL is infinite
+        raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
+    n_left = 2 * k - 1
+    n_points = float(grid_steps + 1) ** (n_left + 1)
     if n_points > max_grid_points:
         raise GridBudgetError(
             f"(grid_steps+1)^2k = {n_points:.3g} exceeds the budget of {max_grid_points:.3g} points"
@@ -151,31 +161,20 @@ def minimax_lr_chained(
     kl_left = np.array([_kl(pair.q, r) for r in g.tolist()])
     kl_last = np.array([_kl(1.0 - pair.q, r) for r in g.tolist()])
 
-    def axis_view(vec: np.ndarray, pos: int) -> np.ndarray:
-        shape = [1] * (n_axes - 1)
-        shape[pos] = len(g)
-        return vec.reshape(shape)
+    def attainable(v: float) -> bool:
+        left, last = np.flatnonzero(kl_left <= v), np.flatnonzero(kl_last <= v)
+        return len(left) > 0 and len(last) > 0 and n_left * left[-1] >= last[0]
 
-    best_val = math.inf
-    best_idx: tuple[int, ...] | None = None
-    for i0 in range(len(g)):
-        val = np.asarray(kl_left[i0])
-        left_sum = g[i0]
-        for axis in range(n_axes - 2):
-            val = np.maximum(val, axis_view(kl_left, axis))
-            left_sum = left_sum + axis_view(g, axis)
-        val = np.maximum(val, axis_view(kl_last, n_axes - 2))
-        # slack far below the cell size, so saturating points survive the
-        # inexact grid sums no matter the summation order
-        feasible = left_sum >= axis_view(g, n_axes - 2) - 1e-12
-        val = np.where(feasible, val, math.inf)
-        flat = int(np.argmin(val))
-        v = float(val.flat[flat])
-        if v < best_val:
-            best_val = v
-            best_idx = (i0,) + tuple(int(i) for i in np.unravel_index(flat, val.shape))
-    assert best_idx is not None
-    probs = tuple(float(g[i]) for i in best_idx)
+    values = np.sort(np.concatenate([kl_left, kl_last]))
+    best_val = float(values[bisect.bisect_left(values, True, key=attainable)])
+    left = np.flatnonzero(kl_left <= best_val)
+    last = int(np.flatnonzero(kl_last <= best_val)[0])
+    idx: list[int] = []
+    for rest in range(n_left - 1, -1, -1):
+        # smallest index that still lets the remaining slots reach the last one
+        need = last - sum(idx) - rest * int(left[-1])
+        idx.append(int(left[np.searchsorted(left, need)]))
+    probs = tuple(float(g[i]) for i in idx + [last])
     return ChainAssignment(probs=probs), best_val
 
 

@@ -1,11 +1,13 @@
 """Grid-search verification of the saturating local-realist strategies.
 
 The searches themselves must reproduce the symmetric optima; on top of that,
-an independent full-grid enumeration written out in this file checks the
-Hardy split structure without going through the module's own reductions.
+independent full-grid enumerations written out in this file check the GHZ
+and chained searches bit for bit, and the Hardy split structure, without
+going through the module's own reductions.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from bellodds.adversary import (
     minimax_lr_ghz,
     minimax_lr_hardy,
 )
-from bellodds.bayes import HypothesisPair, kl_per_trial
+from bellodds.bayes import HypothesisPair, _kl, kl_per_trial
 from bellodds.scenarios import chained_pair, hardy_q
 
 LN_4_3 = 0.28768207245178085
@@ -34,6 +36,84 @@ HARDY_KL_LITERAL = 0.01599609790805268
 HARDY_GRID_VALUE_PAPER = 0.034591444769619055
 HARDY_GRID_TRIALS_PAPER = 266.260644310105
 HARDY_GRID_VALUE_LITERAL = 0.01612938192988363
+
+
+def enumerate_ghz(grid_steps: int = 200) -> tuple[GhzAssignment, float]:
+    """Oracle for minimax_lr_ghz: every grid triple, scored in index order."""
+    if grid_steps < 10:
+        raise ValueError(f"grid_steps must be >= 10, got {grid_steps}")
+    g = np.linspace(-1.0, 1.0, grid_steps + 1)
+    with np.errstate(divide="ignore"):
+        rate = -np.log((1.0 + g) / 2.0)
+    r2 = rate[:, None]
+    r3 = rate[None, :]
+    best_val = math.inf
+    best: tuple[float, float, float, float] | None = None
+    for i1, e1 in enumerate(g):
+        e4 = np.clip(2.0 - e1 - g[:, None] - g[None, :], -1.0, 1.0)
+        with np.errstate(divide="ignore"):
+            rate4 = -np.log((1.0 + e4) / 2.0)
+        val = np.maximum(np.maximum(rate[i1], np.maximum(r2, r3)), rate4)
+        flat = int(np.argmin(val))
+        v = float(val.flat[flat])
+        if v < best_val:
+            i2, i3 = np.unravel_index(flat, val.shape)
+            best_val = v
+            best = (float(e1), float(g[i2]), float(g[i3]), float(e4[i2, i3]))
+    assert best is not None
+    return GhzAssignment(e=best), best_val
+
+
+def enumerate_chained(
+    k: int = 2, grid_steps: int = 100, max_grid_points: float = 2e8
+) -> tuple[ChainAssignment, float]:
+    """Oracle for minimax_lr_chained: every grid point, scored in index order."""
+    pair = chained_pair(k)  # validates k >= 2
+    n_axes = 2 * k
+    n_points = float(grid_steps + 1) ** n_axes
+    if n_points > max_grid_points:
+        raise GridBudgetError(
+            f"(grid_steps+1)^2k = {n_points:.3g} exceeds the budget of {max_grid_points:.3g} points"
+        )
+    g = np.linspace(0.0, 1.0, grid_steps + 1)
+    kl_left = np.array([_kl(pair.q, r) for r in g.tolist()])
+    kl_last = np.array([_kl(1.0 - pair.q, r) for r in g.tolist()])
+
+    def axis_view(vec: np.ndarray, pos: int) -> np.ndarray:
+        shape = [1] * (n_axes - 1)
+        shape[pos] = len(g)
+        return vec.reshape(shape)
+
+    best_val = math.inf
+    best_idx: tuple[int, ...] | None = None
+    for i0 in range(len(g)):
+        val = np.asarray(kl_left[i0])
+        left_sum = g[i0]
+        for axis in range(n_axes - 2):
+            val = np.maximum(val, axis_view(kl_left, axis))
+            left_sum = left_sum + axis_view(g, axis)
+        val = np.maximum(val, axis_view(kl_last, n_axes - 2))
+        # slack far below the cell size, so saturating points survive the
+        # inexact grid sums no matter the summation order
+        feasible = left_sum >= axis_view(g, n_axes - 2) - 1e-12
+        val = np.where(feasible, val, math.inf)
+        flat = int(np.argmin(val))
+        v = float(val.flat[flat])
+        if v < best_val:
+            best_val = v
+            best_idx = (i0,) + tuple(int(i) for i in np.unravel_index(flat, val.shape))
+    assert best_idx is not None
+    probs = tuple(float(g[i]) for i in best_idx)
+    return ChainAssignment(probs=probs), best_val
+
+
+def peak_traced_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestGhzMinimax:
@@ -64,6 +144,14 @@ class TestGhzMinimax:
     def test_grid_steps_floor(self):
         with pytest.raises(ValueError):
             minimax_lr_ghz(9)
+
+    def test_matches_enumeration(self):
+        grids = [*range(10, 121), 200]
+        assert [g for g in grids if repr(minimax_lr_ghz(g)) != repr(enumerate_ghz(g))] == []
+
+    def test_memory_is_linear_in_the_grid(self):
+        # the enumeration's (g+1)^2 temporaries alone would take 320 KB here
+        assert peak_traced_bytes(lambda: minimax_lr_ghz(200)) < 1_000_000
 
     def test_assignment_validation(self):
         with pytest.raises(ValueError):
@@ -100,6 +188,33 @@ class TestChainedMinimax:
     def test_budget_guard(self):
         with pytest.raises(GridBudgetError):
             minimax_lr_chained(3, 100)
+
+    @pytest.mark.parametrize("grid_steps", [0, -1, True])
+    def test_grid_steps_floor(self, grid_steps):
+        with pytest.raises(ValueError, match="grid_steps"):
+            minimax_lr_chained(2, grid_steps)
+
+    @pytest.mark.parametrize(
+        "k, grids", [(2, [*range(10, 61), 100]), (3, range(4, 13)), (4, range(3, 6))]
+    )
+    def test_matches_enumeration(self, k, grids):
+        def differs(g):
+            fast = minimax_lr_chained(k, g, max_grid_points=math.inf)
+            return repr(fast) != repr(enumerate_chained(k, g, max_grid_points=math.inf))
+
+        assert [g for g in grids if differs(g)] == []
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_saturating_strategy_is_the_grid_optimum(self, k):
+        # 1/2k lies on the 10k-cell grid, so the grid optimum is the continuous one
+        assignment, value = minimax_lr_chained(k, 10 * k, max_grid_points=math.inf)
+        assert abs(value - kl_per_trial(chained_pair(k))) <= 1e-12
+        want = (1.0 / (2 * k),) * (2 * k - 1) + (1.0 - 1.0 / (2 * k),)
+        assert max(abs(p - w) for p, w in zip(assignment.probs, want)) <= 1e-12
+
+    def test_memory_is_linear_in_the_grid(self):
+        # the enumeration's (g+1)^3 temporaries alone would take 8 MB here
+        assert peak_traced_bytes(lambda: minimax_lr_chained(2, 100)) < 1_000_000
 
     def test_k3_coarse_grid_is_sane(self):
         assignment, value = minimax_lr_chained(3, 10, max_grid_points=5e6)
