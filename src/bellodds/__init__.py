@@ -39,7 +39,6 @@ from .scenarios import (
 from .adversary import (
     ChainAssignment,
     GhzAssignment,
-    GridBudgetError,
     HardyAssignment,
     hardy_objective,
     minimax_lr_chained,

@@ -43,7 +43,8 @@ class InfiniteInformationError(ValueError):
 
 
 class IndistinguishableError(ValueError):
-    """q == r: no amount of data can separate the hypotheses."""
+    """The evidence rate is 0 (q == r, or q and r so close that the rate
+    rounds to 0): no amount of data can separate the hypotheses."""
 
 
 @dataclass(frozen=True)
@@ -189,19 +190,23 @@ def update_odds(prior: OddsRatio, evidence: LogBayesFactor) -> OddsRatio:
 def _kl(q: float, r: float) -> float:
     """KL(Bernoulli(q) || Bernoulli(r)) in nats; +inf where r forbids an
     outcome q allows.  Scalar math.log/log1p on purpose: numpy's array logs
-    can differ from them in the last bit."""
+    can differ from them in the last bit.  For r within a few ulps of q the
+    two terms cancel to rounding error, which can be negative, so the result
+    is clamped at +0.0."""
     if (r == 0.0 and q > 0.0) or (r == 1.0 and q < 1.0):
         return math.inf
     yes = 0.0 if q == 0.0 else q * (math.log(q) - math.log(r))
     no = 0.0 if q == 1.0 else (1.0 - q) * (math.log1p(-q) - math.log1p(-r))
-    return yes + no
+    kl = yes + no
+    return kl if kl > 0.0 else 0.0
 
 
 def kl_per_trial(pair: HypothesisPair) -> float:
     """Expected log Bayes factor earned per trial when QM is true.
 
     This is the Kullback-Leibler divergence of Bernoulli(q) from
-    Bernoulli(r), in nats; nonnegative, and zero exactly when q == r.
+    Bernoulli(r), in nats; nonnegative, and zero when q == r or when r is
+    so close to q that the rate is 0 at double precision.
     """
     kl = _kl(pair.q, pair.r)
     if kl == math.inf:
@@ -222,7 +227,9 @@ def required_trials(pair: HypothesisPair, target_factor: float) -> float:
         raise ValueError(f"target factor must be finite and >= 1, got {target_factor!r}")
     kl = kl_per_trial(pair)
     if kl == 0.0:
-        raise IndistinguishableError("q == r: no target factor is reachable")
+        raise IndistinguishableError(
+            "the evidence rate is 0 at double precision: no target factor is reachable"
+        )
     return math.log(target_factor) / kl
 
 

@@ -83,8 +83,8 @@ class SimulationConfig:
                     f"{name} {threshold!r} is too far from prior_odds {self.prior_odds!r}: "
                     "the log of their ratio is not finite"
                 )
-        if self.max_trials < 1:
-            raise ValueError(f"max_trials must be >= 1, got {self.max_trials}")
+        if not 1 <= self.max_trials <= 2**53:  # the walker's float counts are exact up to 2**53
+            raise ValueError(f"max_trials must be in [1, 2**53], got {self.max_trials}")
         if not 1 <= self.replications <= 2**32:
             raise ValueError(f"replications must be in [1, 2**32], got {self.replications}")
         if not 0 <= self.master_seed < 2**64:
@@ -195,35 +195,9 @@ def _finite(step: float) -> float:
     return step if math.isfinite(step) else 0.0
 
 
-def _log_d(n, c, big: float, small: float):
-    """Log D after n trials of which c had step big and n - c step small."""
-    return c * big + (n - c) * small
-
-
-def _count_bounds(n: np.ndarray, big: float, small: float, targets: tuple[float, ...]) -> np.ndarray:
-    """For each target t and each trial count in n, the fewest big-step
-    outcomes c in [0, n] with _log_d(n, c) >= t, or n + 1 if none; one row
-    per target.
-
-    Needs big >= 0 >= small: then both products in _log_d, and so their
-    rounded sum, are nondecreasing in c, and _log_d >= t is the same as
-    c >= the bound."""
-    t = np.array(targets)[:, None]
-    if big == small:  # both steps 0: log D stays 0
-        return np.where(0.0 >= t, 0, n + 1)
-    c = np.clip(np.ceil((t - n * small) / (big - small)), 0, n + 1).astype(np.int64)
-    # the real-valued solution is off from the rounded one by rounding only
-    while True:
-        down = (c > 0) & (_log_d(n, c - 1, big, small) >= t)
-        up = (c <= n) & (_log_d(n, c, big, small) < t)
-        if not (down.any() or up.any()):
-            return c
-        c = c - down + up
-
-
-def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: int, width: int) -> np.ndarray:
-    """Draws done + 1 .. done + width of the substreams of the given
-    replication indices under the run's key, one row each, from one
+def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: int, draws: np.ndarray) -> None:
+    """Fills row i of draws with draws done + 1, done + 2, ... of the
+    substream of replication indices[i] under the run's key, from one
     generator set to each counter in turn.  done must be a multiple of 4:
     Philox makes 4 draws per counter step."""
     state = {
@@ -234,12 +208,10 @@ def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: in
         "has_uint32": 0,
         "uinteger": 0,
     }
-    draws = np.empty((len(indices), width))
     for row, index in zip(draws, indices):
         state["state"]["counter"] = [done // 4, 0, index, 0]
         gen.bit_generator.state = state
         gen.random(out=row)
-    return draws
 
 
 def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,57 +222,54 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
     each drawn in blocks of a multiple of 4 trials (_draw) under the run's
     one key, so every row gets exactly the draws of its trial_stream.
 
-    Log D after n trials with m "yes" outcomes is
-    m ln(q/r) + (n - m) ln((1-q)/(1-r)), a function of the integer counts
-    alone, so it does not depend on the block or chunk layout.  The walk
-    counts the outcome with the larger step, which makes log D nondecreasing
-    in that count, so a threshold is crossed exactly when the count reaches
-    a bound that depends on n only (_count_bounds).  An outcome with an
+    After every trial the walk compares log D with ln(prior/upper) and
+    ln(prior/lower).  Log D after n trials with m "yes" outcomes is
+    (n - m) ln((1-q)/(1-r)) + m ln(q/r), a function of the counts alone, so
+    it does not depend on the block or chunk layout; the counts are kept in
+    float64, exact up to 2**53, which bounds max_trials.  An outcome with an
     infinite step ends the walk at its first occurrence; until then its
     count is 0 (_finite).
     """
     pair = config.resolved_pair()
     p_true = pair.q if config.true_theory == QM else pair.r
     step_yes, step_no = _steps(pair)
-    # q >= r gives step_yes >= 0 >= step_no, and q <= r the reverse
-    count_yes = _finite(step_yes) >= _finite(step_no)
-    step_big, step_small = (step_yes, step_no) if count_yes else (step_no, step_yes)
-    big, small = _finite(step_big), _finite(step_small)
-    big_falsifies, small_falsifies = math.isinf(step_big), math.isinf(step_small)
+    yes, no = _finite(step_yes), _finite(step_no)
+    yes_falsifies, no_falsifies = math.isinf(step_yes), math.isinf(step_no)
     hi = math.log(config.prior_odds / config.lower_threshold)
     lo = math.log(config.prior_odds / config.upper_threshold)
-    first_block = _first_block(config, pair, not (big_falsifies or small_falsifies))
+    first_block = _first_block(config, pair, not (yes_falsifies or no_falsifies))
 
     gen = np.random.Generator(np.random.Philox(0))
     key = _key(config.master_seed).tolist()
-    bounds = {}  # by trials done: every chunk walks the same blocks
     stops = np.empty(stop - start, dtype=np.int64)
     finals = np.empty(stop - start)
+    # one buffer for the walk, so the blocks do not grow and shrink the heap
+    # (which costs page faults): per block, half of it takes the draws, then
+    # the "yes" counts m and then log D in place, the other half the "no" term
+    buffer = np.empty((2, min(_CHUNK_ROWS, stop - start) * min(_MAX_BLOCK, config.max_trials)))
     for base in range(start, stop, _CHUNK_ROWS):
         live = np.arange(min(_CHUNK_ROWS, stop - base))  # chunk rows still walking
-        count = np.zeros(live.size, dtype=np.int64)  # big-step outcomes so far
+        count = np.zeros(live.size)  # "yes" outcomes so far
         done, block = 0, first_block
         while live.size:
             width = min(block, config.max_trials - done)
-            if done not in bounds:
-                n = np.arange(done + 1, done + width + 1)
-                # count >= reach_hi: log D >= hi; count < pass_lo: log D <= lo
-                bounds[done] = (n, *_count_bounds(n, big, small, (hi, math.nextafter(lo, math.inf))))
-            n, reach_hi, pass_lo = bounds[done]
-            # the draws are freed before the counts are made, which keeps the
-            # 2-D temporaries small
-            is_big = _draw(gen, key, (live + base).tolist(), done, width) < p_true
-            if not count_yes:
-                np.logical_not(is_big, out=is_big)
-            c = is_big.astype(np.int64)
-            c[:, 0] += count
-            np.cumsum(c, axis=1, out=c)
-            stopped = c >= reach_hi
-            stopped |= c < pass_lo
-            if big_falsifies:
-                stopped |= is_big
-            if small_falsifies:
-                stopped |= ~is_big
+            n = np.arange(done + 1, done + width + 1, dtype=np.float64)
+            draws, no_part = (half[: live.size * width].reshape(live.size, width) for half in buffer)
+            _draw(gen, key, (live + base).tolist(), done, draws)
+            is_yes = draws < p_true
+            m = np.cumsum(is_yes, axis=1, dtype=np.float64, out=draws)
+            m += count[:, None]
+            count = m[:, -1].copy()
+            np.subtract(n, m, out=no_part)
+            no_part *= no
+            log_d = np.multiply(m, yes, out=m)
+            log_d += no_part
+            stopped = log_d >= hi
+            stopped |= log_d <= lo
+            if yes_falsifies:
+                stopped |= is_yes
+            if no_falsifies:
+                stopped |= ~is_yes
             rows = np.arange(live.size)
             first = stopped.argmax(axis=1)
             ended = stopped[rows, first]
@@ -311,14 +280,14 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
             rows, first = rows[ended], first[ended]
             at = live[ended] + (base - start)
             stops[at] = n[first]
-            final = _log_d(n[first], c[rows, first], big, small)
-            at_big = is_big[rows, first]
-            if big_falsifies:
-                final[at_big] = step_big
-            if small_falsifies:
-                final[~at_big] = step_small
+            final = log_d[rows, first]
+            at_yes = is_yes[rows, first]
+            if yes_falsifies:
+                final[at_yes] = step_yes
+            if no_falsifies:
+                final[~at_yes] = step_no
             finals[at] = final
-            live, count = live[~ended], c[~ended, -1]
+            live, count = live[~ended], count[~ended]
             block = min(2 * block, _MAX_BLOCK)
     # a falsified walk's final is +-inf, beyond either threshold
     codes = np.where(finals >= hi, 1, np.where(finals <= lo, 2, 0))
@@ -345,7 +314,8 @@ def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajecto
     p_true = pair.q if config.true_theory == QM else pair.r
     outcomes = trial_stream(config.master_seed, replication_index).random(stop) < p_true
     step_yes, step_no = _steps(pair)
-    cumulative = _log_d(np.arange(1, stop + 1), np.cumsum(outcomes), _finite(step_yes), _finite(step_no))
+    m, n = np.cumsum(outcomes), np.arange(1, stop + 1)
+    cumulative = m * _finite(step_yes) + (n - m) * _finite(step_no)
     cumulative[-1] = final  # +-inf if the last outcome falsified a theory
     return Trajectory(outcomes, cumulative, _DECISIONS[codes[0]], stop)
 

@@ -15,7 +15,6 @@ import pytest
 from bellodds.adversary import (
     ChainAssignment,
     GhzAssignment,
-    GridBudgetError,
     HardyAssignment,
     hardy_objective,
     minimax_lr_chained,
@@ -71,10 +70,8 @@ def enumerate_chained(
     pair = chained_pair(k)  # validates k >= 2
     n_axes = 2 * k
     n_points = float(grid_steps + 1) ** n_axes
-    if n_points > max_grid_points:
-        raise GridBudgetError(
-            f"(grid_steps+1)^2k = {n_points:.3g} exceeds the budget of {max_grid_points:.3g} points"
-        )
+    if n_points > max_grid_points:  # this one really enumerates them
+        raise ValueError(f"(grid_steps+1)^2k = {n_points:.3g} exceeds {max_grid_points:.3g} points")
     g = np.linspace(0.0, 1.0, grid_steps + 1)
     kl_left = np.array([_kl(pair.q, r) for r in g.tolist()])
     kl_last = np.array([_kl(1.0 - pair.q, r) for r in g.tolist()])
@@ -185,10 +182,6 @@ class TestChainedMinimax:
         assert CHAINED2_KL - 1e-12 <= fine <= coarse + 1e-12
         assert coarse <= CHAINED2_KL + 1.0 / 50
 
-    def test_budget_guard(self):
-        with pytest.raises(GridBudgetError):
-            minimax_lr_chained(3, 100)
-
     @pytest.mark.parametrize("grid_steps", [0, -1, True])
     def test_grid_steps_floor(self, grid_steps):
         with pytest.raises(ValueError, match="grid_steps"):
@@ -199,15 +192,14 @@ class TestChainedMinimax:
     )
     def test_matches_enumeration(self, k, grids):
         def differs(g):
-            fast = minimax_lr_chained(k, g, max_grid_points=math.inf)
-            return repr(fast) != repr(enumerate_chained(k, g, max_grid_points=math.inf))
+            return repr(minimax_lr_chained(k, g)) != repr(enumerate_chained(k, g))
 
         assert [g for g in grids if differs(g)] == []
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_saturating_strategy_is_the_grid_optimum(self, k):
         # 1/2k lies on the 10k-cell grid, so the grid optimum is the continuous one
-        assignment, value = minimax_lr_chained(k, 10 * k, max_grid_points=math.inf)
+        assignment, value = minimax_lr_chained(k, 10 * k)
         assert abs(value - kl_per_trial(chained_pair(k))) <= 1e-12
         want = (1.0 / (2 * k),) * (2 * k - 1) + (1.0 - 1.0 / (2 * k),)
         assert max(abs(p - w) for p, w in zip(assignment.probs, want)) <= 1e-12
@@ -217,9 +209,15 @@ class TestChainedMinimax:
         assert peak_traced_bytes(lambda: minimax_lr_chained(2, 100)) < 1_000_000
 
     def test_k3_coarse_grid_is_sane(self):
-        assignment, value = minimax_lr_chained(3, 10, max_grid_points=5e6)
+        assignment, value = minimax_lr_chained(3, 10)
         assert len(assignment.probs) == 6
         assert value >= CHAINED3_KL - 1e-12
+
+    def test_k3_fine_grid_runs(self):
+        # 101^6 = 1.1e12 grid points, none of them built
+        assignment, value = minimax_lr_chained(3, 100)
+        assert len(assignment.probs) == 6
+        assert value >= _kl(chained_pair(3).q, 1.0 / 6.0) - 1e-12
 
     def test_assignment_validation(self):
         with pytest.raises(ValueError):

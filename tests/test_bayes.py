@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bellodds.bayes import (
     BothFalsifiedError,
@@ -171,6 +171,19 @@ class TestKlPerTrial:
                     assert kl == 0.0
                 else:
                     assert kl > 0.0, (q, r)
+
+    # r = nextafter(q, +-1) stays inside (0, 1)
+    @given(q=st.floats(min_value=1e-300, max_value=math.nextafter(1.0, 0.0), exclude_max=True), up=st.booleans())
+    @example(q=0.6369616873214543, up=True)  # the two terms cancel to -2.5e-17 before the clamp
+    def test_nonnegative_for_adjacent_doubles(self, q, up):
+        r = math.nextafter(q, 1.0 if up else -1.0)
+        kl = kl_per_trial(HypothesisPair(q, r))
+        assert kl >= 0.0 and math.copysign(1.0, kl) == 1.0
+        if kl == 0.0:
+            with pytest.raises(IndistinguishableError, match="double precision"):
+                required_trials(HypothesisPair(q, r), 1e4)
+        else:
+            assert required_trials(HypothesisPair(q, r), 1e4) > 0.0
 
     FALSIFYING = [(0.5, 0.0), (0.5, 1.0), (0.09, 0.0)]
 

@@ -2,6 +2,8 @@
 convergence against closed-form oracles, and the determinism contract."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,8 +109,6 @@ class TestChainedEvidenceRate:
         assert abs(report.mean_log_d_per_trial - kl) <= 3.0 * se
 
     def test_lr_true_drifts_the_other_way(self, chained_config):
-        from dataclasses import replace
-
         report = run_replications(replace(chained_config, true_theory=LR))
         assert report.decision_counts[QM_REJECTED] > report.decision_counts[LR_REJECTED]
 
@@ -202,6 +202,9 @@ class TestConfigValidation:
     def test_counts(self):
         with pytest.raises(ValueError):
             ghz_config(max_trials=0)
+        ghz_config(max_trials=2**53)  # the walker's float counts are exact up to here
+        with pytest.raises(ValueError, match="max_trials"):
+            ghz_config(max_trials=2**53 + 1)
         with pytest.raises(ValueError):
             ghz_config(replications=0)
 
@@ -315,28 +318,77 @@ class TestSubstreams:
             assert np.array_equal(trial_stream(seed, index).random(16), jumped.random(16)), (seed, index)
 
 
-class TestCountBounds:
-    @pytest.mark.parametrize("name", ["chained-k2", "chained-k4", "hardy-paper", "q<r"])
-    def test_match_brute_force_at_rounding_ties(self, name):
-        # targets that are log D values themselves, and their float
-        # neighbours, put the real-valued estimate right at the rounded bound
-        pair = walk_config(name, QM).resolved_pair()
-        big, small = sorted(simulate._steps(pair), reverse=True)
-        n = np.arange(1, 301)
-        rng = np.random.default_rng(SEED)
-        ties = [
-            simulate._log_d(int(k), int(c), big, small)
-            for k, c in zip(rng.integers(1, 301, 40), rng.integers(0, 301, 40))
-            if c <= k
-        ]
-        targets = [t for x in ties for t in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
-        got = simulate._count_bounds(n, big, small, tuple(targets))
-        counts = np.arange(301)
-        log_d = simulate._log_d(n[:, None], counts, big, small)
-        possible = counts <= n[:, None]
-        for row, t in zip(got, targets):
-            reached = (log_d >= t) & possible
-            assert np.array_equal(row, np.where(reached.any(axis=1), reached.argmax(axis=1), n + 1))
+def count_formula_walk(config: SimulationConfig, index: int) -> tuple[int, str, str]:
+    """One trial at a time, log D from the counts: m * step_yes + (n - m) *
+    step_no after n trials with m "yes", in Python floats, against the
+    thresholds after every trial.  Returns the stop, the decision and the
+    final log D in hex, to be matched bit for bit."""
+    pair = config.resolved_pair()
+    p_true = pair.q if config.true_theory == QM else pair.r
+    step_yes = log_bayes_factor(pair, TrialTally(1, 1)).log_value
+    step_no = log_bayes_factor(pair, TrialTally(1, 0)).log_value
+    # an infinite step's outcome ends the walk, so until then its count is 0
+    yes, no = (step if math.isfinite(step) else 0.0 for step in (step_yes, step_no))
+    hi = math.log(config.prior_odds / config.lower_threshold)
+    lo = math.log(config.prior_odds / config.upper_threshold)
+    rng = trial_stream(config.master_seed, index)
+    m = 0
+    for n in range(1, config.max_trials + 1):
+        is_yes = rng.random() < p_true
+        step = step_yes if is_yes else step_no
+        if math.isinf(step):
+            return n, LR_REJECTED if step > 0 else QM_REJECTED, step.hex()
+        m += is_yes
+        log_d = m * yes + (n - m) * no
+        if log_d >= hi:
+            return n, LR_REJECTED, log_d.hex()
+        if log_d <= lo:
+            return n, QM_REJECTED, log_d.hex()
+    return config.max_trials, INCONCLUSIVE, log_d.hex()
+
+
+def batch_walk(config: SimulationConfig) -> list[tuple[int, str, str]]:
+    stops, codes, finals = simulate._walk(config, 0, config.replications)
+    return [
+        (stop, simulate._DECISIONS[code], final.hex())
+        for stop, code, final in zip(stops.tolist(), codes.tolist(), finals.tolist())
+    ]
+
+
+def threshold_at(prior: float, target: float) -> float:
+    """The threshold t with math.log(prior / t) == target, found by stepping
+    t one double at a time from its real-valued estimate."""
+    t = prior / math.exp(target)
+    while math.log(prior / t) < target:
+        t = math.nextafter(t, 0.0)
+    while math.log(prior / t) > target:
+        t = math.nextafter(t, math.inf)
+    assert math.log(prior / t) == target, "no threshold maps onto the target"
+    return t
+
+
+class TestCountFormulaWalk:
+    @pytest.mark.parametrize("truth", [QM, LR])
+    @pytest.mark.parametrize("name", list(SCENARIOS) + list(OVERRIDES))
+    @pytest.mark.parametrize("max_trials", [30, 2_001])
+    def test_matches_the_walker_bitwise(self, name, truth, max_trials):
+        cfg = walk_config(name, truth, max_trials=max_trials, replications=20)
+        assert batch_walk(cfg) == [count_formula_walk(cfg, i) for i in range(20)]
+
+    @pytest.mark.parametrize("truth", [QM, LR])
+    def test_thresholds_on_and_beside_a_reached_log_d(self, truth):
+        # each walk ends on a log D it reached; a threshold there or one ulp
+        # inside stops it there too (>= hi, <= lo), one ulp outside does not
+        base = walk_config("chained-k2", truth, max_trials=3_000, replications=40)
+        name, outward = ("lower_threshold", math.inf) if truth == QM else ("upper_threshold", -math.inf)
+        base_walks = batch_walk(base)
+        for i, (_, _, final) in enumerate(base_walks[:6]):
+            x = float.fromhex(final)
+            for target, stops_there in ((math.nextafter(x, -outward), True), (x, True), (math.nextafter(x, outward), False)):
+                cfg = replace(base, **{name: threshold_at(base.prior_odds, target)})
+                walks = batch_walk(cfg)
+                assert walks == [count_formula_walk(cfg, j) for j in range(cfg.replications)]
+                assert (walks[i] == base_walks[i]) == stops_there, (i, target)
 
 
 class TestBatchWalkerMatchesPerTrialWalk:
@@ -385,3 +437,19 @@ class TestFinalLogD:
         monkeypatch.setattr(simulate, "_FIRST_BLOCK", 4)
         monkeypatch.setattr(simulate, "_MAX_BLOCK", 12)
         assert replication_summaries(cfg) == default
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_replications(self):
+        # the walk's buffer is 2 x _CHUNK_ROWS x _MAX_BLOCK floats (2 MB) at
+        # any rep count; 20k reps add 24 bytes of results each.  A walker
+        # that did not chunk would need 90 MB here.
+        cfg = walk_config("chained-k2", QM, replications=20_000)
+        run_replications(replace(cfg, replications=200))  # first-call caches
+        tracemalloc.start()
+        try:
+            run_replications(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
