@@ -8,10 +8,11 @@ assignment, so the assignment's value is that maximum and the searches are
 minimax.  None of them presume the symmetric answer; the grids (dis)confirm
 it.
 
-Each search returns the exact optimum of its grid without enumerating it,
-ties broken toward the lexicographically smallest assignment as an
-enumeration in index order breaks them.  The tests keep the GHZ and chained
-enumerations as oracles.
+The GHZ and chained searches return the exact optimum of their grids
+without enumerating them, ties broken toward the lexicographically smallest
+assignment as an enumeration in index order breaks them; the tests keep
+those enumerations as oracles.  The Hardy search scores every cell of its
+one-dimensional r1 grid.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ class GhzAssignment:
         total = math.fsum(self.e)
         if not -2.0 - _FEAS_TOL <= total <= 2.0 + _FEAS_TOL:
             raise ValueError(f"averages violate the bound |sum| <= 2: sum={total!r}")
-
-    @property
-    def yes_probabilities(self) -> tuple[float, ...]:
-        return tuple((1.0 + x) / 2.0 for x in self.e)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .scenarios import (
     HARDY_MODE_PAPER,
     HARDY_MODES,
     HARDY_NAIVE,
+    ChainedGeometry,
     ScenarioSpec,
     hardy_naive_trials,
     scenario_pair,
@@ -42,7 +43,6 @@ COMPARE_SPECS = (
     ScenarioSpec(HARDY),
     ScenarioSpec(HARDY_NAIVE),
 )
-COMPARE_ROWS = tuple(spec.label() for spec in COMPARE_SPECS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,13 +101,12 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     target = _target_d(args.target_d)
     spec = _spec_from_args(args)
-    res = scenario_pair(spec)
-    pair = res.pair
+    pair = scenario_pair(spec).pair
     extras: dict = {}
     if spec.kind == CHAINED:
-        extras = {"k": res.geometry.k, "theta": res.geometry.theta}
+        extras = {"k": spec.k, "theta": ChainedGeometry.for_k(spec.k).theta}
     elif spec.kind == HARDY:
-        extras = {"mode": res.hardy.mode, "r_opt": res.hardy.r_opt}
+        extras = {"mode": spec.hardy_mode, "r_opt": pair.r}
     if spec.kind == HARDY_NAIVE:
         # The all-zero LR theory carries unbounded per-trial information, so
         # kl_nats and the trial counts have no finite value; what is finite
@@ -144,10 +143,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["k", "theta", "q", "r", "kl_nats", "n_real"])
     for k in range(args.k_min, args.k_max + 1):
-        res = scenario_pair(ScenarioSpec(CHAINED, k=k))
-        pair = res.pair
+        pair = scenario_pair(ScenarioSpec(CHAINED, k=k)).pair
         kl = kl_per_trial(pair)
-        writer.writerow([k, res.geometry.theta, pair.q, pair.r, kl, required_trials(pair, target)])
+        writer.writerow([k, ChainedGeometry.for_k(k).theta, pair.q, pair.r, kl, required_trials(pair, target)])
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .bayes import HypothesisPair, kl_per_trial, required_trials
@@ -55,6 +56,14 @@ class BisectionError(RuntimeError):
     """Root bracketing or convergence failed."""
 
 
+def _check_int(name: str, value) -> int:
+    """value as an int; Python and numpy ints pass, floats and strings do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Which experiment family is analyzed.
@@ -72,12 +81,14 @@ class ScenarioSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == CHAINED:
-            if self.k is None or self.k < 2:
+            if self.k is None or _check_int("k", self.k) < 2:
                 raise ValueError(f"chained scenarios need k >= 2, got {self.k!r}")
         elif self.k is not None:
             raise ValueError(f"k only applies to chained scenarios, got kind={self.kind!r}")
         if self.hardy_mode not in HARDY_MODES:
             raise ValueError(f"hardy_mode must be one of {HARDY_MODES}, got {self.hardy_mode!r}")
+        if self.kind != HARDY and self.hardy_mode != HARDY_MODE_PAPER:
+            raise ValueError(f"hardy_mode only applies to hardy scenarios, got kind={self.kind!r}")
 
     def label(self) -> str:
         """Stable human/machine tag, e.g. "chained-k4" or "hardy-paper"."""
@@ -110,26 +121,20 @@ class HardySolution:
     The CH inequality r1 <= r2 + r3 + r4 is saturated by the symmetric split
     r2 = r3 = r4 = r1/3, and r1 is tuned so the experimenter gains evidence
     at the same per-trial rate whichever setup family they choose to test.
-    setup_probs lists (q_j, r_j) for setups 1..4; only setup 1 has q > 0.
-    n_real is the trial count at the target_d given to hardy_optimize_r,
-    which is 1e4 when the solution comes through scenario_pair; r_opt does
-    not depend on the target.
+    n_real is the trial count at the target_d given to hardy_optimize_r;
+    r_opt does not depend on the target.
     """
 
     r_opt: float
-    setup_probs: tuple[tuple[float, float], ...]
     n_real: float
-    mode: str
 
 
 @dataclass(frozen=True)
 class ScenarioResolution:
-    """A scenario's hypothesis pair plus whatever derivation metadata it has."""
+    """A scenario and the hypothesis pair it resolves to."""
 
     spec: ScenarioSpec
     pair: HypothesisPair
-    geometry: ChainedGeometry | None = None
-    hardy: HardySolution | None = None
 
 
 def ghz_pair() -> HypothesisPair:
@@ -197,14 +202,7 @@ def hardy_optimize_r(mode: str = HARDY_MODE_PAPER, target_d: float = 1e4) -> Har
         return kl_per_trial(HypothesisPair(q, r)) + math.log1p(-r * share)
 
     r1 = _bisect_decreasing(gap, 1e-12, q - 1e-12)
-    r23 = r1 / 3.0
-    r4 = r1 - 2.0 * r23  # summing r23 + r23 + r4 reproduces r1 exactly
-    return HardySolution(
-        r_opt=r1,
-        setup_probs=((q, r1), (0.0, r23), (0.0, r23), (0.0, r4)),
-        n_real=required_trials(HypothesisPair(q, r1), target_d),
-        mode=mode,
-    )
+    return HardySolution(r_opt=r1, n_real=required_trials(HypothesisPair(q, r1), target_d))
 
 
 def hardy_naive_trials(survival_threshold: float) -> int:
@@ -227,7 +225,7 @@ def hardy_naive_trials(survival_threshold: float) -> int:
 
 @functools.lru_cache(maxsize=128)
 def scenario_pair(spec: ScenarioSpec) -> ScenarioResolution:
-    """Resolve a scenario to its hypothesis pair plus derivation metadata.
+    """Resolve a scenario to its hypothesis pair.
 
     No target factor enters the pair (the Hardy r1 equalizes two rates), so
     trial counts come from required_trials.  Pure and cached.
@@ -235,11 +233,9 @@ def scenario_pair(spec: ScenarioSpec) -> ScenarioResolution:
     if spec.kind == GHZ:
         return ScenarioResolution(spec, ghz_pair())
     if spec.kind == CHAINED:
-        assert spec.k is not None
-        return ScenarioResolution(spec, chained_pair(spec.k), geometry=ChainedGeometry.for_k(spec.k))
+        return ScenarioResolution(spec, chained_pair(spec.k))
     if spec.kind == HARDY:
-        sol = hardy_optimize_r(spec.hardy_mode)
-        return ScenarioResolution(spec, HypothesisPair(hardy_q(), sol.r_opt), hardy=sol)
+        return ScenarioResolution(spec, HypothesisPair(hardy_q(), hardy_optimize_r(spec.hardy_mode).r_opt))
     return ScenarioResolution(spec, HypothesisPair(hardy_q(), 0.0))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import HypothesisPair, OddsRatio, TrialTally, kl_per_trial, log_bayes_factor, required_trials
-from .scenarios import ScenarioSpec, scenario_pair
+from .scenarios import ScenarioSpec, _check_int, scenario_pair
 
 __all__ = [
     "GENERATOR",
@@ -83,6 +83,8 @@ class SimulationConfig:
                     f"{name} {threshold!r} is too far from prior_odds {self.prior_odds!r}: "
                     "the log of their ratio is not finite"
                 )
+        for name in ("max_trials", "replications", "master_seed"):
+            _check_int(name, getattr(self, name))
         if not 1 <= self.max_trials <= 2**53:  # the walker's float counts are exact up to 2**53
             raise ValueError(f"max_trials must be in [1, 2**53], got {self.max_trials}")
         if not 1 <= self.replications <= 2**32:

@@ -374,6 +374,12 @@ GOLDEN = {
     ("analyze", "--scenario", "hardy", "--hardy-mode", "literal"): (
         '{"scenario": "hardy", "q": 0.09016994374947428, "r": 0.04760651934561896, "kl_nats": 0.015996097908218418, "target_d": 10000.0, "n_real": 575.7866965320416, "n_ceil": 576, "extras": {"mode": "literal", "r_opt": 0.04760651934561896}}\n'
     ),
+    ("analyze", "--scenario", "chained", "--k", "7", "--target-d", "1e8"): (
+        '{"scenario": "chained", "q": 0.01253604390908819, "r": 0.07142857142857142, "kl_nats": 0.038907970154060154, "target_d": 100000000.0, "n_real": 473.44234795631246, "n_ceil": 474, "extras": {"k": 7, "theta": 0.2243994752564138}}\n'
+    ),
+    ("analyze", "--scenario", "hardy", "--hardy-mode", "literal", "--target-d", "1e8"): (
+        '{"scenario": "hardy", "q": 0.09016994374947428, "r": 0.04760651934561896, "kl_nats": 0.015996097908218418, "target_d": 100000000.0, "n_real": 1151.5733930640831, "n_ceil": 1152, "extras": {"mode": "literal", "r_opt": 0.04760651934561896}}\n'
+    ),
     ("analyze", "--scenario", "hardy-naive"): (
         '{"scenario": "hardy-naive", "q": 0.09016994374947428, "r": 0.0, "kl_nats": null, "target_d": 10000.0, "n_real": null, "n_ceil": null, "extras": {"naive_trials": 8, "survival_threshold": 0.5, "mean_trials_to_first_coincidence": 11.09016994374947}}\n'
     ),

@@ -134,14 +134,6 @@ class TestHardyOptimization:
         residual = kl_per_trial(HypothesisPair(hardy_q(), 0.03358)) + math.log1p(-0.03358)
         assert abs(residual) < 1e-4
 
-    def test_ch_inequality_saturated(self):
-        for mode in ("paper", "literal"):
-            sol = hardy_optimize_r(mode, 1e4)
-            (q1, r1), (q2, r2), (q3, r3), (q4, r4) = sol.setup_probs
-            assert (q1, q2, q3, q4) == (hardy_q(), 0.0, 0.0, 0.0)
-            assert abs(r1 - (r2 + r3 + r4)) < 1e-12
-            assert abs(r2 - r3) < 1e-12 and abs(r3 - r4) < 1e-12
-
     def test_literal_mode_root(self):
         sol = hardy_optimize_r("literal", 1e4)
         assert abs(sol.r_opt - HARDY_R_LITERAL) < 1e-9
@@ -216,6 +208,22 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(HARDY, hardy_mode="folk")
 
+    @pytest.mark.parametrize("k", [2.5, 4.0, "4"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            ScenarioSpec(CHAINED, k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        spec = ScenarioSpec(CHAINED, k=np.int64(4))
+        assert spec == ScenarioSpec(CHAINED, k=4)
+        assert scenario_pair(spec).pair == chained_pair(4)
+
+    @pytest.mark.parametrize("kind, k", [(GHZ, None), (CHAINED, 2), (HARDY_NAIVE, None)])
+    def test_hardy_mode_only_for_hardy(self, kind, k):
+        with pytest.raises(ValueError, match="hardy_mode only applies"):
+            ScenarioSpec(kind, k=k, hardy_mode="literal")
+        assert ScenarioSpec(kind, k=k, hardy_mode="paper") == ScenarioSpec(kind, k=k)
+
     def test_labels(self):
         assert ScenarioSpec(GHZ).label() == "ghz"
         assert ScenarioSpec(CHAINED, k=4).label() == "chained-k4"
@@ -225,14 +233,11 @@ class TestScenarioSpec:
     def test_dispatch(self):
         assert scenario_pair(ScenarioSpec(GHZ)).pair == HypothesisPair(1.0, 0.75)
 
-        res = scenario_pair(ScenarioSpec(CHAINED, k=4))
-        assert res.pair == chained_pair(4)
-        assert res.geometry == ChainedGeometry.for_k(4)
+        assert scenario_pair(ScenarioSpec(CHAINED, k=4)).pair == chained_pair(4)
 
-        res = scenario_pair(ScenarioSpec(HARDY))
-        assert res.hardy is not None
-        assert res.pair.q == hardy_q()
-        assert res.pair.r == res.hardy.r_opt
+        pair = scenario_pair(ScenarioSpec(HARDY)).pair
+        assert pair.q == hardy_q()
+        assert pair.r == hardy_optimize_r("paper").r_opt
 
         res = scenario_pair(ScenarioSpec(HARDY_NAIVE))
         assert res.pair == HypothesisPair(hardy_q(), 0.0)

@@ -208,6 +208,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ghz_config(replications=0)
 
+    @pytest.mark.parametrize("name", ["max_trials", "replications", "master_seed"])
+    @pytest.mark.parametrize("value", [2.5, 33.0, "7"])
+    def test_non_integer_counts_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ghz_config(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        plain = run_replications(ghz_config(max_trials=40, replications=3, master_seed=5))
+        numpy_ints = ghz_config(max_trials=np.int64(40), replications=np.int32(3), master_seed=np.uint64(5))
+        assert run_replications(numpy_ints) == plain
+
     def test_replications_bounded_by_the_spawn_word(self):
         # constructing runs nothing
         ghz_config(replications=2**32)
