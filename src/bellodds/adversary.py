@@ -11,8 +11,10 @@ it.
 The GHZ and chained searches return the exact optimum of their grids
 without enumerating them, ties broken toward the lexicographically smallest
 assignment as an enumeration in index order breaks them; the tests keep
-those enumerations as oracles.  The Hardy search scores every cell of its
-one-dimensional r1 grid.
+those enumerations as oracles.  The Hardy search bisects its one-dimensional
+r1 grid for the first cell where setup 1's rate drops to the
+zero-coincidence family's and scores only that cell and its two neighbours;
+the tests keep the scan of every cell as its oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .bayes import _kl
 from .scenarios import (
     HARDY_MODE_PAPER,
     HARDY_MODES,
+    _check_int,
     chained_pair,
     hardy_q,
 )
@@ -106,6 +109,7 @@ def minimax_lr_ghz(grid_steps: int = 200) -> tuple[GhzAssignment, float]:
     it is (a, a, a), a the first index whose rate does not exceed it: bit for
     bit what the enumeration of all triples, kept as a test oracle, returns.
     """
+    grid_steps = _check_int("grid_steps", grid_steps)
     if grid_steps < 10:
         raise ValueError(f"grid_steps must be >= 10, got {grid_steps}")
     g = np.linspace(-1.0, 1.0, grid_steps + 1)
@@ -139,6 +143,7 @@ def minimax_lr_chained(k: int = 2, grid_steps: int = 100) -> tuple[ChainAssignme
     returns.
     """
     pair = chained_pair(k)  # validates k >= 2
+    grid_steps = _check_int("grid_steps", grid_steps)
     if grid_steps < 2:  # a 1-cell grid has only the corners, where every KL is infinite
         raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
     n_left = 2 * k - 1
@@ -173,11 +178,16 @@ def hardy_objective(r: tuple[float, float, float, float], mode: str = HARDY_MODE
     """
     if mode not in HARDY_MODES:
         raise ValueError(f"mode must be one of {HARDY_MODES}, got {mode!r}")
+    return max(*_hardy_rates(r, mode))
+
+
+def _hardy_rates(r: tuple[float, float, float, float], mode: str) -> tuple[float, float]:
+    """Setup 1's rate and the zero-coincidence family's rate, the two terms
+    hardy_objective takes the larger of."""
     r1, r2, r3, r4 = r
-    setup1 = _kl(hardy_q(), r1)
     share = r1 if mode == HARDY_MODE_PAPER else max(r2, r3, r4)
     family = math.inf if share >= 1.0 else -math.log1p(-share)
-    return max(setup1, family)
+    return _kl(hardy_q(), r1), family
 
 
 def _balanced_split(i: int, cell: float, mode: str) -> tuple[float, float, float, float]:
@@ -193,9 +203,9 @@ def _balanced_split(i: int, cell: float, mode: str) -> tuple[float, float, float
 def minimax_lr_hardy(
     grid_steps: int = 1000, target_d: float = 1e4, mode: str = HARDY_MODE_PAPER
 ) -> tuple[HardyAssignment, float]:
-    """Scan r1 over a uniform grid of [0, 1] for the CH-saturating assignment
-    minimizing the experimenter's best rate; return it with the trial count
-    n_real = ln(target_d) / rate at the optimum.
+    """Exact optimum of the grid minimax over CH-saturating Hardy
+    assignments, r1 on a uniform grid of [0, 1]; return it with the trial
+    count n_real = ln(target_d) / rate at the optimum.
 
     Only r1 needs a grid.  In "paper" mode the zero-coincidence family's rate
     depends on r1 alone and any CH-feasible split ties, so the symmetric
@@ -206,13 +216,37 @@ def minimax_lr_hardy(
     hardy_objective on that split in whole cells.  The reported r4 is
     r1 - r2 - r3 instead, which saturates CH exactly in floating point but
     may round past the cell value, so it is not the one scored.
+
+    The grid is not scanned.  The family rate -ln(1 - share) does not
+    decrease with the cell index i, and setup 1's KL(q, r1) does not
+    increase on cells 0 .. ceil(q / cell), so on those cells the test
+    KL <= family is false up to a first cell i* and true from it on (cell 0
+    fails it, KL being infinite; the last one passes it once grid_steps >=
+    50), and bisection finds i* in O(log grid_steps) objective evaluations.
+    Left of i* the objective is setup 1's KL, which falls, so i* - 1 beats
+    every cell before it; from i* on the objective is at least the family
+    rate at i*, which i* attains.  The cells i* - 1 .. i* + 1 are scored with
+    the same (value, split) tuples a scan of every cell minimizes, so ties
+    break toward the smaller r1 as that scan breaks them: bit for bit what
+    the scan, kept as a test oracle, returns.
     """
+    grid_steps = _check_int("grid_steps", grid_steps)
     if grid_steps < 50:
         raise ValueError(f"grid_steps must be >= 50, got {grid_steps}")
     if not (math.isfinite(target_d) and target_d > 1.0):
         raise ValueError(f"target_d must be finite and > 1, got {target_d!r}")
+    if mode not in HARDY_MODES:
+        raise ValueError(f"mode must be one of {HARDY_MODES}, got {mode!r}")
     cell = 1.0 / grid_steps
-    splits = (_balanced_split(i, cell, mode) for i in range(grid_steps + 1))
+
+    def crossed(i: int) -> bool:
+        setup1, family = _hardy_rates(_balanced_split(i, cell, mode), mode)
+        return setup1 <= family
+
+    top = min(grid_steps, math.ceil(hardy_q() / cell))
+    first = bisect.bisect_left(range(top + 1), True, key=crossed)
+    window = range(first - 1, min(first + 1, grid_steps) + 1)
+    splits = (_balanced_split(i, cell, mode) for i in window)
     best_val, (r1, r2, r3, _) = min((hardy_objective(split, mode), split) for split in splits)
     r4 = r1 - r2 - r3  # saturates the CH inequality exactly
     n_real = math.log(target_d) / best_val

@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .bayes import HypothesisPair, kl_per_trial, required_trials
+from .bayes import HypothesisPair, _kl, required_trials
 
 __all__ = [
     "BisectionError",
@@ -188,8 +188,8 @@ def hardy_optimize_r(mode: str = HARDY_MODE_PAPER, target_d: float = 1e4) -> Har
     Setup 1 yields KL(q, r1) per trial; the three setups where QM predicts no
     coincidences yield -ln(1 - r1) per trial in "paper" mode, or
     -ln(1 - r1/3) in "literal" mode.  Both sides are strictly monotone in r1,
-    so bisection on (0, q) cannot miss: bracket (1e-12, q - 1e-12), absolute
-    tolerance 1e-12, iteration cap 200.
+    so bisection on (0, q) cannot miss: bracket (1e-12, q - 1e-12), where
+    KL(q, r1) is finite, absolute tolerance 1e-12, iteration cap 200.
     """
     if mode not in HARDY_MODES:
         raise ValueError(f"mode must be one of {HARDY_MODES}, got {mode!r}")
@@ -199,7 +199,7 @@ def hardy_optimize_r(mode: str = HARDY_MODE_PAPER, target_d: float = 1e4) -> Har
     share = 1.0 if mode == HARDY_MODE_PAPER else 1.0 / 3.0
 
     def gap(r: float) -> float:
-        return kl_per_trial(HypothesisPair(q, r)) + math.log1p(-r * share)
+        return _kl(q, r) + math.log1p(-r * share)
 
     r1 = _bisect_decreasing(gap, 1e-12, q - 1e-12)
     return HardySolution(r_opt=r1, n_real=required_trials(HypothesisPair(q, r1), target_d))

@@ -3,7 +3,8 @@
 The searches themselves must reproduce the symmetric optima; on top of that,
 independent full-grid enumerations written out in this file check the GHZ
 and chained searches bit for bit, and the Hardy split structure, without
-going through the module's own reductions.
+going through the module's own reductions.  A scan of every Hardy grid cell
+checks the Hardy bisection bit for bit.
 """
 
 import math
@@ -12,10 +13,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bellodds import adversary
 from bellodds.adversary import (
     ChainAssignment,
     GhzAssignment,
     HardyAssignment,
+    _balanced_split,
     hardy_objective,
     minimax_lr_chained,
     minimax_lr_ghz,
@@ -104,6 +107,22 @@ def enumerate_chained(
     return ChainAssignment(probs=probs), best_val
 
 
+def enumerate_hardy(
+    grid_steps: int = 1000, target_d: float = 1e4, mode: str = "paper"
+) -> tuple[HardyAssignment, float]:
+    """Oracle for minimax_lr_hardy: every r1 grid cell, scored in index order."""
+    if grid_steps < 50:
+        raise ValueError(f"grid_steps must be >= 50, got {grid_steps}")
+    if not (math.isfinite(target_d) and target_d > 1.0):
+        raise ValueError(f"target_d must be finite and > 1, got {target_d!r}")
+    cell = 1.0 / grid_steps
+    splits = (_balanced_split(i, cell, mode) for i in range(grid_steps + 1))
+    best_val, (r1, r2, r3, _) = min((hardy_objective(split, mode), split) for split in splits)
+    r4 = r1 - r2 - r3  # saturates the CH inequality exactly
+    n_real = math.log(target_d) / best_val
+    return HardyAssignment(r=(r1, r2, r3, r4)), n_real
+
+
 def peak_traced_bytes(fn) -> int:
     tracemalloc.start()
     try:
@@ -138,9 +157,10 @@ class TestGhzMinimax:
         rates = [-math.log((1.0 + e) / 2.0) for e in (0.6, 0.5, 0.5, 0.4)]
         assert max(rates) > LN_4_3
 
-    def test_grid_steps_floor(self):
-        with pytest.raises(ValueError):
-            minimax_lr_ghz(9)
+    @pytest.mark.parametrize("grid_steps", [9, 200.0, 1000.5, "1000", float("nan")])
+    def test_grid_steps_floor(self, grid_steps):
+        with pytest.raises(ValueError, match="grid_steps"):
+            minimax_lr_ghz(grid_steps)
 
     def test_matches_enumeration(self):
         grids = [*range(10, 121), 200]
@@ -182,7 +202,7 @@ class TestChainedMinimax:
         assert CHAINED2_KL - 1e-12 <= fine <= coarse + 1e-12
         assert coarse <= CHAINED2_KL + 1.0 / 50
 
-    @pytest.mark.parametrize("grid_steps", [0, -1, True])
+    @pytest.mark.parametrize("grid_steps", [0, -1, True, 200.0, 1000.5, "1000", float("nan")])
     def test_grid_steps_floor(self, grid_steps):
         with pytest.raises(ValueError, match="grid_steps"):
             minimax_lr_chained(2, grid_steps)
@@ -300,9 +320,64 @@ class TestHardyMinimax:
             assert abs(split - b1 / 3.0) <= cell + 1e-12
         assert objective[best] >= HARDY_KL_LITERAL - 1e-12
 
+    @pytest.mark.parametrize("grid_steps", [49, 200.0, 1000.5, "1000", float("nan")])
+    def test_grid_steps_floor(self, grid_steps):
+        with pytest.raises(ValueError, match="grid_steps"):
+            minimax_lr_hardy(grid_steps)
+
+    def test_numpy_integer_grid_steps_accepted(self):
+        assert repr(minimax_lr_hardy(np.int64(1000))) == repr(minimax_lr_hardy(1000))
+
+    @pytest.mark.parametrize("mode", ["paper", "literal"])
+    def test_matches_enumeration(self, mode):
+        def differs(g):
+            return repr(minimax_lr_hardy(g, 1e4, mode)) != repr(enumerate_hardy(g, 1e4, mode))
+
+        assert [g for g in [*range(50, 601), 1000, 2000, 3000] if differs(g)] == []
+
+    @pytest.mark.parametrize("mode", ["paper", "literal"])
+    def test_optimum_sits_next_to_the_crossing(self, mode):
+        """The bisection's argument, cell by cell: setup 1's KL <= family
+        rate is false, then true, up to the cell past q; the objective falls
+        before the first true cell i* and is never below its value at i*
+        after it; so the scan's optimum is cell i* - 1 or i*."""
+        q = hardy_q()
+        for g in [*range(50, 301, 7), 1000, 3000]:
+            cell = 1.0 / g
+            setup1, family, value = [], [], []
+            for i in range(g + 1):
+                r1, r2, r3, r4 = _balanced_split(i, cell, mode)
+                share = r1 if mode == "paper" else max(r2, r3, r4)
+                setup1.append(_kl(q, r1))
+                family.append(-math.log1p(-share) if share < 1.0 else math.inf)
+                value.append(max(setup1[-1], family[-1]))
+            top = min(g, math.ceil(q / cell))
+            crossed = [s <= f for s, f in zip(setup1[: top + 1], family[: top + 1])]
+            first = crossed.index(True)
+            assert not crossed[0] and crossed == [False] * first + [True] * (top + 1 - first), g
+            assert all(a > b for a, b in zip(value[:first], value[1:first])), g
+            assert min(value[first:]) == value[first] == family[first], g
+            best = min(range(g + 1), key=lambda i: (value[i], i))
+            assert best in (first - 1, first), g
+
+    def test_evaluations_are_logarithmic_in_the_grid(self, monkeypatch):
+        coarse = {mode: minimax_lr_hardy(1000, 1e4, mode)[0].r[0] for mode in ("paper", "literal")}
+        calls = 0
+
+        def counting_kl(q, r):
+            nonlocal calls
+            calls += 1
+            return _kl(q, r)
+
+        monkeypatch.setattr(adversary, "_kl", counting_kl)
+        grid_steps = 10**7  # a scan would evaluate 10^7 + 1 cells
+        for mode in ("paper", "literal"):
+            calls = 0
+            assignment, _ = minimax_lr_hardy(grid_steps, 1e4, mode)
+            assert calls <= 2 * math.log2(grid_steps) + 5, mode
+            assert abs(assignment.r[0] - coarse[mode]) <= 1e-3, mode
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            minimax_lr_hardy(49)
         with pytest.raises(ValueError):
             minimax_lr_hardy(1000, 1.0)
         with pytest.raises(ValueError):
