@@ -25,14 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import _kl
-from .scenarios import (
-    HARDY_MODE_PAPER,
-    HARDY_MODES,
-    _check_int,
-    chained_pair,
-    hardy_q,
-)
+from .bayes import _check_int, _kl
+from .scenarios import HARDY_MODE_PAPER, HARDY_MODES, chained_pair, hardy_q
 
 __all__ = [
     "ChainAssignment",
@@ -129,20 +123,21 @@ def minimax_lr_chained(k: int = 2, grid_steps: int = 100) -> tuple[ChainAssignme
     for the last.  All 2k axes are gridded over [0, 1]; points where the
     leading probabilities sum to less than the last are infeasible.  The
     (grid_steps + 1)^2k points are never enumerated: the search takes
-    O(grid_steps log grid_steps) time at any k.
+    O(grid_steps) array work at any k.
 
-    A point's value is the largest of its per-axis KL values, so the optimum
-    is the smallest of them that bounds every axis of some feasible point.
-    Feasibility is decided in whole cells (leading indices summing to at
-    least the last), as the float sums with their 1e-12 slack decide it
-    while the cell is far above 1e-12.  So v is attainable iff
-    (2k - 1) * max{i : KL(q, g_i) <= v} >= min{i : KL(1 - q, g_i) <= v}, and
-    a bisection over the sorted KL values finds the optimum.  The
-    lexicographically smallest point attaining it follows slot by slot: bit
-    for bit what the enumeration of all points, kept as a test oracle,
-    returns.
+    A point's value is the largest of its per-axis KL values.  Feasibility
+    is decided in whole cells (leading indices summing to at least the
+    last), as the float sums with their 1e-12 slack decide it while the cell
+    is far above 1e-12.  Put every leading slot at cell i: the last slot may
+    then take any cell up to min((2k - 1) i, grid_steps), so the point
+    scores max(KL(q, g_i), reach_i), reach_i the smallest KL(1 - q, g_j)
+    over those cells, and the optimum is the smallest such score.  No
+    feasible point beats it: with i its largest leading index, KL(q, g_i)
+    and reach_i are both at most its value.  The lexicographically smallest
+    point attaining the optimum follows slot by slot: bit for bit what the
+    enumeration of all points, kept as a test oracle, returns.
     """
-    pair = chained_pair(k)  # validates k >= 2
+    pair = chained_pair(k)  # validates k: an integer >= 2
     grid_steps = _check_int("grid_steps", grid_steps)
     if grid_steps < 2:  # a 1-cell grid has only the corners, where every KL is infinite
         raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
@@ -151,12 +146,8 @@ def minimax_lr_chained(k: int = 2, grid_steps: int = 100) -> tuple[ChainAssignme
     kl_left = np.array([_kl(pair.q, r) for r in g.tolist()])
     kl_last = np.array([_kl(1.0 - pair.q, r) for r in g.tolist()])
 
-    def attainable(v: float) -> bool:
-        left, last = np.flatnonzero(kl_left <= v), np.flatnonzero(kl_last <= v)
-        return len(left) > 0 and len(last) > 0 and n_left * left[-1] >= last[0]
-
-    values = np.sort(np.concatenate([kl_left, kl_last]))
-    best_val = float(values[bisect.bisect_left(values, True, key=attainable)])
+    reach = np.minimum.accumulate(kl_last)[np.minimum(n_left * np.arange(grid_steps + 1), grid_steps)]
+    best_val = float(np.min(np.maximum(kl_left, reach)))
     left = np.flatnonzero(kl_left <= best_val)
     last = int(np.flatnonzero(kl_last <= best_val)[0])
     idx: list[int] = []

@@ -11,6 +11,7 @@ independent trial blocks adds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -47,6 +48,14 @@ class IndistinguishableError(ValueError):
     rounds to 0): no amount of data can separate the hypotheses."""
 
 
+def _check_int(name: str, value) -> int:
+    """value as an int; Python and numpy ints pass, floats and strings do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class HypothesisPair:
     """Per-trial "yes" probabilities under the two rival theories.
@@ -73,7 +82,8 @@ class TrialTally:
     m: int
 
     def __post_init__(self) -> None:
-        if self.n < 0 or not 0 <= self.m <= self.n:
+        n, m = _check_int("n", self.n), _check_int("m", self.m)
+        if n < 0 or not 0 <= m <= n:
             raise ValueError(f"need 0 <= m <= n, got n={self.n}, m={self.m}")
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
-from .bayes import HypothesisPair, _kl, required_trials
+from .bayes import HypothesisPair, _check_int, _kl, required_trials
 
 __all__ = [
     "BisectionError",
@@ -54,14 +53,6 @@ HARDY_MODES = (HARDY_MODE_PAPER, HARDY_MODE_LITERAL)
 
 class BisectionError(RuntimeError):
     """Root bracketing or convergence failed."""
-
-
-def _check_int(name: str, value) -> int:
-    """value as an int; Python and numpy ints pass, floats and strings do not."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -109,6 +100,7 @@ class ChainedGeometry:
 
     @classmethod
     def for_k(cls, k: int) -> "ChainedGeometry":
+        k = _check_int("k", k)
         if k < 2:
             raise ValueError(f"k must be >= 2 (k = 2 is the CHSH configuration), got {k}")
         return cls(k=k, theta=math.pi / (2 * k))
@@ -157,7 +149,7 @@ def chained_pair(k: int) -> HypothesisPair:
     """
     geom = ChainedGeometry.for_k(k)
     q = (1.0 - math.cos(geom.theta)) / 2.0
-    return HypothesisPair(q=q, r=1.0 / (2 * k))
+    return HypothesisPair(q=q, r=1.0 / (2 * geom.k))
 
 
 def hardy_q() -> float:
@@ -244,6 +236,7 @@ def find_optimal_k(target_d: float, k_min: int, k_max: int) -> tuple[int, float]
 
     Returns (k, trials); ties go to the smaller k.
     """
+    k_min, k_max = _check_int("k_min", k_min), _check_int("k_max", k_max)
     if not 2 <= k_min <= k_max:
         raise ValueError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
     best_k, best_n = k_min, math.inf

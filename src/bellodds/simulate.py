@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import HypothesisPair, OddsRatio, TrialTally, kl_per_trial, log_bayes_factor, required_trials
-from .scenarios import ScenarioSpec, _check_int, scenario_pair
+from .bayes import HypothesisPair, OddsRatio, TrialTally, _check_int, kl_per_trial, log_bayes_factor, required_trials
+from .scenarios import ScenarioSpec, scenario_pair
 
 __all__ = [
     "GENERATOR",

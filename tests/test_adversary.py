@@ -207,14 +207,47 @@ class TestChainedMinimax:
         with pytest.raises(ValueError, match="grid_steps"):
             minimax_lr_chained(2, grid_steps)
 
+    @pytest.mark.parametrize("k", [2.5, 4.0, "4", float("nan")])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            minimax_lr_chained(k, 20)
+
+    def test_numpy_integer_k_accepted(self):
+        assert repr(minimax_lr_chained(np.int64(3), 20)) == repr(minimax_lr_chained(3, 20))
+
     @pytest.mark.parametrize(
-        "k, grids", [(2, [*range(10, 61), 100]), (3, range(4, 13)), (4, range(3, 6))]
+        "k, grids",
+        [(2, [*range(2, 61), 100]), (3, range(4, 13)), (4, range(3, 6)), (5, range(2, 5))],
     )
     def test_matches_enumeration(self, k, grids):
         def differs(g):
             return repr(minimax_lr_chained(k, g)) != repr(enumerate_chained(k, g))
 
         assert [g for g in grids if differs(g)] == []
+
+    @pytest.mark.parametrize("k, grid_steps", [(2, 8), (2, 12), (3, 5)])
+    def test_exact_for_arbitrary_tables(self, monkeypatch, k, grid_steps):
+        # the search's argument needs no convexity of the KL tables: replace
+        # both with seeded draws full of ties and +inf, in the search and in
+        # the oracle alike
+        q = chained_pair(k).q
+        tables: dict[float, list[float]] = {}
+
+        def table_kl(p: float, r: float) -> float:
+            return tables[p][round(r * grid_steps)]
+
+        monkeypatch.setattr(adversary, "_kl", table_kl)
+        monkeypatch.setitem(globals(), "_kl", table_kl)
+        mismatched = []
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for p in (q, 1.0 - q):
+                table = rng.integers(0, 5, grid_steps + 1) / 4.0
+                table[rng.random(grid_steps + 1) < 0.2] = math.inf
+                tables[p] = table.tolist()
+            if repr(minimax_lr_chained(k, grid_steps)) != repr(enumerate_chained(k, grid_steps)):
+                mismatched.append(seed)
+        assert mismatched == []
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_saturating_strategy_is_the_grid_optimum(self, k):

@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -91,6 +92,17 @@ class TestBinomialLogLikelihood:
             TrialTally(2, 3)
         with pytest.raises(ValueError):
             TrialTally(-1, 0)
+
+    @pytest.mark.parametrize("count", [2.5, "3"])
+    def test_counts_must_be_integers(self, count):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            TrialTally(count, 1)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            TrialTally(3, count)
+
+    def test_numpy_integer_counts_accepted(self):
+        got = binomial_log_likelihood(0.5, TrialTally(np.int64(2), np.int64(1)))
+        assert got == binomial_log_likelihood(0.5, TrialTally(2, 1))
 
 
 class TestLogBayesFactor:

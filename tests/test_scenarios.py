@@ -81,6 +81,16 @@ class TestChained:
         with pytest.raises(ValueError):
             ChainedGeometry.for_k(0)
 
+    @pytest.mark.parametrize("make", [chained_pair, ChainedGeometry.for_k])
+    @pytest.mark.parametrize("k", [2.5, 4.0, "4", float("nan")])
+    def test_k_must_be_an_integer(self, make, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            make(k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert chained_pair(np.int64(4)) == chained_pair(4)
+        assert ChainedGeometry.for_k(np.int64(4)) == ChainedGeometry.for_k(4)
+
     def test_lr_never_coincides_with_qm(self):
         for k in range(2, 65):
             pair = chained_pair(k)
@@ -262,3 +272,13 @@ class TestFindOptimalK:
             find_optimal_k(1e4, 3, 2)
         with pytest.raises(ValueError):
             find_optimal_k(1e4, 1, 5)
+
+    @pytest.mark.parametrize("bound", [2.5, 4.0, "4", float("nan")])
+    def test_bounds_must_be_integers(self, bound):
+        with pytest.raises(ValueError, match="k_min must be an integer"):
+            find_optimal_k(1e4, bound, 12)
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            find_optimal_k(1e4, 2, bound)
+
+    def test_numpy_integer_bounds_accepted(self):
+        assert find_optimal_k(1e4, np.int64(2), np.int64(12)) == find_optimal_k(1e4, 2, 12)
