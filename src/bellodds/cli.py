@@ -10,6 +10,7 @@ parseable; the affected fields are documented per subcommand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -28,7 +29,7 @@ from .scenarios import (
     hardy_naive_trials,
     scenario_pair,
 )
-from .simulate import GENERATOR, SimulationConfig, replication_summaries, run_replications, summarize
+from .simulate import _DECISIONS, GENERATOR, SimulationConfig, replication_summaries, summarize
 
 __all__ = ["main"]
 
@@ -66,8 +67,8 @@ def _clean(value):
     return value
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(_clean(payload), allow_nan=False))
+def _emit_json(payload: dict, file=None) -> None:
+    print(json.dumps(_clean(payload), allow_nan=False), file=file)
 
 
 def _target_d(value: float) -> float:
@@ -161,20 +162,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         replications=args.reps,
     )
-    if args.dump_trajectories:
-        with open(args.dump_trajectories, "w") as fh:  # before the walk, so a bad path fails fast
-            summaries = replication_summaries(config)
-            report = summarize(summaries)
-            for s in summaries:
-                rec = {
-                    "replication": s.replication,
-                    "stop_trial": s.stop_trial,
-                    "decision": s.decision,
-                    "final_log_d": s.final_log_d,
-                }
-                fh.write(json.dumps(_clean(rec), allow_nan=False) + "\n")
-    else:
-        report = run_replications(config)
+    # the dump file opens before the walk, so a bad path fails fast
+    with open(args.dump_trajectories, "w") if args.dump_trajectories else contextlib.nullcontext() as dump:
+        walk = replication_summaries(config)
+        if dump is not None:
+            for i, (stop, code, final) in enumerate(zip(*(column.tolist() for column in walk))):
+                rec = {"replication": i, "stop_trial": stop, "decision": _DECISIONS[code], "final_log_d": final}
+                _emit_json(rec, dump)
+    report = summarize(walk)
     pair = config.resolved_pair()
     _emit_json(
         {

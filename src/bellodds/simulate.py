@@ -28,7 +28,6 @@ __all__ = [
     "SimulationConfig",
     "StoppingReport",
     "Trajectory",
-    "TrajectorySummary",
     "expected_stop_estimate",
     "replication_summaries",
     "run_replications",
@@ -83,14 +82,13 @@ class SimulationConfig:
                     f"{name} {threshold!r} is too far from prior_odds {self.prior_odds!r}: "
                     "the log of their ratio is not finite"
                 )
-        for name in ("max_trials", "replications", "master_seed"):
+        for name in ("max_trials", "replications"):
             _check_int(name, getattr(self, name))
         if not 1 <= self.max_trials <= 2**53:  # the walker's float counts are exact up to 2**53
             raise ValueError(f"max_trials must be in [1, 2**53], got {self.max_trials}")
         if not 1 <= self.replications <= 2**32:
             raise ValueError(f"replications must be in [1, 2**32], got {self.replications}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError(f"master_seed must be a 64-bit nonnegative integer, got {self.master_seed!r}")
+        _check_seed(self.master_seed)
         pair = self.resolved_pair()
         if pair.q == pair.r and pair.q in (0.0, 1.0):
             raise ValueError("degenerate pair q == r in {0, 1}: every trial would falsify both theories")
@@ -111,16 +109,6 @@ class Trajectory:
     cumulative_log_d: np.ndarray
     decision: str
     stop_trial: int
-
-
-@dataclass(frozen=True)
-class TrajectorySummary:
-    """The parts of a trajectory the aggregate report needs."""
-
-    replication: int
-    stop_trial: int
-    decision: str
-    final_log_d: float
 
 
 @dataclass(frozen=True)
@@ -151,7 +139,18 @@ def trial_stream(master_seed: int, replication_index: int) -> np.random.Generato
     order, with identical results.  The batch walker (_draw) sets the same
     key and counter.
     """
-    return np.random.Generator(np.random.Philox(key=_key(master_seed), counter=[0, 0, replication_index, 0]))
+    index = _check_int("replication_index", replication_index)
+    if not 0 <= index < 2**32:
+        raise ValueError(f"replication_index must be in [0, 2**32), got {index!r}")
+    return np.random.Generator(np.random.Philox(key=_key(_check_seed(master_seed)), counter=[0, 0, index, 0]))
+
+
+def _check_seed(master_seed) -> int:
+    """master_seed as an int in [0, 2**64), the seeds Philox takes."""
+    seed = _check_int("master_seed", master_seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"master_seed must be a 64-bit nonnegative integer, got {seed!r}")
+    return seed
 
 
 def _key(master_seed: int) -> np.ndarray:
@@ -306,42 +305,31 @@ def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajecto
     experiment on the spot.  The batch walker decides the stop; the outcomes
     are then redrawn from trial_stream and log D rebuilt from their counts.
     """
-    if not 0 <= replication_index < config.replications:
-        raise ValueError(
-            f"replication_index must be in [0, {config.replications}), got {replication_index}"
-        )
-    stops, codes, finals = _walk(config, replication_index, replication_index + 1)
-    stop, final = int(stops[0]), float(finals[0])
+    index = _check_int("replication_index", replication_index)
+    if not 0 <= index < config.replications:
+        raise ValueError(f"replication_index must be in [0, {config.replications}), got {index!r}")
+    (stop,), (code,), (final,) = (column.tolist() for column in _walk(config, index, index + 1))
     pair = config.resolved_pair()
     p_true = pair.q if config.true_theory == QM else pair.r
-    outcomes = trial_stream(config.master_seed, replication_index).random(stop) < p_true
+    outcomes = trial_stream(config.master_seed, index).random(stop) < p_true
     step_yes, step_no = _steps(pair)
     m, n = np.cumsum(outcomes), np.arange(1, stop + 1)
     cumulative = m * _finite(step_yes) + (n - m) * _finite(step_no)
     cumulative[-1] = final  # +-inf if the last outcome falsified a theory
-    return Trajectory(outcomes, cumulative, _DECISIONS[codes[0]], stop)
+    return Trajectory(outcomes, cumulative, _DECISIONS[code], stop)
 
 
-def replication_summaries(config: SimulationConfig) -> list[TrajectorySummary]:
-    """Run every replication and keep only what the report needs."""
-    stops, codes, finals = _walk(config, 0, config.replications)
-    return [
-        TrajectorySummary(i, stop, _DECISIONS[code], final)
-        for i, (stop, code, final) in enumerate(zip(stops.tolist(), codes.tolist(), finals.tolist()))
-    ]
+def replication_summaries(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every replication's stopping trial, decision code (an index into
+    _DECISIONS) and final log Bayes factor: the walker's columns."""
+    return _walk(config, 0, config.replications)
 
 
-def summarize(summaries: list[TrajectorySummary]) -> StoppingReport:
-    """Aggregate stopping statistics; order-insensitive in the input list."""
-    if not summaries:
-        raise ValueError("nothing to summarize")
-    stops = np.array([s.stop_trial for s in summaries], dtype=np.int64)
-    finals = np.array([s.final_log_d for s in summaries])
-    codes = np.array([_DECISIONS.index(s.decision) for s in summaries])
-    return _report(stops, codes, finals)
-
-
-def _report(stops: np.ndarray, codes: np.ndarray, finals: np.ndarray) -> StoppingReport:
+def summarize(walk: tuple[np.ndarray, np.ndarray, np.ndarray]) -> StoppingReport:
+    """Stopping statistics of replication_summaries' columns in replication
+    order, which neither scheduling nor the walk's block and chunk layout
+    changes.  Reordering them can move the float sum of final log D."""
+    stops, codes, finals = walk
     counts = np.bincount(codes, minlength=len(_DECISIONS)).tolist()
     q05, q50, q95 = (float(x) for x in np.percentile(stops, [5.0, 50.0, 95.0]))
     return StoppingReport(
@@ -356,10 +344,9 @@ def _report(stops: np.ndarray, codes: np.ndarray, finals: np.ndarray) -> Stoppin
 
 
 def run_replications(config: SimulationConfig) -> StoppingReport:
-    """All replications, aggregated.  Deterministic given the configuration:
-    each replication's substream is fixed by its index and the aggregation
-    does not depend on completion order."""
-    return _report(*_walk(config, 0, config.replications))
+    """All replications, aggregated: a pure function of the configuration, as
+    each replication's substream is fixed by its index."""
+    return summarize(replication_summaries(config))
 
 
 def expected_stop_estimate(pair: HypothesisPair, prior: OddsRatio, lower_threshold: float) -> float:

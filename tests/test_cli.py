@@ -7,9 +7,11 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from bellodds import cli
 from bellodds.bayes import kl_per_trial, required_trials
 from bellodds.cli import main
 from bellodds.scenarios import chained_pair, ghz_pair, hardy_optimize_r, hardy_q, scenario_pair
@@ -225,6 +227,17 @@ class TestSimulate:
         assert proc.stdout == ""
         assert proc.stderr.startswith("bellodds: error: ") and "Traceback" not in proc.stderr
 
+    def test_unwritable_dump_path_fails_before_the_walk(self, capsys, tmp_path, monkeypatch):
+        def walk(config):
+            raise AssertionError("walked before opening the dump file")
+
+        monkeypatch.setattr(cli, "replication_summaries", walk)
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", "ghz", "--reps", "3",
+            "--dump-trajectories", str(tmp_path / "missing" / "t.jsonl"),
+        )
+        assert (code, out) == (1, "") and err.startswith("bellodds: error: ")
+
     def test_same_seed_is_byte_identical(self):
         argv = ("simulate", "--scenario", "chained", "--k", "2", "--reps", "50",
                 "--max-trials", "2000", "--seed", "7")
@@ -400,3 +413,13 @@ def test_golden_stdout(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == GOLDEN[argv]
+
+
+def test_golden_dump(capsys, tmp_path):
+    # the --dump-trajectories file, pinned byte for byte
+    path = tmp_path / "t.jsonl"
+    argv = ("simulate", "--scenario", "chained", "--k", "2", "--reps", "20", "--seed", "3", "--max-trials", "2000")
+    code, _, err = run_cli(capsys, *argv, "--dump-trajectories", str(path))
+    assert (code, err) == (0, "")
+    golden = Path(__file__).parent / "golden" / "simulate_chained_k2_reps20_seed3.jsonl"
+    assert path.read_bytes() == golden.read_bytes()

@@ -131,10 +131,9 @@ class TestDeterminism:
         cfg = ghz_config(scenario=ScenarioSpec("chained", k=2), replications=32, max_trials=2000)
         assert run_replications(cfg) == run_replications(cfg)
 
-    def test_aggregation_is_order_insensitive(self):
+    def test_report_is_the_summary_of_the_walker_columns(self):
         cfg = ghz_config(scenario=ScenarioSpec("chained", k=2), replications=32, max_trials=2000)
-        summaries = replication_summaries(cfg)
-        assert summarize(list(reversed(summaries))) == summarize(summaries)
+        assert run_replications(cfg) == summarize(replication_summaries(cfg))
 
 
 class TestThresholdMonotonicity:
@@ -244,6 +243,28 @@ class TestConfigValidation:
         cfg = ghz_config(replications=4)
         with pytest.raises(ValueError):
             run_trajectory(cfg, 4)
+
+    @pytest.mark.parametrize("index", [1.5, 1.9, "1", -1])
+    def test_run_trajectory_rejects_bad_indices(self, index):
+        with pytest.raises(ValueError, match="replication_index"):
+            run_trajectory(ghz_config(replications=4), index)
+
+    @pytest.mark.parametrize("index", [1.5, 1.9, 1.0, "1", -1, 2**32, 2**63 + 1, 2**64 - 3, 2**64])
+    def test_trial_stream_rejects_bad_indices(self, index):
+        with pytest.raises(ValueError, match="replication_index"):
+            trial_stream(0, index)
+
+    @pytest.mark.parametrize("seed", [1.5, "7", -1, 2**64])
+    def test_trial_stream_rejects_bad_seeds(self, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            trial_stream(seed, 0)
+
+    def test_numpy_integer_indices_accepted(self):
+        cfg = ghz_config(scenario=ScenarioSpec("chained", k=2), replications=8, max_trials=2000)
+        a = trial_stream(np.uint64(SEED), np.int64(3)).random(8)
+        assert np.array_equal(a, trial_stream(SEED, 3).random(8))
+        t, u = run_trajectory(cfg, np.int32(5)), run_trajectory(cfg, 5)
+        assert np.array_equal(t.outcomes, u.outcomes) and (t.decision, t.stop_trial) == (u.decision, u.stop_trial)
 
 
 class TestSingleReplicationReport:
@@ -402,6 +423,11 @@ class TestCountFormulaWalk:
                 assert (walks[i] == base_walks[i]) == stops_there, (i, target)
 
 
+def stops_and_decisions(config: SimulationConfig) -> list[tuple[int, str]]:
+    stops, codes, _ = replication_summaries(config)
+    return [(stop, simulate._DECISIONS[code]) for stop, code in zip(stops.tolist(), codes.tolist())]
+
+
 class TestBatchWalkerMatchesPerTrialWalk:
     @pytest.mark.parametrize("truth", [QM, LR])
     @pytest.mark.parametrize("name", list(SCENARIOS) + list(OVERRIDES))
@@ -410,13 +436,11 @@ class TestBatchWalkerMatchesPerTrialWalk:
         # 30 is below every first block and not a multiple of 4; 2001 takes
         # continuation blocks and cuts the last one short
         cfg = walk_config(name, truth, max_trials=max_trials, replications=40)
-        got = [(s.stop_trial, s.decision) for s in replication_summaries(cfg)]
-        assert got == [reference_walk(cfg, i) for i in range(40)]
+        assert stops_and_decisions(cfg) == [reference_walk(cfg, i) for i in range(40)]
 
     def test_several_chunks(self):
         cfg = walk_config("chained-k2", QM, max_trials=3_000, replications=simulate._CHUNK_ROWS * 2 + 5)
-        got = [(s.stop_trial, s.decision) for s in replication_summaries(cfg)]
-        assert got == [reference_walk(cfg, i) for i in range(cfg.replications)]
+        assert stops_and_decisions(cfg) == [reference_walk(cfg, i) for i in range(cfg.replications)]
 
 
 class TestFinalLogD:
@@ -425,12 +449,13 @@ class TestFinalLogD:
     def test_is_the_count_formula_of_the_outcomes(self, name, truth):
         cfg = walk_config(name, truth, max_trials=2_001, replications=12)
         pair = cfg.resolved_pair()
-        for s in replication_summaries(cfg):
-            t = run_trajectory(cfg, s.replication)
-            assert (t.stop_trial, t.decision) == (s.stop_trial, s.decision)
+        stops, codes, finals = replication_summaries(cfg)
+        for i, (stop, code, final) in enumerate(zip(stops.tolist(), codes.tolist(), finals.tolist())):
+            t = run_trajectory(cfg, i)
+            assert (t.stop_trial, t.decision) == (stop, simulate._DECISIONS[code])
             tally = TrialTally(t.stop_trial, int(t.outcomes.sum()))
-            assert s.final_log_d == log_bayes_factor(pair, tally).log_value
-            assert t.cumulative_log_d[-1] == s.final_log_d
+            assert final == log_bayes_factor(pair, tally).log_value
+            assert t.cumulative_log_d[-1] == final
             assert not np.isnan(t.cumulative_log_d).any()
 
     def test_outcomes_are_the_trial_stream(self):
@@ -447,7 +472,19 @@ class TestFinalLogD:
         monkeypatch.setattr(simulate, "_CHUNK_ROWS", 7)
         monkeypatch.setattr(simulate, "_FIRST_BLOCK", 4)
         monkeypatch.setattr(simulate, "_MAX_BLOCK", 12)
-        assert replication_summaries(cfg) == default
+        assert all(np.array_equal(a, b) for a, b in zip(replication_summaries(cfg), default, strict=True))
+
+
+def traced_peak(run, config: SimulationConfig) -> int:
+    """Peak traced allocation of run(config), after a small warm-up run that
+    fills the first-call caches."""
+    run(replace(config, replications=200))
+    tracemalloc.start()
+    try:
+        run(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMemory:
@@ -455,12 +492,9 @@ class TestMemory:
         # the walk's buffer is 2 x _CHUNK_ROWS x _MAX_BLOCK floats (2 MB) at
         # any rep count; 20k reps add 24 bytes of results each.  A walker
         # that did not chunk would need 90 MB here.
+        assert traced_peak(run_replications, walk_config("chained-k2", QM, replications=20_000)) <= 3_000_000
+
+    def test_summaries_path_stays_within_the_same_bound(self):
+        # the columns --dump-trajectories writes: no per-replication objects
         cfg = walk_config("chained-k2", QM, replications=20_000)
-        run_replications(replace(cfg, replications=200))  # first-call caches
-        tracemalloc.start()
-        try:
-            run_replications(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3_000_000
+        assert traced_peak(lambda c: summarize(replication_summaries(c)), cfg) <= 3_000_000
