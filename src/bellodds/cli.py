@@ -36,6 +36,10 @@ __all__ = ["main"]
 _USAGE = 1
 _NUMERICAL = 2
 
+#: Replications per slice of the walker's columns that --dump-trajectories
+#: turns into rows.
+_DUMP_ROWS = 1024
+
 #: The scenarios of the compare table, in row order.
 COMPARE_SPECS = (
     ScenarioSpec(GHZ),
@@ -166,9 +170,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.dump_trajectories, "w") if args.dump_trajectories else contextlib.nullcontext() as dump:
         walk = replication_summaries(config)
         if dump is not None:
-            for i, (stop, code, final) in enumerate(zip(*(column.tolist() for column in walk))):
-                rec = {"replication": i, "stop_trial": stop, "decision": _DECISIONS[code], "final_log_d": final}
-                _emit_json(rec, dump)
+            # a slice of the columns at a time, so the rows' Python objects
+            # do not grow with --reps
+            for base in range(0, config.replications, _DUMP_ROWS):
+                rows = zip(*(column[base : base + _DUMP_ROWS].tolist() for column in walk))
+                for i, (stop, code, final) in enumerate(rows, base):
+                    rec = {"replication": i, "stop_trial": stop, "decision": _DECISIONS[code], "final_log_d": final}
+                    _emit_json(rec, dump)
     report = summarize(walk)
     pair = config.resolved_pair()
     _emit_json(

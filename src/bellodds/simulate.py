@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import HypothesisPair, OddsRatio, TrialTally, _check_int, kl_per_trial, log_bayes_factor, required_trials
+from .bayes import HypothesisPair, OddsRatio, TrialTally, _check_int, _kl, log_bayes_factor, required_trials
 from .scenarios import ScenarioSpec, scenario_pair
 
 __all__ = [
@@ -161,24 +161,24 @@ def _key(master_seed: int) -> np.ndarray:
 
 #: Decision codes of the batch walker, indexed by code.
 _DECISIONS = (INCONCLUSIVE, LR_REJECTED, QM_REJECTED)
-#: First block of trials when there is no stopping-time estimate to size it.
+#: First block of trials of a walk that is not sized from the drift; later
+#: blocks double.
 _FIRST_BLOCK = 64
-#: Blocks double up to this size, which bounds the draws a replication makes
+#: Widest block (a multiple of 4), which bounds the draws a replication makes
 #: past its stopping trial.
-_MAX_BLOCK = 1024
-#: Replications walked side by side; with _MAX_BLOCK it bounds the 2-D
-#: temporaries, so memory stays flat in the number of replications.
+_MAX_BLOCK = 2048
+#: Replications walked side by side.
 _CHUNK_ROWS = 128
+#: Most floats a block holds, rows x width: it bounds the walk's buffer at
+#: 2 x 1 MB, so memory stays flat in the number of replications.  At least
+#: 4 x _CHUNK_ROWS, so a block is never narrower than 4 trials.
+_BLOCK_FLOATS = 128 * 1024
 
 
-def _first_block(config: SimulationConfig, pair: HypothesisPair, steps_finite: bool) -> int:
-    """The first block: when QM is true and no outcome falsifies, the drift
-    estimate of the stopping time, rounded up to a multiple of 4 and capped
-    at _MAX_BLOCK; else _FIRST_BLOCK."""
-    if config.true_theory == QM and steps_finite and kl_per_trial(pair) > 0.0:
-        estimate = expected_stop_estimate(pair, OddsRatio(config.prior_odds), config.lower_threshold)
-        return 4 * max(1, math.ceil(min(estimate, _MAX_BLOCK) / 4))
-    return _FIRST_BLOCK
+def _sized_block(distance: float, drift: float) -> int:
+    """1.25 x the trials the drift takes to cover distance, rounded up to a
+    multiple of 4 and capped at _MAX_BLOCK."""
+    return 4 * max(1, math.ceil(min(1.25 * distance / abs(drift), _MAX_BLOCK) / 4))
 
 
 def _steps(pair: HypothesisPair) -> tuple[float, float]:
@@ -223,6 +223,15 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
     each drawn in blocks of a multiple of 4 trials (_draw) under the run's
     one key, so every row gets exactly the draws of its trial_stream.
 
+    Blocks are sized from the drift, the mean log D step under the true
+    theory: KL(q||r) when QM is true, -KL(r||q) when LR is.  Where it is
+    finite and non-zero (no outcome of positive probability falsifies a
+    theory), a block is 1.25 x the trials the drift takes to cover the
+    farthest live row's distance to the threshold it drifts to, which for
+    the first block is the whole distance from log D = 0.  Otherwise the
+    first block is _FIRST_BLOCK and each later one doubles.  Every block is
+    capped at _MAX_BLOCK trials and at _BLOCK_FLOATS draws.
+
     After every trial the walk compares log D with ln(prior/upper) and
     ln(prior/lower).  Log D after n trials with m "yes" outcomes is
     (n - m) ln((1-q)/(1-r)) + m ln(q/r), a function of the counts alone, so
@@ -238,7 +247,9 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
     yes_falsifies, no_falsifies = math.isinf(step_yes), math.isinf(step_no)
     hi = math.log(config.prior_odds / config.lower_threshold)
     lo = math.log(config.prior_odds / config.upper_threshold)
-    first_block = _first_block(config, pair, not (yes_falsifies or no_falsifies))
+    drift = _kl(pair.q, pair.r) if config.true_theory == QM else -_kl(pair.r, pair.q)
+    sized = math.isfinite(drift) and drift != 0.0
+    target = hi if drift > 0.0 else lo
 
     gen = np.random.Generator(np.random.Philox(0))
     key = _key(config.master_seed).tolist()
@@ -247,13 +258,14 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
     # one buffer for the walk, so the blocks do not grow and shrink the heap
     # (which costs page faults): per block, half of it takes the draws, then
     # the "yes" counts m and then log D in place, the other half the "no" term
-    buffer = np.empty((2, min(_CHUNK_ROWS, stop - start) * min(_MAX_BLOCK, config.max_trials)))
+    floats = min(_CHUNK_ROWS, stop - start) * min(_MAX_BLOCK, config.max_trials)
+    buffer = np.empty((2, min(floats, _BLOCK_FLOATS)))
     for base in range(start, stop, _CHUNK_ROWS):
         live = np.arange(min(_CHUNK_ROWS, stop - base))  # chunk rows still walking
         count = np.zeros(live.size)  # "yes" outcomes so far
-        done, block = 0, first_block
+        done, block = 0, _sized_block(abs(target), drift) if sized else _FIRST_BLOCK
         while live.size:
-            width = min(block, config.max_trials - done)
+            width = min(block, _BLOCK_FLOATS // live.size // 4 * 4, config.max_trials - done)
             n = np.arange(done + 1, done + width + 1, dtype=np.float64)
             draws, no_part = (half[: live.size * width].reshape(live.size, width) for half in buffer)
             _draw(gen, key, (live + base).tolist(), done, draws)
@@ -289,7 +301,10 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
                 final[~at_yes] = step_no
             finals[at] = final
             live, count = live[~ended], count[~ended]
-            block = min(2 * block, _MAX_BLOCK)
+            if not sized:
+                block = min(2 * block, _MAX_BLOCK)
+            elif live.size:
+                block = _sized_block(np.abs(target - log_d[~ended, -1]).max(), drift)
     # a falsified walk's final is +-inf, beyond either threshold
     codes = np.where(finals >= hi, 1, np.where(finals <= lo, 2, 0))
     return stops, codes, finals
@@ -331,7 +346,7 @@ def summarize(walk: tuple[np.ndarray, np.ndarray, np.ndarray]) -> StoppingReport
     changes.  Reordering them can move the float sum of final log D."""
     stops, codes, finals = walk
     counts = np.bincount(codes, minlength=len(_DECISIONS)).tolist()
-    q05, q50, q95 = (float(x) for x in np.percentile(stops, [5.0, 50.0, 95.0]))
+    q05, q50, q95 = _quantiles(stops, (0.05, 0.5, 0.95))
     return StoppingReport(
         mean_stop=float(stops.mean()),
         stddev_stop=float(stops.std(ddof=1)) if len(stops) > 1 else 0.0,
@@ -343,6 +358,23 @@ def summarize(walk: tuple[np.ndarray, np.ndarray, np.ndarray]) -> StoppingReport
     )
 
 
+def _quantiles(values: np.ndarray, quantiles: tuple[float, ...]) -> list[float]:
+    """np.quantile(values, quantiles) under numpy's default "linear" rule,
+    bit for bit, from one sort and Python floats: at v = (n - 1) q, between
+    a = s[floor(v)] and b = the next value (or a at the end) with weight
+    g = v - floor(v), it takes b - (b - a)(1 - g) if g >= 0.5, else
+    a + (b - a) g.  np.percentile costs more than the rest of a small
+    report."""
+    s = np.sort(values)
+    result = []
+    for q in quantiles:
+        v = (len(s) - 1) * q
+        i = math.floor(v)
+        a, b, g = s[i].item(), s[min(i + 1, len(s) - 1)].item(), v - i
+        result.append(float(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g))
+    return result
+
+
 def run_replications(config: SimulationConfig) -> StoppingReport:
     """All replications, aggregated: a pure function of the configuration, as
     each replication's substream is fixed by its index."""
@@ -350,9 +382,12 @@ def run_replications(config: SimulationConfig) -> StoppingReport:
 
 
 def expected_stop_estimate(pair: HypothesisPair, prior: OddsRatio, lower_threshold: float) -> float:
-    """Drift-based estimate of the LR-rejection stopping time when QM is true:
-    ln(prior / lower_threshold) / KL.  Ignores the overshoot past the
-    threshold, so it slightly underestimates the mean stopping time."""
+    """Wald's drift value of the LR-rejection stopping time when QM is true:
+    ln(prior / lower_threshold) / KL (Wald, Ann. Math. Stat. 16, 1945).
+
+    The exact mean stop sits above it by the mean overshoot past the
+    threshold: for chained k=2 under the 100:1 -> 0.01 protocol, 287.15
+    against 289.05."""
     if not (math.isfinite(prior.ratio) and prior.ratio > 0.0):
         raise ValueError(f"prior odds must be finite and positive, got {prior.ratio!r}")
     if not 0.0 < lower_threshold <= prior.ratio:

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,24 @@ class TestSimulate:
             "--dump-trajectories", str(tmp_path / "missing" / "t.jsonl"),
         )
         assert (code, out) == (1, "") and err.startswith("bellodds: error: ")
+
+    def test_dump_memory_does_not_grow_with_reps(self, capsys, tmp_path):
+        # ghz walks stop at trial 33, so --max-trials 40 keeps the walk's
+        # buffer small; rows built from whole columns would add about 36
+        # bytes per replication
+        argv = ["simulate", "--scenario", "ghz", "--reps", "20000", "--max-trials", "40", "--seed", "1"]
+        run_cli(capsys, *argv[:3], "--reps", "200")  # fills the first-call caches
+        peaks = []
+        for dump in ([], ["--dump-trajectories", str(tmp_path / "t.jsonl")]):
+            tracemalloc.start()
+            try:
+                assert main(argv + dump) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+        plain, dumped = peaks
+        assert dumped <= plain + 200_000
 
     def test_same_seed_is_byte_identical(self):
         argv = ("simulate", "--scenario", "chained", "--k", "2", "--reps", "50",

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bellodds import simulate
 from bellodds.bayes import HypothesisPair, IndistinguishableError, OddsRatio, TrialTally, kl_per_trial, log_bayes_factor
@@ -267,6 +268,25 @@ class TestConfigValidation:
         assert np.array_equal(t.outcomes, u.outcomes) and (t.decision, t.stop_trial) == (u.decision, u.stop_trial)
 
 
+class TestQuantiles:
+    @given(
+        stops=st.lists(
+            st.one_of(st.integers(1, 4), st.integers(1, 10**6), st.integers(2**53 - 64, 2**53)),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    @example(stops=[7])
+    @example(stops=[3, 1])
+    @example(stops=[5] * 40)
+    @example(stops=[2**53 - 1, 2**53, 1, 2**53 - 3])
+    def test_match_np_percentile_bitwise(self, stops):
+        column = np.array(stops, dtype=np.int64)
+        report = summarize((column, np.zeros(len(stops), dtype=np.int64), np.zeros(len(stops))))
+        expected = np.percentile(column, [5.0, 50.0, 95.0]).tolist()
+        assert [x.hex() for x in (report.q05, report.q50, report.q95)] == [x.hex() for x in expected]
+
+
 class TestSingleReplicationReport:
     def test_report_collapses_to_the_one_trajectory(self):
         cfg = ghz_config(replications=1)
@@ -465,14 +485,67 @@ class TestFinalLogD:
         assert np.array_equal(t.outcomes, draws < cfg.resolved_pair().q)
 
     @pytest.mark.parametrize("truth", [QM, LR])
-    @pytest.mark.parametrize("name", ["chained-k2", "hardy-naive", "ghz"])
+    @pytest.mark.parametrize("name", ["chained-k2", "hardy-naive", "ghz", "q=r"])
     def test_independent_of_chunk_and_block_layout(self, name, truth, monkeypatch):
-        cfg = walk_config(name, truth, max_trials=2_001, replications=50)
-        default = replication_summaries(cfg)
-        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 7)
-        monkeypatch.setattr(simulate, "_FIRST_BLOCK", 4)
-        monkeypatch.setattr(simulate, "_MAX_BLOCK", 12)
-        assert all(np.array_equal(a, b) for a, b in zip(replication_summaries(cfg), default, strict=True))
+        # blocks sized from the drift, and doubling blocks where the drift
+        # is 0 (q=r) or infinite (hardy-naive QM true, ghz LR true)
+        assert_layout_free(walk_config(name, truth, max_trials=2_001, replications=50), monkeypatch)
+
+    def test_independent_of_the_sized_continuation_blocks(self, monkeypatch):
+        # walks of about 6k trials, so under the small caps most blocks are
+        # continuations sized from the farthest live row, some cut to the
+        # float cap while many rows live and some narrower than either cap
+        cfg = walk_config("chained-k2", LR, upper_threshold=1e100, max_trials=10_000, replications=30)
+        assert_layout_free(cfg, monkeypatch)
+
+
+def assert_layout_free(config: SimulationConfig, monkeypatch) -> None:
+    """The walker's columns do not change when small caps cut the walk into
+    many more chunks and blocks."""
+    default = replication_summaries(config)
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(simulate, "_FIRST_BLOCK", 4)
+    monkeypatch.setattr(simulate, "_MAX_BLOCK", 48)
+    monkeypatch.setattr(simulate, "_BLOCK_FLOATS", 7 * 4 * 3)
+    assert all(np.array_equal(a, b) for a, b in zip(replication_summaries(config), default, strict=True))
+
+
+def counted_draws(monkeypatch) -> dict[str, int]:
+    """Wraps simulate._draw; the returned tally counts the rows it filled
+    (one per live replication per block) and the draws it made."""
+    tally = {"rows": 0, "draws": 0}
+    draw = simulate._draw
+
+    def counting(gen, key, indices, done, draws):
+        tally["rows"] += len(indices)
+        tally["draws"] += draws.size
+        draw(gen, key, indices, done, draws)
+
+    monkeypatch.setattr(simulate, "_draw", counting)
+    return tally
+
+
+class TestDrawsPerReplication:
+    def test_ghz_qm_true_draws_one_drift_sized_block(self, monkeypatch):
+        # every walk stops at trial 33; 1.25 x ln(1e4) / ln(4/3) rounds up
+        # to a block of 44, where doubling from _FIRST_BLOCK drew 64
+        tally = counted_draws(monkeypatch)
+        replication_summaries(ghz_config(replications=100, max_trials=100_000))
+        assert tally["draws"] <= 44 * 100
+
+    def test_continuation_blocks_cover_the_farthest_row(self, monkeypatch):
+        # 1.53 draws per walked trial; doubling after the first block drew
+        # 1.83, and doubling from _FIRST_BLOCK 1.79
+        tally = counted_draws(monkeypatch)
+        stops, _, _ = replication_summaries(walk_config("chained-k2", QM, max_trials=100_000, replications=200))
+        assert tally["draws"] <= 1.65 * stops.sum()
+
+    def test_lr_true_far_threshold_takes_few_blocks(self, monkeypatch):
+        # walks of about 6k trials: with blocks sized from the drift each
+        # row is drawn about 3.5 times, doubling from _FIRST_BLOCK about 9.5
+        tally = counted_draws(monkeypatch)
+        replication_summaries(walk_config("chained-k2", LR, upper_threshold=1e100, max_trials=100_000, replications=10))
+        assert tally["rows"] <= 5 * 10
 
 
 def traced_peak(run, config: SimulationConfig) -> int:
@@ -489,9 +562,9 @@ def traced_peak(run, config: SimulationConfig) -> int:
 
 class TestMemory:
     def test_peak_does_not_grow_with_replications(self):
-        # the walk's buffer is 2 x _CHUNK_ROWS x _MAX_BLOCK floats (2 MB) at
-        # any rep count; 20k reps add 24 bytes of results each.  A walker
-        # that did not chunk would need 90 MB here.
+        # the walk's buffer is 2 x _BLOCK_FLOATS = 2 x 128 x 1024 floats
+        # (2 MB) at any rep count; 20k reps add 24 bytes of results each.  A
+        # walker that did not chunk would need 90 MB here.
         assert traced_peak(run_replications, walk_config("chained-k2", QM, replications=20_000)) <= 3_000_000
 
     def test_summaries_path_stays_within_the_same_bound(self):
