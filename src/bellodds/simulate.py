@@ -181,19 +181,20 @@ def _sized_block(distance: float, drift: float) -> int:
     return 4 * max(1, math.ceil(min(1.25 * distance / abs(drift), _MAX_BLOCK) / 4))
 
 
-def _steps(pair: HypothesisPair) -> tuple[float, float]:
-    """Log D steps of a "yes" and a "no" outcome; +-inf for a falsifier."""
-    return (
-        log_bayes_factor(pair, TrialTally(1, 1)).log_value,
-        log_bayes_factor(pair, TrialTally(1, 0)).log_value,
-    )
-
-
-def _finite(step: float) -> float:
-    """A step as it enters the count formula.  An infinite step's outcome
-    ends the walk, so until then its count is 0 and 0 stands in, which
-    never forms 0 * inf."""
-    return step if math.isfinite(step) else 0.0
+def _stop_rule(config: SimulationConfig) -> tuple[float, tuple[float, float], bool | None, float]:
+    """The true theory's "yes" probability; the "yes" and "no" log D steps
+    of the count formula, with 0 for an infinite one, whose outcome is
+    counted 0 times until it ends the walk (so 0 * inf never forms); the one
+    outcome that can falsify a theory in the walk (True for "yes", False for
+    "no", None if none), the one the false theory forbids, as the true
+    theory's own is never drawn; and its step, +inf if QM is true, else -inf.
+    """
+    pair = config.resolved_pair()
+    p_true, p_false = (pair.q, pair.r) if config.true_theory == QM else (pair.r, pair.q)
+    steps = (log_bayes_factor(pair, TrialTally(1, yes)).log_value for yes in (1, 0))
+    yes, no = (step if math.isfinite(step) else 0.0 for step in steps)
+    falsifier = None if 0.0 < p_false < 1.0 else p_false == 0.0
+    return p_true, (yes, no), falsifier, math.inf if config.true_theory == QM else -math.inf
 
 
 def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: int, draws: np.ndarray) -> None:
@@ -218,10 +219,11 @@ def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: in
 def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk replications [start, stop) side by side.
 
-    Returns their stopping trials, decision codes (indices into _DECISIONS)
-    and final log Bayes factors.  Replications go in chunks of _CHUNK_ROWS,
-    each drawn in blocks of a multiple of 4 trials (_draw) under the run's
-    one key, so every row gets exactly the draws of its trial_stream.
+    Returns their stopping trials, int8 decision codes (indices into
+    _DECISIONS) and final log Bayes factors.  Replications go in chunks of
+    _CHUNK_ROWS, each drawn in blocks of a multiple of 4 trials (_draw) under
+    the run's one key, so every row gets exactly the draws of its
+    trial_stream.
 
     Blocks are sized from the drift, the mean log D step under the true
     theory: KL(q||r) when QM is true, -KL(r||q) when LR is.  Where it is
@@ -236,15 +238,16 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
     ln(prior/lower).  Log D after n trials with m "yes" outcomes is
     (n - m) ln((1-q)/(1-r)) + m ln(q/r), a function of the counts alone, so
     it does not depend on the block or chunk layout; the counts are kept in
-    float64, exact up to 2**53, which bounds max_trials.  An outcome with an
-    infinite step ends the walk at its first occurrence; until then its
-    count is 0 (_finite).
+    float64, exact up to 2**53, which bounds max_trials.
+
+    A walk stops at its first trial that reaches a threshold, that draws the
+    one outcome able to falsify a theory (_stop_rule; the final log D is
+    then that outcome's +-inf step) or that is trial max_trials.  Its final
+    decides it: at or past ln(prior/lower) is LR_REJECTED, at or past
+    ln(prior/upper) QM_REJECTED, otherwise INCONCLUSIVE.
     """
+    p_true, (yes, no), falsifier, falsified = _stop_rule(config)
     pair = config.resolved_pair()
-    p_true = pair.q if config.true_theory == QM else pair.r
-    step_yes, step_no = _steps(pair)
-    yes, no = _finite(step_yes), _finite(step_no)
-    yes_falsifies, no_falsifies = math.isinf(step_yes), math.isinf(step_no)
     hi = math.log(config.prior_odds / config.lower_threshold)
     lo = math.log(config.prior_odds / config.upper_threshold)
     drift = _kl(pair.q, pair.r) if config.true_theory == QM else -_kl(pair.r, pair.q)
@@ -279,34 +282,30 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
             log_d += no_part
             stopped = log_d >= hi
             stopped |= log_d <= lo
-            if yes_falsifies:
-                stopped |= is_yes
-            if no_falsifies:
-                stopped |= ~is_yes
+            if falsifier is not None:
+                stopped |= is_yes == falsifier
+            done += width
+            if done == config.max_trials:
+                stopped[:, -1] = True
             rows = np.arange(live.size)
             first = stopped.argmax(axis=1)
             ended = stopped[rows, first]
-            done += width
-            if done == config.max_trials:
-                first[~ended] = width - 1
-                ended[:] = True
+            walking = ~ended
             rows, first = rows[ended], first[ended]
             at = live[ended] + (base - start)
             stops[at] = n[first]
             final = log_d[rows, first]
-            at_yes = is_yes[rows, first]
-            if yes_falsifies:
-                final[at_yes] = step_yes
-            if no_falsifies:
-                final[~at_yes] = step_no
+            if falsifier is not None:
+                final[is_yes[rows, first] == falsifier] = falsified
             finals[at] = final
-            live, count = live[~ended], count[~ended]
+            live, count = live[walking], count[walking]
             if not sized:
                 block = min(2 * block, _MAX_BLOCK)
             elif live.size:
-                block = _sized_block(np.abs(target - log_d[~ended, -1]).max(), drift)
-    # a falsified walk's final is +-inf, beyond either threshold
-    codes = np.where(finals >= hi, 1, np.where(finals <= lo, 2, 0))
+                block = _sized_block(np.abs(target - log_d[walking, -1]).max(), drift)
+    codes = np.zeros(stop - start, dtype=np.int8)
+    codes[finals >= hi] = 1
+    codes[finals <= lo] = 2
     return stops, codes, finals
 
 
@@ -324,19 +323,19 @@ def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajecto
     if not 0 <= index < config.replications:
         raise ValueError(f"replication_index must be in [0, {config.replications}), got {index!r}")
     (stop,), (code,), (final,) = (column.tolist() for column in _walk(config, index, index + 1))
-    pair = config.resolved_pair()
-    p_true = pair.q if config.true_theory == QM else pair.r
+    p_true, (yes, no), _, _ = _stop_rule(config)
     outcomes = trial_stream(config.master_seed, index).random(stop) < p_true
-    step_yes, step_no = _steps(pair)
     m, n = np.cumsum(outcomes), np.arange(1, stop + 1)
-    cumulative = m * _finite(step_yes) + (n - m) * _finite(step_no)
+    cumulative = m * yes + (n - m) * no
     cumulative[-1] = final  # +-inf if the last outcome falsified a theory
     return Trajectory(outcomes, cumulative, _DECISIONS[code], stop)
 
 
 def replication_summaries(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every replication's stopping trial, decision code (an index into
-    _DECISIONS) and final log Bayes factor: the walker's columns."""
+    """Every replication's stopping trial, decision code (an int8 index into
+    _DECISIONS) and final log Bayes factor: the walker's columns.  A walk
+    stops at a threshold, at the one outcome that can falsify a theory
+    (final +-inf) or at max_trials."""
     return _walk(config, 0, config.replications)
 
 

@@ -228,6 +228,11 @@ class TestSimulate:
         assert proc.stdout == ""
         assert proc.stderr.startswith("bellodds: error: ") and "Traceback" not in proc.stderr
 
+    def test_empty_dump_path_exits_1(self, capsys):
+        # an empty path is a path that cannot be opened, not a missing flag
+        code, out, err = run_cli(capsys, "simulate", "--scenario", "ghz", "--reps", "3", "--dump-trajectories", "")
+        assert (code, out) == (1, "") and err.startswith("bellodds: error: ")
+
     def test_unwritable_dump_path_fails_before_the_walk(self, capsys, tmp_path, monkeypatch):
         def walk(config):
             raise AssertionError("walked before opening the dump file")

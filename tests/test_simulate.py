@@ -332,11 +332,15 @@ SCENARIOS = {
     "hardy-paper": ScenarioSpec("hardy"),
     "hardy-naive": ScenarioSpec("hardy-naive"),
 }
-# q < r, both outcomes falsifying, and zero drift
+# q < r, both outcomes falsifying, zero drift, and each way the one falsifier
+# can arise: with QM true "no" falsifies LR when r = 1; with q = 0, QM's
+# forbidden "yes" is never drawn when QM is true and falsifies QM when LR is
 OVERRIDES = {
     "q<r": HypothesisPair(0.2, 0.6),
     "q=1,r=0": HypothesisPair(1.0, 0.0),
     "q=r": HypothesisPair(0.3, 0.3),
+    "r=1": HypothesisPair(0.5, 1.0),
+    "q=0": HypothesisPair(0.0, 0.3),
 }
 
 
@@ -442,6 +446,18 @@ class TestCountFormulaWalk:
                 assert walks == [count_formula_walk(cfg, j) for j in range(cfg.replications)]
                 assert (walks[i] == base_walks[i]) == stops_there, (i, target)
 
+    @pytest.mark.parametrize("truth", [QM, LR])
+    def test_trial_cap_on_a_block_edge(self, truth, monkeypatch):
+        # zero drift, so blocks of 64 and then 128 trials: the cap at 192
+        # falls on the last column of a full block, and no walk reaches a
+        # threshold before it
+        tally = counted_draws(monkeypatch)
+        cfg = walk_config("q=r", truth, max_trials=192, replications=20)
+        walks = batch_walk(cfg)
+        assert walks == [count_formula_walk(cfg, i) for i in range(20)]
+        assert {(stop, decision) for stop, decision, _ in walks} == {(192, INCONCLUSIVE)}
+        assert tally["draws"] == 192 * 20
+
 
 def stops_and_decisions(config: SimulationConfig) -> list[tuple[int, str]]:
     stops, codes, _ = replication_summaries(config)
@@ -485,10 +501,10 @@ class TestFinalLogD:
         assert np.array_equal(t.outcomes, draws < cfg.resolved_pair().q)
 
     @pytest.mark.parametrize("truth", [QM, LR])
-    @pytest.mark.parametrize("name", ["chained-k2", "hardy-naive", "ghz", "q=r"])
+    @pytest.mark.parametrize("name", ["chained-k2", "hardy-naive", "ghz", "q=r", "r=1", "q=0"])
     def test_independent_of_chunk_and_block_layout(self, name, truth, monkeypatch):
         # blocks sized from the drift, and doubling blocks where the drift
-        # is 0 (q=r) or infinite (hardy-naive QM true, ghz LR true)
+        # is 0 (q=r) or infinite (hardy-naive, r=1 QM true; ghz, q=0 LR true)
         assert_layout_free(walk_config(name, truth, max_trials=2_001, replications=50), monkeypatch)
 
     def test_independent_of_the_sized_continuation_blocks(self, monkeypatch):
@@ -571,3 +587,9 @@ class TestMemory:
         # the columns --dump-trajectories writes: no per-replication objects
         cfg = walk_config("chained-k2", QM, replications=20_000)
         assert traced_peak(lambda c: summarize(replication_summaries(c)), cfg) <= 3_000_000
+
+    def test_columns_at_many_replications(self):
+        # ghz at 200k reps: the stops and finals take 3.2 MB, the walk's
+        # buffer 2.1 MB, the int8 codes and a mask 0.2 MB each (5.71 MB in
+        # all); int64 codes from a nested np.where reach 8.72 MB
+        assert traced_peak(replication_summaries, ghz_config(replications=200_000, max_trials=100_000)) <= 6_500_000
