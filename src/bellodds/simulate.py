@@ -202,17 +202,18 @@ def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: in
     substream of replication indices[i] under the run's key, from one
     generator set to each counter in turn.  done must be a multiple of 4:
     Philox makes 4 draws per counter step."""
+    bit_generator, step, inner = gen.bit_generator, done // 4, {"counter": None, "key": key}
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": None, "key": key},
+        "state": inner,
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
     for row, index in zip(draws, indices):
-        state["state"]["counter"] = [done // 4, 0, index, 0]
-        gen.bit_generator.state = state
+        inner["counter"] = [step, 0, index, 0]
+        bit_generator.state = state
         gen.random(out=row)
 
 
@@ -222,8 +223,8 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
     Returns their stopping trials, int8 decision codes (indices into
     _DECISIONS) and final log Bayes factors.  Replications go in chunks of
     _CHUNK_ROWS, each drawn in blocks of a multiple of 4 trials (_draw) under
-    the run's one key, so every row gets exactly the draws of its
-    trial_stream.
+    the run's one key, so every row gets exactly the draws of its trial_stream,
+    but a walk whose outcomes are certain (p_true is 0 or 1) makes no draws.
 
     Blocks are sized from the drift, the mean log D step under the true
     theory: KL(q||r) when QM is true, -KL(r||q) when LR is.  Where it is
@@ -271,7 +272,10 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
             width = min(block, _BLOCK_FLOATS // live.size // 4 * 4, config.max_trials - done)
             n = np.arange(done + 1, done + width + 1, dtype=np.float64)
             draws, no_part = (half[: live.size * width].reshape(live.size, width) for half in buffer)
-            _draw(gen, key, (live + base).tolist(), done, draws)
+            if 0.0 < p_true < 1.0:
+                _draw(gen, key, (live + base).tolist(), done, draws)
+            else:  # draws < p_true has one value for every draw in [0, 1)
+                draws.fill(0.0)
             is_yes = draws < p_true
             m = np.cumsum(is_yes, axis=1, dtype=np.float64, out=draws)
             m += count[:, None]
@@ -342,13 +346,17 @@ def replication_summaries(config: SimulationConfig) -> tuple[np.ndarray, np.ndar
 def summarize(walk: tuple[np.ndarray, np.ndarray, np.ndarray]) -> StoppingReport:
     """Stopping statistics of replication_summaries' columns in replication
     order, which neither scheduling nor the walk's block and chunk layout
-    changes.  Reordering them can move the float sum of final log D."""
+    changes; reordering them can move the float sum of final log D.  The mean
+    and sd are the ufunc reductions of np.mean and np.std(ddof=1), bit for bit."""
     stops, codes, finals = walk
     counts = np.bincount(codes, minlength=len(_DECISIONS)).tolist()
     q05, q50, q95 = _quantiles(stops, (0.05, 0.5, 0.95))
+    mean = np.add.reduce(stops, dtype=np.float64) / len(stops)
+    deviations = stops - mean
+    squares = np.add.reduce(np.square(deviations, out=deviations))
     return StoppingReport(
-        mean_stop=float(stops.mean()),
-        stddev_stop=float(stops.std(ddof=1)) if len(stops) > 1 else 0.0,
+        mean_stop=float(mean),
+        stddev_stop=math.sqrt(squares / (len(stops) - 1)) if len(stops) > 1 else 0.0,
         q05=q05,
         q50=q50,
         q95=q95,

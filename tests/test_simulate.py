@@ -268,23 +268,38 @@ class TestConfigValidation:
         assert np.array_equal(t.outcomes, u.outcomes) and (t.decision, t.stop_trial) == (u.decision, u.stop_trial)
 
 
-class TestQuantiles:
-    @given(
-        stops=st.lists(
-            st.one_of(st.integers(1, 4), st.integers(1, 10**6), st.integers(2**53 - 64, 2**53)),
-            min_size=1,
-            max_size=300,
-        )
+def stop_columns(test):
+    """Random stopping-trial columns of 1 to 300 replications, small, large
+    and near 2**53, with examples for n = 1, n = 2, all equal and near 2**53."""
+    stops = st.lists(
+        st.one_of(st.integers(1, 4), st.integers(1, 10**6), st.integers(2**53 - 64, 2**53)), min_size=1, max_size=300
     )
-    @example(stops=[7])
-    @example(stops=[3, 1])
-    @example(stops=[5] * 40)
-    @example(stops=[2**53 - 1, 2**53, 1, 2**53 - 3])
+    for case in ([7], [3, 1], [5] * 40, [2**53 - 1, 2**53, 1, 2**53 - 3]):
+        test = example(stops=case)(test)
+    return given(stops=stops)(test)
+
+
+def report_of(stops: list[int]) -> simulate.StoppingReport:
+    return summarize((np.array(stops, dtype=np.int64), np.zeros(len(stops), dtype=np.int8), np.zeros(len(stops))))
+
+
+class TestQuantiles:
+    @stop_columns
     def test_match_np_percentile_bitwise(self, stops):
-        column = np.array(stops, dtype=np.int64)
-        report = summarize((column, np.zeros(len(stops), dtype=np.int64), np.zeros(len(stops))))
-        expected = np.percentile(column, [5.0, 50.0, 95.0]).tolist()
+        report = report_of(stops)
+        expected = np.percentile(np.array(stops, dtype=np.int64), [5.0, 50.0, 95.0]).tolist()
         assert [x.hex() for x in (report.q05, report.q50, report.q95)] == [x.hex() for x in expected]
+
+
+class TestMoments:
+    @stop_columns
+    def test_match_np_mean_and_std_bitwise(self, stops):
+        # one replication has no spread to estimate: summarize reports 0.0
+        # where np.std(ddof=1) warns and returns nan
+        report = report_of(stops)
+        column = np.array(stops, dtype=np.int64)
+        sd = float(np.std(column, ddof=1)) if len(stops) > 1 else 0.0
+        assert (report.mean_stop.hex(), report.stddev_stop.hex()) == (float(np.mean(column)).hex(), sd.hex())
 
 
 class TestSingleReplicationReport:
@@ -333,14 +348,16 @@ SCENARIOS = {
     "hardy-naive": ScenarioSpec("hardy-naive"),
 }
 # q < r, both outcomes falsifying, zero drift, and each way the one falsifier
-# can arise: with QM true "no" falsifies LR when r = 1; with q = 0, QM's
-# forbidden "yes" is never drawn when QM is true and falsifies QM when LR is
+# can arise: with QM true "no" falsifies LR when r = 1; with q = 0 or 1, QM's
+# forbidden outcome is never drawn when QM is true (nor drawn at all: every
+# outcome is certain) and falsifies QM when LR is
 OVERRIDES = {
     "q<r": HypothesisPair(0.2, 0.6),
     "q=1,r=0": HypothesisPair(1.0, 0.0),
     "q=r": HypothesisPair(0.3, 0.3),
     "r=1": HypothesisPair(0.5, 1.0),
     "q=0": HypothesisPair(0.0, 0.3),
+    "q=1": HypothesisPair(1.0, 0.5),
 }
 
 
@@ -526,15 +543,18 @@ def assert_layout_free(config: SimulationConfig, monkeypatch) -> None:
     assert all(np.array_equal(a, b) for a, b in zip(replication_summaries(config), default, strict=True))
 
 
-def counted_draws(monkeypatch) -> dict[str, int]:
+def counted_draws(monkeypatch) -> dict:
     """Wraps simulate._draw; the returned tally counts the rows it filled
-    (one per live replication per block) and the draws it made."""
-    tally = {"rows": 0, "draws": 0}
+    (one per live replication per block) and the draws it made, and lists
+    the widths of the rows it filled from trial 1."""
+    tally = {"rows": 0, "draws": 0, "first_widths": []}
     draw = simulate._draw
 
     def counting(gen, key, indices, done, draws):
         tally["rows"] += len(indices)
         tally["draws"] += draws.size
+        if done == 0:
+            tally["first_widths"] += [draws.shape[1]] * len(indices)
         draw(gen, key, indices, done, draws)
 
     monkeypatch.setattr(simulate, "_draw", counting)
@@ -542,12 +562,34 @@ def counted_draws(monkeypatch) -> dict[str, int]:
 
 
 class TestDrawsPerReplication:
-    def test_ghz_qm_true_draws_one_drift_sized_block(self, monkeypatch):
-        # every walk stops at trial 33; 1.25 x ln(1e4) / ln(4/3) rounds up
-        # to a block of 44, where doubling from _FIRST_BLOCK drew 64
+    def test_ghz_qm_true_stops_at_33_without_draws(self, monkeypatch):
+        # QM says "yes" with certainty, so every walk stops at trial 33
+        # whatever it would draw; it drew one 44-trial block per row before
         tally = counted_draws(monkeypatch)
-        replication_summaries(ghz_config(replications=100, max_trials=100_000))
-        assert tally["draws"] <= 44 * 100
+        stops, codes, _ = replication_summaries(ghz_config(replications=100, max_trials=100_000))
+        assert tally["draws"] == 0
+        assert (stops == 33).all() and (codes == 1).all()
+
+    @pytest.mark.parametrize("name", ["ghz", "q=1", "q=0"])
+    def test_certain_outcomes_make_no_draw_call(self, name, monkeypatch):
+        # QM true with q = 1 or 0: every outcome is certain, so no block is
+        # drawn (TestBatchWalkerMatchesPerTrialWalk checks the stops against
+        # the per-trial walk, which draws); run_trajectory still redraws its
+        # outcomes from trial_stream
+        tally = counted_draws(monkeypatch)
+        cfg = walk_config(name, QM, max_trials=2_001, replications=300)
+        replication_summaries(cfg)
+        assert tally["rows"] == 0
+        t = run_trajectory(cfg, 7)
+        assert t.outcomes.tolist() == [cfg.resolved_pair().q == 1.0] * t.stop_trial
+
+    def test_first_block_is_sized_from_the_drift(self, monkeypatch):
+        # hardy with QM true draws; 1.25 x ln(1e4) / KL rounds up to 340
+        tally = counted_draws(monkeypatch)
+        cfg = walk_config("hardy-paper", QM, max_trials=100_000, replications=200)
+        replication_summaries(cfg)
+        width = simulate._sized_block(math.log(1e4), kl_per_trial(cfg.resolved_pair()))
+        assert tally["first_widths"] == [width] * 200
 
     def test_continuation_blocks_cover_the_farthest_row(self, monkeypatch):
         # 1.53 draws per walked trial; doubling after the first block drew
