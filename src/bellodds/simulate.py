@@ -164,21 +164,21 @@ _DECISIONS = (INCONCLUSIVE, LR_REJECTED, QM_REJECTED)
 #: First block of trials of a walk that is not sized from the drift; later
 #: blocks double.
 _FIRST_BLOCK = 64
-#: Widest block (a multiple of 4), which bounds the draws a replication makes
+#: Widest block (a multiple of 8), which bounds the draws a replication makes
 #: past its stopping trial.
 _MAX_BLOCK = 2048
 #: Replications walked side by side.
 _CHUNK_ROWS = 128
 #: Most floats a block holds, rows x width: it bounds the walk's buffer at
 #: 2 x 1 MB, so memory stays flat in the number of replications.  At least
-#: 4 x _CHUNK_ROWS, so a block is never narrower than 4 trials.
+#: 8 x _CHUNK_ROWS, so a block is never narrower than 8 trials.
 _BLOCK_FLOATS = 128 * 1024
 
 
 def _sized_block(distance: float, drift: float) -> int:
     """1.25 x the trials the drift takes to cover distance, rounded up to a
-    multiple of 4 and capped at _MAX_BLOCK."""
-    return 4 * max(1, math.ceil(min(1.25 * distance / abs(drift), _MAX_BLOCK) / 4))
+    multiple of 8 and capped at _MAX_BLOCK."""
+    return 8 * max(1, math.ceil(min(1.25 * distance / abs(drift), _MAX_BLOCK) / 8))
 
 
 def _stop_rule(config: SimulationConfig) -> tuple[float, tuple[float, float], bool | None, float]:
@@ -217,14 +217,37 @@ def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: in
         gen.random(out=row)
 
 
+def _yes_counts(is_yes: np.ndarray, count: np.ndarray, m: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Fills m with np.cumsum(is_yes, axis=1, dtype=np.float64) + count[:, None],
+    exact below 2**53, eight trials to a word: a little-endian word of bool
+    lanes times 0x0101010101010101 holds in byte j the count of lanes 0..j,
+    in byte 7 its total.  The totals' running sum is each word's carry within
+    the block (at most _MAX_BLOCK, so 16 bits), spread over 16-bit lanes, one
+    per trial.  The words go in scratch, flat float64 at least m's size."""
+    rows, width = is_yes.shape
+    words, flat = is_yes.view("<u8"), scratch.view("<u8")
+    prefix = np.multiply(words, 0x0101010101010101, out=flat[: words.size].reshape(words.shape))
+    totals = prefix >> 56
+    carry = np.add.accumulate(totals, axis=1) - totals
+    spread = flat[words.size : 3 * words.size].reshape(rows, -1, 2)
+    np.multiply(carry, 0x0001000100010001, out=spread[:, :, 0])  # four 16-bit lanes of carry
+    spread[:, :, 1] = spread[:, :, 0]
+    in_block = spread.view("<u2").reshape(rows, width)
+    in_block += prefix.view(np.uint8).reshape(rows, width)
+    np.copyto(m, in_block)
+    return np.add(m, count[:, None], out=m)
+
+
 def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk replications [start, stop) side by side.
 
     Returns their stopping trials, int8 decision codes (indices into
     _DECISIONS) and final log Bayes factors.  Replications go in chunks of
-    _CHUNK_ROWS, each drawn in blocks of a multiple of 4 trials (_draw) under
-    the run's one key, so every row gets exactly the draws of its trial_stream,
-    but a walk whose outcomes are certain (p_true is 0 or 1) makes no draws.
+    _CHUNK_ROWS, each drawn in blocks of a multiple of 8 trials (_draw) under
+    the run's one key, so every row gets exactly the draws of its trial_stream;
+    the last block may draw up to 7 trials past max_trials, which no walk
+    reaches.  A walk whose outcomes are certain (p_true is 0 or 1) makes no
+    draws, and every row walks as the first does.
 
     Blocks are sized from the drift, the mean log D step under the true
     theory: KL(q||r) when QM is true, -KL(r||q) when LR is.  Where it is
@@ -238,8 +261,8 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
     After every trial the walk compares log D with ln(prior/upper) and
     ln(prior/lower).  Log D after n trials with m "yes" outcomes is
     (n - m) ln((1-q)/(1-r)) + m ln(q/r), a function of the counts alone, so
-    it does not depend on the block or chunk layout; the counts are kept in
-    float64, exact up to 2**53, which bounds max_trials.
+    it does not depend on the block or chunk layout; the counts (_yes_counts)
+    are kept in float64, exact up to 2**53, which bounds max_trials.
 
     A walk stops at its first trial that reaches a threshold, that draws the
     one outcome able to falsify a theory (_stop_rule; the final log D is
@@ -248,6 +271,9 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
     ln(prior/upper) QM_REJECTED, otherwise INCONCLUSIVE.
     """
     p_true, (yes, no), falsifier, falsified = _stop_rule(config)
+    certain = p_true in (0.0, 1.0)
+    if certain and stop - start > 1:  # every row walks the same outcomes
+        return tuple(np.full(stop - start, column[0]) for column in _walk(config, start, start + 1))
     pair = config.resolved_pair()
     hi = math.log(config.prior_odds / config.lower_threshold)
     lo = math.log(config.prior_odds / config.upper_threshold)
@@ -255,30 +281,31 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
     sized = math.isfinite(drift) and drift != 0.0
     target = hi if drift > 0.0 else lo
 
-    gen = np.random.Generator(np.random.Philox(0))
-    key = _key(config.master_seed).tolist()
+    if not certain:  # one Philox, whose key every replication shares
+        gen = np.random.Generator(np.random.Philox(config.master_seed))
+        key = gen.bit_generator.state["state"]["key"].tolist()
     stops = np.empty(stop - start, dtype=np.int64)
     finals = np.empty(stop - start)
     # one buffer for the walk, so the blocks do not grow and shrink the heap
     # (which costs page faults): per block, half of it takes the draws, then
-    # the "yes" counts m and then log D in place, the other half the "no" term
-    floats = min(_CHUNK_ROWS, stop - start) * min(_MAX_BLOCK, config.max_trials)
+    # the "yes" counts m and then log D in place, the other half the counts'
+    # words and then the "no" term
+    floats = min(_CHUNK_ROWS, stop - start) * min(_MAX_BLOCK, config.max_trials + 7)
     buffer = np.empty((2, min(floats, _BLOCK_FLOATS)))
     for base in range(start, stop, _CHUNK_ROWS):
         live = np.arange(min(_CHUNK_ROWS, stop - base))  # chunk rows still walking
         count = np.zeros(live.size)  # "yes" outcomes so far
         done, block = 0, _sized_block(abs(target), drift) if sized else _FIRST_BLOCK
         while live.size:
-            width = min(block, _BLOCK_FLOATS // live.size // 4 * 4, config.max_trials - done)
+            width = min(block, _BLOCK_FLOATS // live.size // 8 * 8, (config.max_trials - done + 7) & -8)
             n = np.arange(done + 1, done + width + 1, dtype=np.float64)
             draws, no_part = (half[: live.size * width].reshape(live.size, width) for half in buffer)
-            if 0.0 < p_true < 1.0:
-                _draw(gen, key, (live + base).tolist(), done, draws)
-            else:  # draws < p_true has one value for every draw in [0, 1)
+            if certain:  # draws < p_true has one value for every draw in [0, 1)
                 draws.fill(0.0)
+            else:
+                _draw(gen, key, (live + base).tolist(), done, draws)
             is_yes = draws < p_true
-            m = np.cumsum(is_yes, axis=1, dtype=np.float64, out=draws)
-            m += count[:, None]
+            m = _yes_counts(is_yes, count, draws, buffer[1])
             count = m[:, -1].copy()
             np.subtract(n, m, out=no_part)
             no_part *= no
@@ -288,21 +315,22 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
             stopped |= log_d <= lo
             if falsifier is not None:
                 stopped |= is_yes == falsifier
+            if done + width >= config.max_trials:
+                stopped[:, config.max_trials - done - 1] = True
             done += width
-            if done == config.max_trials:
-                stopped[:, -1] = True
-            rows = np.arange(live.size)
             first = stopped.argmax(axis=1)
-            ended = stopped[rows, first]
-            walking = ~ended
-            rows, first = rows[ended], first[ended]
-            at = live[ended] + (base - start)
-            stops[at] = n[first]
-            final = log_d[rows, first]
-            if falsifier is not None:
-                final[is_yes[rows, first] == falsifier] = falsified
-            finals[at] = final
-            live, count = live[walking], count[walking]
+            ended = stopped[np.arange(live.size), first]
+            walking = slice(None)  # every row, unless one ended
+            if ended.any():
+                walking = ~ended
+                rows, first = ended.nonzero()[0], first[ended]
+                at = live[ended] + (base - start)
+                stops[at] = n[first]
+                final = log_d[rows, first]
+                if falsifier is not None:
+                    final[is_yes[rows, first] == falsifier] = falsified
+                finals[at] = final
+                live, count = live[walking], count[walking]
             if not sized:
                 block = min(2 * block, _MAX_BLOCK)
             elif live.size:

@@ -475,6 +475,57 @@ class TestCountFormulaWalk:
         assert {(stop, decision) for stop, decision, _ in walks} == {(192, INCONCLUSIVE)}
         assert tally["draws"] == 192 * 20
 
+    @pytest.mark.parametrize("truth", [QM, LR])
+    def test_trial_cap_inside_a_word(self, truth, monkeypatch):
+        # blocks are whole words of 8 trials, so the last block draws trials
+        # 191 and 192 past the cap at 190, and no walk sees them
+        tally = counted_draws(monkeypatch)
+        cfg = walk_config("q=r", truth, max_trials=190, replications=20)
+        walks = batch_walk(cfg)
+        assert walks == [count_formula_walk(cfg, i) for i in range(20)]
+        assert {(stop, decision) for stop, decision, _ in walks} == {(190, INCONCLUSIVE)}
+        assert tally["draws"] == 192 * 20
+
+
+class TestYesCounts:
+    """simulate._yes_counts, eight trials to a word, against np.cumsum."""
+
+    @staticmethod
+    def assert_counts(is_yes: np.ndarray, count: np.ndarray) -> None:
+        # m and scratch start as NaN, so a lane the kernel skips shows
+        m, scratch = np.full(is_yes.shape, np.nan), np.full(is_yes.size, np.nan)
+        got = simulate._yes_counts(is_yes, count, m, scratch)
+        assert got is m
+        assert np.array_equal(m, np.cumsum(is_yes, axis=1, dtype=np.float64) + count[:, None])
+
+    @pytest.mark.parametrize("rows", [1, 128])
+    @pytest.mark.parametrize("width", [8, 16, 24, 344, 2048])
+    @pytest.mark.parametrize("kind", ["all-False", "all-True", "random"])
+    def test_matches_cumsum(self, rows, width, kind):
+        rng = np.random.default_rng(width * rows)
+        is_yes = {
+            "all-False": np.zeros((rows, width), dtype=bool),
+            "all-True": np.ones((rows, width), dtype=bool),
+            "random": rng.random((rows, width)) < 0.3,
+        }[kind]
+        self.assert_counts(is_yes, rng.integers(0, 10_000, rows).astype(np.float64))
+
+    @pytest.mark.parametrize("width", [8, 2048])
+    def test_counts_near_2_53(self, width):
+        # an all-True row ends on 2**53 exactly, the largest count the walk keeps
+        is_yes = np.ones((3, width), dtype=bool)
+        is_yes[1, ::3] = False
+        self.assert_counts(is_yes, np.full(3, float(2**53 - width)))
+
+    def test_lane_order(self):
+        # trial 0 is the lowest byte of its word: with the bytes read the
+        # other way round, the lone "yes" of word 0 would count from trial 7
+        is_yes = np.zeros((2, 16), dtype=bool)
+        is_yes[0, 0] = is_yes[0, 9] = is_yes[0, 10] = True
+        is_yes[1, 7] = is_yes[1, 8] = True
+        m = simulate._yes_counts(is_yes, np.array([0.0, 5.0]), np.empty((2, 16)), np.empty(32))
+        assert m.tolist() == [[1.0] * 9 + [2.0] + [3.0] * 6, [5.0] * 7 + [6.0] + [7.0] * 8]
+
 
 def stops_and_decisions(config: SimulationConfig) -> list[tuple[int, str]]:
     stops, codes, _ = replication_summaries(config)
@@ -486,7 +537,7 @@ class TestBatchWalkerMatchesPerTrialWalk:
     @pytest.mark.parametrize("name", list(SCENARIOS) + list(OVERRIDES))
     @pytest.mark.parametrize("max_trials", [30, 2_001])
     def test_stop_and_decision_per_replication(self, name, truth, max_trials):
-        # 30 is below every first block and not a multiple of 4; 2001 takes
+        # 30 is below every first block and not a multiple of 8; 2001 takes
         # continuation blocks and cuts the last one short
         cfg = walk_config(name, truth, max_trials=max_trials, replications=40)
         assert stops_and_decisions(cfg) == [reference_walk(cfg, i) for i in range(40)]
@@ -537,9 +588,9 @@ def assert_layout_free(config: SimulationConfig, monkeypatch) -> None:
     many more chunks and blocks."""
     default = replication_summaries(config)
     monkeypatch.setattr(simulate, "_CHUNK_ROWS", 7)
-    monkeypatch.setattr(simulate, "_FIRST_BLOCK", 4)
+    monkeypatch.setattr(simulate, "_FIRST_BLOCK", 8)
     monkeypatch.setattr(simulate, "_MAX_BLOCK", 48)
-    monkeypatch.setattr(simulate, "_BLOCK_FLOATS", 7 * 4 * 3)
+    monkeypatch.setattr(simulate, "_BLOCK_FLOATS", 7 * 8 * 2)
     assert all(np.array_equal(a, b) for a, b in zip(replication_summaries(config), default, strict=True))
 
 
@@ -583,8 +634,44 @@ class TestDrawsPerReplication:
         t = run_trajectory(cfg, 7)
         assert t.outcomes.tolist() == [cfg.resolved_pair().q == 1.0] * t.stop_trial
 
+    def test_certain_walk_walks_one_row(self, monkeypatch):
+        # ghz with QM true: the walk counts one row, whose columns every row
+        # takes, and needs no generator, so none is built
+        rows, yes_counts = [], simulate._yes_counts
+
+        def counting(is_yes, *rest):
+            rows.append(len(is_yes))
+            return yes_counts(is_yes, *rest)
+
+        def no_philox(*args, **kwargs):
+            raise AssertionError("a certain walk built a Philox")
+
+        monkeypatch.setattr(simulate, "_yes_counts", counting)
+        monkeypatch.setattr(np.random, "Philox", no_philox)
+        cfg = ghz_config(replications=10_000, max_trials=100_000)
+        one = simulate._walk(cfg, 0, 1)
+        for column, first in zip(replication_summaries(cfg), one, strict=True):
+            assert column.dtype == first.dtype
+            assert np.array_equal(column, np.full(10_000, first[0]))
+        assert one[0].tolist() == [33] and one[1].tolist() == [1]
+        assert rows == [1, 1]
+
+    def test_a_drawing_walk_builds_one_philox(self, monkeypatch):
+        # three chunks, one generator: Philox(master_seed), whose key is the
+        # run's key
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        replication_summaries(walk_config("chained-k2", QM, replications=300))
+        assert built == [(SEED,)]
+
     def test_first_block_is_sized_from_the_drift(self, monkeypatch):
-        # hardy with QM true draws; 1.25 x ln(1e4) / KL rounds up to 340
+        # hardy with QM true draws; 1.25 x ln(1e4) / KL = 337.02 rounds up to 344
         tally = counted_draws(monkeypatch)
         cfg = walk_config("hardy-paper", QM, max_trials=100_000, replications=200)
         replication_summaries(cfg)
