@@ -216,10 +216,10 @@ def minimax_lr_hardy(
     50), and bisection finds i* in O(log grid_steps) objective evaluations.
     Left of i* the objective is setup 1's KL, which falls, so i* - 1 beats
     every cell before it; from i* on the objective is at least the family
-    rate at i*, which i* attains.  The cells i* - 1 .. i* + 1 are scored with
-    the same (value, split) tuples a scan of every cell minimizes, so ties
-    break toward the smaller r1 as that scan breaks them: bit for bit what
-    the scan, kept as a test oracle, returns.
+    rate at i*, which i* attains, so no later cell beats i* (ties go to the
+    smaller r1).  The cells i* - 1 and i* are scored with the same (value,
+    split) tuples a scan of every cell minimizes, so ties break as that scan
+    breaks them: bit for bit what the scan, kept as a test oracle, returns.
     """
     grid_steps = _check_int("grid_steps", grid_steps)
     if grid_steps < 50:
@@ -236,8 +236,7 @@ def minimax_lr_hardy(
 
     top = min(grid_steps, math.ceil(hardy_q() / cell))
     first = bisect.bisect_left(range(top + 1), True, key=crossed)
-    window = range(first - 1, min(first + 1, grid_steps) + 1)
-    splits = (_balanced_split(i, cell, mode) for i in window)
+    splits = (_balanced_split(i, cell, mode) for i in range(first - 1, first + 1))
     best_val, (r1, r2, r3, _) = min((hardy_objective(split, mode), split) for split in splits)
     r4 = r1 - r2 - r3  # saturates the CH inequality exactly
     n_real = math.log(target_d) / best_val

@@ -53,11 +53,11 @@ class SimulationConfig:
 
     The experiment stops once the LR:QM odds are <= lower_threshold (LR
     rejected) or >= upper_threshold (QM rejected), checked after each trial's
-    update.  pair_override substitutes a synthetic hypothesis pair for the
-    scenario's.  replications is at most 2**32.
+    update.  scenario is a ScenarioSpec, whose pair scenario_pair resolves,
+    or a HypothesisPair, simulated as given.  replications is at most 2**32.
     """
 
-    scenario: ScenarioSpec
+    scenario: ScenarioSpec | HypothesisPair
     true_theory: str = QM
     prior_odds: float = 100.0
     lower_threshold: float = 0.01
@@ -65,9 +65,10 @@ class SimulationConfig:
     max_trials: int = 100_000
     master_seed: int = 0
     replications: int = 1000
-    pair_override: HypothesisPair | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scenario, (ScenarioSpec, HypothesisPair)):
+            raise ValueError(f"scenario must be a ScenarioSpec or a HypothesisPair, got {self.scenario!r}")
         if self.true_theory not in (QM, LR):
             raise ValueError(f"true_theory must be {QM!r} or {LR!r}, got {self.true_theory!r}")
         if not 0.0 < self.lower_threshold < self.prior_odds < self.upper_threshold:
@@ -94,8 +95,8 @@ class SimulationConfig:
             raise ValueError("degenerate pair q == r in {0, 1}: every trial would falsify both theories")
 
     def resolved_pair(self) -> HypothesisPair:
-        if self.pair_override is not None:
-            return self.pair_override
+        if isinstance(self.scenario, HypothesisPair):
+            return self.scenario
         return scenario_pair(self.scenario).pair
 
 
@@ -134,15 +135,16 @@ def trial_stream(master_seed: int, replication_index: int) -> np.random.Generato
 
     Philox is counter-based: every replication shares the key of
     Philox(master_seed) and starts from its own counter (0, 0, index, 0), so
-    it is Philox(master_seed).jumped(index), 2**128 draws from its
-    neighbours.  Any replication can be generated on any worker, in any
-    order, with identical results.  The batch walker (_draw) sets the same
-    key and counter.
+    it is Philox(master_seed).jumped(index), here jumped in place by
+    advancing index * 2**128 counter steps; at 4 draws per step, neighbours
+    lie 2**130 draws apart.  Any replication can be generated on any worker,
+    in any order, with identical results.  The batch walker (_draw) sets the
+    same key and counter.
     """
     index = _check_int("replication_index", replication_index)
     if not 0 <= index < 2**32:
         raise ValueError(f"replication_index must be in [0, 2**32), got {index!r}")
-    return np.random.Generator(np.random.Philox(key=_key(_check_seed(master_seed)), counter=[0, 0, index, 0]))
+    return np.random.Generator(np.random.Philox(_check_seed(master_seed)).advance(index << 128))
 
 
 def _check_seed(master_seed) -> int:
@@ -151,12 +153,6 @@ def _check_seed(master_seed) -> int:
     if not 0 <= seed < 2**64:
         raise ValueError(f"master_seed must be a 64-bit nonnegative integer, got {seed!r}")
     return seed
-
-
-def _key(master_seed: int) -> np.ndarray:
-    """The Philox key shared by every replication of a run: that of
-    Philox(master_seed)."""
-    return np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
 
 
 #: Decision codes of the batch walker, indexed by code.
@@ -181,20 +177,25 @@ def _sized_block(distance: float, drift: float) -> int:
     return 8 * max(1, math.ceil(min(1.25 * distance / abs(drift), _MAX_BLOCK) / 8))
 
 
-def _stop_rule(config: SimulationConfig) -> tuple[float, tuple[float, float], bool | None, float]:
-    """The true theory's "yes" probability; the "yes" and "no" log D steps
-    of the count formula, with 0 for an infinite one, whose outcome is
-    counted 0 times until it ends the walk (so 0 * inf never forms); the one
-    outcome that can falsify a theory in the walk (True for "yes", False for
-    "no", None if none), the one the false theory forbids, as the true
-    theory's own is never drawn; and its step, +inf if QM is true, else -inf.
+def _stop_rule(config: SimulationConfig) -> tuple:
+    """The walk's view of the pair and thresholds: the true theory's "yes"
+    probability; the "yes" and "no" log D steps of the count formula, with 0
+    for an infinite one, whose outcome is counted 0 times until it ends the
+    walk (so 0 * inf never forms); the one outcome that can falsify a theory
+    in the walk (True for "yes", False for "no", None if none), the one the
+    false theory forbids, as the true theory's own is never drawn; its step,
+    +inf if QM is true, else -inf; the thresholds ln(prior/upper) and
+    ln(prior/lower); and the drift, the mean log D step under the true
+    theory: KL(q||r) if QM is true, else -KL(r||q).
     """
     pair = config.resolved_pair()
-    p_true, p_false = (pair.q, pair.r) if config.true_theory == QM else (pair.r, pair.q)
+    p_true, p_false, sign = (pair.q, pair.r, 1.0) if config.true_theory == QM else (pair.r, pair.q, -1.0)
     steps = (log_bayes_factor(pair, TrialTally(1, yes)).log_value for yes in (1, 0))
     yes, no = (step if math.isfinite(step) else 0.0 for step in steps)
     falsifier = None if 0.0 < p_false < 1.0 else p_false == 0.0
-    return p_true, (yes, no), falsifier, math.inf if config.true_theory == QM else -math.inf
+    lo = math.log(config.prior_odds / config.upper_threshold)
+    hi = math.log(config.prior_odds / config.lower_threshold)
+    return p_true, (yes, no), falsifier, sign * math.inf, (lo, hi), sign * _kl(p_true, p_false)
 
 
 def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: int, draws: np.ndarray) -> None:
@@ -250,13 +251,13 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
     draws, and every row walks as the first does.
 
     Blocks are sized from the drift, the mean log D step under the true
-    theory: KL(q||r) when QM is true, -KL(r||q) when LR is.  Where it is
-    finite and non-zero (no outcome of positive probability falsifies a
-    theory), a block is 1.25 x the trials the drift takes to cover the
-    farthest live row's distance to the threshold it drifts to, which for
-    the first block is the whole distance from log D = 0.  Otherwise the
-    first block is _FIRST_BLOCK and each later one doubles.  Every block is
-    capped at _MAX_BLOCK trials and at _BLOCK_FLOATS draws.
+    theory (_stop_rule).  Where it is finite and non-zero (no outcome of
+    positive probability falsifies a theory), a block is 1.25 x the trials
+    the drift takes to cover the farthest live row's distance to the
+    threshold it drifts to, which for the first block is the whole distance
+    from log D = 0.  Otherwise the first block is _FIRST_BLOCK and each
+    later one doubles.  Every block is capped at _MAX_BLOCK trials and at
+    _BLOCK_FLOATS draws.
 
     After every trial the walk compares log D with ln(prior/upper) and
     ln(prior/lower).  Log D after n trials with m "yes" outcomes is
@@ -270,14 +271,10 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
     decides it: at or past ln(prior/lower) is LR_REJECTED, at or past
     ln(prior/upper) QM_REJECTED, otherwise INCONCLUSIVE.
     """
-    p_true, (yes, no), falsifier, falsified = _stop_rule(config)
+    p_true, (yes, no), falsifier, falsified, (lo, hi), drift = _stop_rule(config)
     certain = p_true in (0.0, 1.0)
     if certain and stop - start > 1:  # every row walks the same outcomes
         return tuple(np.full(stop - start, column[0]) for column in _walk(config, start, start + 1))
-    pair = config.resolved_pair()
-    hi = math.log(config.prior_odds / config.lower_threshold)
-    lo = math.log(config.prior_odds / config.upper_threshold)
-    drift = _kl(pair.q, pair.r) if config.true_theory == QM else -_kl(pair.r, pair.q)
     sized = math.isfinite(drift) and drift != 0.0
     target = hi if drift > 0.0 else lo
 
@@ -355,7 +352,7 @@ def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajecto
     if not 0 <= index < config.replications:
         raise ValueError(f"replication_index must be in [0, {config.replications}), got {index!r}")
     (stop,), (code,), (final,) = (column.tolist() for column in _walk(config, index, index + 1))
-    p_true, (yes, no), _, _ = _stop_rule(config)
+    p_true, (yes, no), *_ = _stop_rule(config)
     outcomes = trial_stream(config.master_seed, index).random(stop) < p_true
     m, n = np.cumsum(outcomes), np.arange(1, stop + 1)
     cumulative = m * yes + (n - m) * no

@@ -351,6 +351,15 @@ class TestExitCodes:
     def test_missing_subcommand_exits_1(self, capsys):
         assert run_cli(capsys)[0] == 1
 
+    @pytest.mark.parametrize("error", [RuntimeError, ArithmeticError])
+    def test_numerical_failure_exits_2(self, capsys, monkeypatch, error):
+        def fail(args):
+            raise error("no finite answer")
+
+        monkeypatch.setattr(cli, "cmd_analyze", fail)
+        code, out, err = run_cli(capsys, "analyze", "--scenario", "ghz")
+        assert (code, out, err) == (2, "", "bellodds: numerical failure: no finite answer\n")
+
     def test_module_entrypoint(self):
         proc = run_proc("analyze", "--scenario", "ghz")
         assert proc.returncode == 0

@@ -1,5 +1,5 @@
-"""The minimax pairs of GHZ and chained, certified over the whole local
-polytope rather than one facet of it.
+"""The minimax pairs of GHZ, chained and Hardy (literal convention),
+certified over the whole local polytope rather than one facet of it.
 
 A local-realist theory is a mixture of deterministic strategies, so its
 "yes" probabilities r over the setups lie in the convex hull of the 0/1
@@ -16,9 +16,12 @@ f(r*) = max_j KL_j(r*), so no local theory does better than r* against the
 experimenter's best setup.  Uniform sigma certifies GHZ's r = 3/4 and
 chained's r = 1/2k, the pairs that scenarios.ghz_pair and chained_pair use,
 with the game values ln(4/3) and KL(q || 1/2k) that the paper's trial counts
-come from.
+come from.  For Hardy, sigma puts sigma_1 on setup 1 and splits the rest
+evenly, and it certifies the "literal" pair: over the polytope, that is the
+minimax, and the paper's point is not.
 """
 
+import functools
 import itertools
 import math
 
@@ -26,7 +29,16 @@ import numpy as np
 import pytest
 
 from bellodds.bayes import HypothesisPair, kl_per_trial
-from bellodds.scenarios import chained_pair, ghz_pair
+from bellodds.scenarios import (
+    HARDY,
+    HARDY_MODE_LITERAL,
+    ScenarioSpec,
+    chained_pair,
+    ghz_pair,
+    hardy_optimize_r,
+    hardy_q,
+    scenario_pair,
+)
 
 CHAINED_K = range(2, 9)
 
@@ -43,13 +55,28 @@ def ghz_strategies() -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+@functools.cache
 def chained_strategies(k: int) -> np.ndarray:
     """D for the strategies that fix a value of +-1 for each of the 2k
     directions a1, b1, ..., ak, bk, over the 2k setups that pair each
     direction with the next around the cycle (bk with a1 last): 1 where the
-    two values are equal.  One row per distinct vector."""
+    two values are equal.  One row per distinct vector.  Built once per k
+    (k = 8 enumerates 65,536 assignments) and read-only, as tests share it."""
     values = np.array(list(itertools.product((0, 1), repeat=2 * k)))
-    return np.unique(values == np.roll(values, -1, axis=1), axis=0).astype(np.float64)
+    strategies = np.unique(values == np.roll(values, -1, axis=1), axis=0).astype(np.float64)
+    strategies.flags.writeable = False
+    return strategies
+
+
+def hardy_strategies() -> np.ndarray:
+    """D for the 16 strategies that fix A1, A2, B1, B2 in {0, 1}, over the
+    events A1B1, A1 not-B2, not-A2 B1 and A2B2 (QM gives the last three
+    probability 0).  One row per distinct vector."""
+    values = [
+        (a1 & b1, a1 & (1 - b2), (1 - a2) & b1, a2 & b2)
+        for a1, a2, b1, b2 in itertools.product((0, 1), repeat=4)
+    ]
+    return np.unique(np.array(values), axis=0).astype(np.float64)
 
 
 def ghz_game() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -67,9 +94,15 @@ def chained_game(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, r, chained_strategies(k)
 
 
-def certificate(q: np.ndarray, r: np.ndarray, strategies: np.ndarray) -> np.ndarray:
-    """g(s) of every strategy under uniform sigma."""
-    sigma = np.full(len(q), 1.0 / len(q))
+def hardy_game(r1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """As ghz_game, at the point that puts r1 on setup 1 and r1/3 on each
+    zero-coincidence setup, saturating CH."""
+    return np.array([hardy_q(), 0.0, 0.0, 0.0]), np.array([r1] + [r1 / 3.0] * 3), hardy_strategies()
+
+
+def certificate(q: np.ndarray, r: np.ndarray, strategies: np.ndarray, sigma: np.ndarray | None = None) -> np.ndarray:
+    """g(s) of every strategy under sigma, uniform by default."""
+    sigma = np.full(len(q), 1.0 / len(q)) if sigma is None else sigma
     return (q / r * strategies + (1.0 - q) / (1.0 - r) * (1.0 - strategies)) @ sigma
 
 
@@ -163,3 +196,54 @@ class TestChainedCertificate:
         q, r, _ = chained_game(k)
         moved = kls(q, 0.999 * r)
         assert moved[-1] > kl_per_trial(chained_pair(k)) > max(moved[:-1])
+
+
+class TestHardyLiteralCertificate:
+    @pytest.fixture(scope="class")
+    def literal(self) -> float:
+        return hardy_optimize_r(HARDY_MODE_LITERAL).r_opt
+
+    @staticmethod
+    def sigma(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """sigma_1 on setup 1, the rest split evenly, with sigma_1 solved
+        from g = 1 at the strategy that meets no event: sigma_1 (1 - q_1) /
+        (1 - r_1) + (1 - sigma_1) / (1 - r_1/3) = 1."""
+        a, b = 1.0 / (1.0 - r[1]), (1.0 - q[0]) / (1.0 - r[0])
+        sigma_1 = (1.0 - a) / (b - a)
+        return np.array([sigma_1] + [(1.0 - sigma_1) / 3.0] * 3)
+
+    def test_eight_distinct_strategy_vectors(self):
+        # not-A2 B1 and A2B2 never meet: one needs not A2, the other A2
+        strategies = hardy_strategies()
+        assert len(strategies) == 8
+        assert not ((strategies[:, 2] == 1) & (strategies[:, 3] == 1)).any()
+
+    def test_the_point_is_a_mixture_of_strategies(self, literal):
+        # r1/3 on each strategy that meets A1B1 and one other event, the
+        # rest on the strategy that meets none
+        _, r, strategies = hardy_game(literal)
+        weights = {(1, 1, 0, 0): literal / 3, (1, 0, 1, 0): literal / 3, (1, 0, 0, 1): literal / 3}
+        weights[(0, 0, 0, 0)] = 1.0 - literal
+        assert_mixture(weights, strategies, r)
+
+    def test_equal_kls_at_the_game_value(self, literal):
+        q, r, _ = hardy_game(literal)
+        value = kl_per_trial(scenario_pair(ScenarioSpec(HARDY, hardy_mode=HARDY_MODE_LITERAL)).pair)
+        assert math.isclose(value, 0.0159961, rel_tol=1e-6)
+        assert all(math.isclose(kl, value, rel_tol=1e-9) for kl in kls(q, r))
+
+    def test_no_strategy_improves(self, literal):
+        q, r, strategies = hardy_game(literal)
+        sigma = self.sigma(q, r)
+        assert math.isclose(sigma[0], 0.265141, rel_tol=1e-5)
+        assert certificate(q, r, strategies, sigma).max() <= 1.0 + 1e-12
+
+    def test_the_paper_point_has_unequal_kls(self):
+        # setup 1 carries about three times the evidence of each other
+        # setup, so the experimenter's best setup does better here than at
+        # the literal point
+        paper = hardy_optimize_r().r_opt
+        assert math.isclose(paper, 0.033584, rel_tol=1e-4)
+        setup_1, *others = kls(*hardy_game(paper)[:2])
+        assert math.isclose(setup_1, 0.03416, rel_tol=1e-3)
+        assert all(math.isclose(kl, 0.01126, rel_tol=1e-3) for kl in others)

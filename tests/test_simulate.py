@@ -57,7 +57,7 @@ class TestGhzWalkIsDeterministic:
 
 class TestZeroDrift:
     def test_equal_hypotheses_run_to_the_cap(self):
-        cfg = ghz_config(pair_override=HypothesisPair(0.3, 0.3), max_trials=50, replications=4)
+        cfg = ghz_config(scenario=HypothesisPair(0.3, 0.3), max_trials=50, replications=4)
         t = run_trajectory(cfg, 0)
         assert t.decision == INCONCLUSIVE
         assert t.stop_trial == 50
@@ -234,11 +234,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ghz_config(true_theory="classical")
 
+    @pytest.mark.parametrize("scenario", ["ghz", None, (1.0, 0.75)])
+    def test_scenario_is_a_spec_or_a_pair(self, scenario):
+        with pytest.raises(ValueError, match="scenario"):
+            ghz_config(scenario=scenario)
+
+    def test_a_pair_walks_as_the_spec_it_resolves_to(self):
+        pair = chained_pair(2)
+        by_spec = ghz_config(scenario=ScenarioSpec("chained", k=2), replications=200, max_trials=2000)
+        by_pair = replace(by_spec, scenario=pair)
+        assert by_pair.resolved_pair() is pair and pair == by_spec.resolved_pair()
+        assert all(map(np.array_equal, replication_summaries(by_pair), replication_summaries(by_spec)))
+
     def test_degenerate_pair_rejected(self):
         with pytest.raises(ValueError):
-            ghz_config(pair_override=HypothesisPair(0.0, 0.0))
+            ghz_config(scenario=HypothesisPair(0.0, 0.0))
         with pytest.raises(ValueError):
-            ghz_config(pair_override=HypothesisPair(1.0, 1.0))
+            ghz_config(scenario=HypothesisPair(1.0, 1.0))
 
     def test_replication_index_bounds(self):
         cfg = ghz_config(replications=4)
@@ -363,7 +375,7 @@ OVERRIDES = {
 
 def walk_config(name: str, truth: str, **kwargs) -> SimulationConfig:
     if name in OVERRIDES:
-        kwargs.update(scenario=ScenarioSpec("ghz"), pair_override=OVERRIDES[name])
+        kwargs.update(scenario=OVERRIDES[name])
     else:
         kwargs.update(scenario=SCENARIOS[name])
     return SimulationConfig(true_theory=truth, master_seed=SEED, **kwargs)
