@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import _check_int, _kl
-from .scenarios import HARDY_MODE_PAPER, HARDY_MODES, chained_pair, hardy_q
+from .bayes import _check_int, _kl, _kl_logs
+from .scenarios import _HARDY_Q, _HARDY_Q_LOGS, HARDY_MODE_PAPER, HARDY_MODES, chained_pair
 
 __all__ = [
     "ChainAssignment",
@@ -107,12 +107,12 @@ def minimax_lr_ghz(grid_steps: int = 200) -> tuple[GhzAssignment, float]:
     if grid_steps < 10:
         raise ValueError(f"grid_steps must be >= 10, got {grid_steps}")
     g = np.linspace(-1.0, 1.0, grid_steps + 1)
-    e4 = np.clip(2.0 - g - g - g, -1.0, 1.0)
+    e4 = np.minimum(np.maximum(2.0 - g - g - g, -1.0), 1.0)
     with np.errstate(divide="ignore"):
         rate = -np.log((1.0 + g) / 2.0)
         rate4 = -np.log((1.0 + e4) / 2.0)
-    best_val = float(np.min(np.maximum(rate, rate4)))
-    a = int(np.argmax(rate <= best_val))
+    best_val = float(np.maximum(rate, rate4).min())
+    a = int((rate <= best_val).argmax())
     return GhzAssignment(e=(float(g[a]),) * 3 + (float(e4[a]),)), best_val
 
 
@@ -143,20 +143,27 @@ def minimax_lr_chained(k: int = 2, grid_steps: int = 100) -> tuple[ChainAssignme
         raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
     n_left = 2 * k - 1
     g = np.linspace(0.0, 1.0, grid_steps + 1)
-    kl_left = np.array([_kl(pair.q, r) for r in g.tolist()])
-    kl_last = np.array([_kl(1.0 - pair.q, r) for r in g.tolist()])
+    kl_left, kl_last = _kl_tables((pair.q, 1.0 - pair.q), g)
 
     reach = np.minimum.accumulate(kl_last)[np.minimum(n_left * np.arange(grid_steps + 1), grid_steps)]
-    best_val = float(np.min(np.maximum(kl_left, reach)))
-    left = np.flatnonzero(kl_left <= best_val)
-    last = int(np.flatnonzero(kl_last <= best_val)[0])
+    best_val = float(np.maximum(kl_left, reach).min())
+    left = (kl_left <= best_val).nonzero()[0]
+    last = int((kl_last <= best_val).argmax())
     idx: list[int] = []
     for rest in range(n_left - 1, -1, -1):
         # smallest index that still lets the remaining slots reach the last one
         need = last - sum(idx) - rest * int(left[-1])
-        idx.append(int(left[np.searchsorted(left, need)]))
+        idx.append(int(left[left.searchsorted(need)]))
     probs = tuple(float(g[i]) for i in idx + [last])
     return ChainAssignment(probs=probs), best_val
+
+
+def _kl_tables(ps: tuple[float, ...], g: np.ndarray) -> list[np.ndarray]:
+    """_kl(p, r) over a grid g of [0, 1] for each p in (0, 1), bit for bit."""
+    inner = g[1:-1]  # each cell's logs are taken once, for every p; ln 0 = -inf makes the ends +inf
+    log_r = np.array([-math.inf, *map(math.log, inner.tolist()), 0.0])
+    log1m_r = np.array([0.0, *map(math.log1p, (-inner).tolist()), -math.inf])
+    return [np.where(kl > 0.0, kl, 0.0) for kl in (_kl_logs(p, math.log(p), math.log1p(-p), log_r, log1m_r) for p in ps)]
 
 
 def hardy_objective(r: tuple[float, float, float, float], mode: str = HARDY_MODE_PAPER) -> float:
@@ -178,7 +185,7 @@ def _hardy_rates(r: tuple[float, float, float, float], mode: str) -> tuple[float
     r1, r2, r3, r4 = r
     share = r1 if mode == HARDY_MODE_PAPER else max(r2, r3, r4)
     family = math.inf if share >= 1.0 else -math.log1p(-share)
-    return _kl(hardy_q(), r1), family
+    return _kl(_HARDY_Q, r1, _HARDY_Q_LOGS), family
 
 
 def _balanced_split(i: int, cell: float, mode: str) -> tuple[float, float, float, float]:
@@ -234,7 +241,7 @@ def minimax_lr_hardy(
         setup1, family = _hardy_rates(_balanced_split(i, cell, mode), mode)
         return setup1 <= family
 
-    top = min(grid_steps, math.ceil(hardy_q() / cell))
+    top = min(grid_steps, math.ceil(_HARDY_Q / cell))
     first = bisect.bisect_left(range(top + 1), True, key=crossed)
     splits = (_balanced_split(i, cell, mode) for i in range(first - 1, first + 1))
     best_val, (r1, r2, r3, _) = min((hardy_objective(split, mode), split) for split in splits)

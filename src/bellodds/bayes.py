@@ -197,17 +197,23 @@ def update_odds(prior: OddsRatio, evidence: LogBayesFactor) -> OddsRatio:
     return OddsRatio(prior.ratio * math.exp(x))
 
 
-def _kl(q: float, r: float) -> float:
+def _kl_logs(q: float, log_q: float, log1m_q: float, log_r, log1m_r):
+    """The one KL expression, _kl before its clamp; r's logs may be arrays."""
+    yes = 0.0 if q == 0.0 else q * (log_q - log_r)
+    no = 0.0 if q == 1.0 else (1.0 - q) * (log1m_q - log1m_r)
+    return yes + no
+
+
+def _kl(q: float, r: float, q_logs: tuple[float, float] | None = None) -> float:
     """KL(Bernoulli(q) || Bernoulli(r)) in nats; +inf where r forbids an
-    outcome q allows.  Scalar math.log/log1p on purpose: numpy's array logs
-    can differ from them in the last bit.  For r within a few ulps of q the
-    two terms cancel to rounding error, which can be negative, so the result
-    is clamped at +0.0."""
-    if (r == 0.0 and q > 0.0) or (r == 1.0 and q < 1.0):
-        return math.inf
-    yes = 0.0 if q == 0.0 else q * (math.log(q) - math.log(r))
-    no = 0.0 if q == 1.0 else (1.0 - q) * (math.log1p(-q) - math.log1p(-r))
-    kl = yes + no
+    outcome q allows.  Scalar math.log/log1p on purpose (numpy's array logs
+    can differ in the last bit): tables take them once per r, numpy doing the
+    exact + - * of _kl_logs.  q_logs: (ln q, ln(1 - q)) for a fixed q.  The
+    result is clamped at +0.0, as rounding can make it negative for r near q."""
+    if r == 0.0 or r == 1.0:
+        return 0.0 if q == r else math.inf
+    log_q, log1m_q = q_logs or (math.log(q) if q > 0.0 else -math.inf, math.log1p(-q) if q < 1.0 else -math.inf)
+    kl = _kl_logs(q, log_q, log1m_q, math.log(r), math.log1p(-r))
     return kl if kl > 0.0 else 0.0
 
 

@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bayes import HypothesisPair, _check_int, _kl, required_trials
+from .bayes import HypothesisPair, _check_int, _kl_logs, required_trials
 
 __all__ = [
     "BisectionError",
@@ -49,6 +49,9 @@ KINDS = (GHZ, CHAINED, HARDY, HARDY_NAIVE)
 HARDY_MODE_PAPER = "paper"
 HARDY_MODE_LITERAL = "literal"
 HARDY_MODES = (HARDY_MODE_PAPER, HARDY_MODE_LITERAL)
+
+_HARDY_Q = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5  # hardy_q(), with its logs for _kl
+_HARDY_Q_LOGS = math.log(_HARDY_Q), math.log1p(-_HARDY_Q)
 
 
 class BisectionError(RuntimeError):
@@ -147,15 +150,16 @@ def chained_pair(k: int) -> HypothesisPair:
     q = (1 - cos(pi/2k)) / 2, while the saturating local-realist theory
     assigns the common value r = 1/2k to all of them.
     """
-    geom = ChainedGeometry.for_k(k)
-    q = (1.0 - math.cos(geom.theta)) / 2.0
-    return HypothesisPair(q=q, r=1.0 / (2 * geom.k))
+    k = _check_int("k", k)
+    if k < 2:
+        raise ValueError(f"k must be >= 2 (k = 2 is the CHSH configuration), got {k}")
+    return HypothesisPair(q=(1.0 - math.cos(math.pi / (2 * k))) / 2.0, r=1.0 / (2 * k))
 
 
 def hardy_q() -> float:
     """Coincidence probability of Hardy's first setup: the golden-ratio
     conjugate (sqrt(5) - 1)/2 raised to the fifth power, about 0.09017."""
-    return ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
+    return _HARDY_Q
 
 
 def _bisect_decreasing(g, lo: float, hi: float, xtol: float = 1e-12, max_iter: int = 200) -> float:
@@ -165,10 +169,7 @@ def _bisect_decreasing(g, lo: float, hi: float, xtol: float = 1e-12, max_iter: i
         raise BisectionError(f"no sign change on [{lo!r}, {hi!r}]: g={g_lo!r}..{g_hi!r}")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if g(mid) > 0.0 else (lo, mid)
         if hi - lo <= xtol:
             return 0.5 * (lo + hi)
     raise BisectionError(f"no convergence to xtol={xtol} within {max_iter} iterations")
@@ -187,11 +188,11 @@ def hardy_optimize_r(mode: str = HARDY_MODE_PAPER, target_d: float = 1e4) -> Har
         raise ValueError(f"mode must be one of {HARDY_MODES}, got {mode!r}")
     if not (math.isfinite(target_d) and target_d > 1.0):
         raise ValueError(f"target_d must be finite and > 1, got {target_d!r}")
-    q = hardy_q()
-    share = 1.0 if mode == HARDY_MODE_PAPER else 1.0 / 3.0
+    q, share = _HARDY_Q, 1.0 if mode == HARDY_MODE_PAPER else 1.0 / 3.0
+    log_q, log1m_q = _HARDY_Q_LOGS
 
-    def gap(r: float) -> float:
-        return _kl(q, r) + math.log1p(-r * share)
+    def gap(r: float) -> float:  # _kl's +0.0 clamp cannot change its sign: the family term is negative
+        return _kl_logs(q, log_q, log1m_q, math.log(r), math.log1p(-r)) + math.log1p(-r * share)
 
     r1 = _bisect_decreasing(gap, 1e-12, q - 1e-12)
     return HardySolution(r_opt=r1, n_real=required_trials(HypothesisPair(q, r1), target_d))
@@ -239,9 +240,5 @@ def find_optimal_k(target_d: float, k_min: int, k_max: int) -> tuple[int, float]
     k_min, k_max = _check_int("k_min", k_min), _check_int("k_max", k_max)
     if not 2 <= k_min <= k_max:
         raise ValueError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
-    best_k, best_n = k_min, math.inf
-    for k in range(k_min, k_max + 1):
-        n = required_trials(chained_pair(k), target_d)
-        if n < best_n:
-            best_k, best_n = k, n
+    best_n, best_k = min((required_trials(chained_pair(k), target_d), k) for k in range(k_min, k_max + 1))
     return best_k, best_n

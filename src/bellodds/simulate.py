@@ -239,8 +239,8 @@ def _yes_counts(is_yes: np.ndarray, count: np.ndarray, m: np.ndarray, scratch: n
     return np.add(m, count[:, None], out=m)
 
 
-def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walk replications [start, stop) side by side.
+def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = None) -> tuple[np.ndarray, ...]:
+    """Walk replications [start, stop) side by side by rule, _stop_rule(config).
 
     Returns their stopping trials, int8 decision codes (indices into
     _DECISIONS) and final log Bayes factors.  Replications go in chunks of
@@ -271,10 +271,10 @@ def _walk(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, 
     decides it: at or past ln(prior/lower) is LR_REJECTED, at or past
     ln(prior/upper) QM_REJECTED, otherwise INCONCLUSIVE.
     """
-    p_true, (yes, no), falsifier, falsified, (lo, hi), drift = _stop_rule(config)
+    p_true, (yes, no), falsifier, falsified, (lo, hi), drift = rule = rule or _stop_rule(config)
     certain = p_true in (0.0, 1.0)
     if certain and stop - start > 1:  # every row walks the same outcomes
-        return tuple(np.full(stop - start, column[0]) for column in _walk(config, start, start + 1))
+        return tuple(np.full(stop - start, column[0]) for column in _walk(config, start, start + 1, rule))
     sized = math.isfinite(drift) and drift != 0.0
     target = hi if drift > 0.0 else lo
 
@@ -351,8 +351,8 @@ def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajecto
     index = _check_int("replication_index", replication_index)
     if not 0 <= index < config.replications:
         raise ValueError(f"replication_index must be in [0, {config.replications}), got {index!r}")
-    (stop,), (code,), (final,) = (column.tolist() for column in _walk(config, index, index + 1))
-    p_true, (yes, no), *_ = _stop_rule(config)
+    p_true, (yes, no), *_ = rule = _stop_rule(config)
+    (stop,), (code,), (final,) = (column.tolist() for column in _walk(config, index, index + 1, rule))
     outcomes = trial_stream(config.master_seed, index).random(stop) < p_true
     m, n = np.cumsum(outcomes), np.arange(1, stop + 1)
     cumulative = m * yes + (n - m) * no

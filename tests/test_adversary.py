@@ -236,7 +236,7 @@ class TestChainedMinimax:
         def table_kl(p: float, r: float) -> float:
             return tables[p][round(r * grid_steps)]
 
-        monkeypatch.setattr(adversary, "_kl", table_kl)
+        monkeypatch.setattr(adversary, "_kl_tables", lambda ps, g: [np.array(tables[p]) for p in ps])
         monkeypatch.setitem(globals(), "_kl", table_kl)
         mismatched = []
         for seed in range(10):
@@ -248,6 +248,16 @@ class TestChainedMinimax:
             if repr(minimax_lr_chained(k, grid_steps)) != repr(enumerate_chained(k, grid_steps)):
                 mismatched.append(seed)
         assert mismatched == []
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_tables_are_the_scalar_kl_of_each_cell(self, k):
+        q = chained_pair(k).q
+        for grid_steps in (2, 3, 10, 100, 1000, 10007):
+            g = np.linspace(0.0, 1.0, grid_steps + 1)
+            tables = adversary._kl_tables((q, 1.0 - q), g)
+            for p, table in zip((q, 1.0 - q), tables, strict=True):
+                want = np.array([_kl(p, r) for r in g.tolist()])
+                assert table.tobytes() == want.tobytes(), (p, grid_steps)
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_saturating_strategy_is_the_grid_optimum(self, k):
@@ -397,10 +407,10 @@ class TestHardyMinimax:
         coarse = {mode: minimax_lr_hardy(1000, 1e4, mode)[0].r[0] for mode in ("paper", "literal")}
         calls = 0
 
-        def counting_kl(q, r):
+        def counting_kl(q, r, *q_logs):
             nonlocal calls
             calls += 1
-            return _kl(q, r)
+            return _kl(q, r, *q_logs)
 
         monkeypatch.setattr(adversary, "_kl", counting_kl)
         grid_steps = 10**7  # a scan would evaluate 10^7 + 1 cells

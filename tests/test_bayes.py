@@ -215,6 +215,25 @@ class TestKlPerTrial:
         else:
             assert _kl(q, r).hex() == kl_per_trial(pair).hex()
 
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(0.0, 0.0)
+    @example(1.0, 1.0)
+    @example(0.0, 1.0)
+    @example(1.0, 0.0)
+    @example(0.3, 0.3)
+    def test_private_kl_is_the_scalar_formula(self, q, r):
+        # written out with a math call per log, bit for bit, whether _kl takes
+        # q's logs itself or is handed them
+        if (r == 0.0 and q > 0.0) or (r == 1.0 and q < 1.0):
+            want = math.inf
+        else:
+            yes = 0.0 if q == 0.0 else q * (math.log(q) - math.log(r))
+            no = 0.0 if q == 1.0 else (1.0 - q) * (math.log1p(-q) - math.log1p(-r))
+            want = yes + no if yes + no > 0.0 else 0.0
+        assert _kl(q, r).hex() == want.hex()
+        if 0.0 < q < 1.0:
+            assert _kl(q, r, (math.log(q), math.log1p(-q))).hex() == want.hex()
+
     def test_infinite_information_raises(self):
         with pytest.raises(InfiniteInformationError):
             kl_per_trial(HypothesisPair(0.5, 0.0))

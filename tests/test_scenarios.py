@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from bellodds.bayes import HypothesisPair, kl_per_trial, required_trials
+from bellodds.bayes import HypothesisPair, _kl, kl_per_trial, required_trials
 from bellodds.scenarios import (
     CHAINED,
     GHZ,
@@ -160,6 +160,20 @@ class TestHardyOptimization:
         bracket = (rs[sign_flip - 1], rs[sign_flip])
         sol = hardy_optimize_r("literal", 1e4)
         assert bracket[0] <= sol.r_opt <= bracket[1]
+
+    @pytest.mark.parametrize("mode, share", [("paper", 1.0), ("literal", 1.0 / 3.0)])
+    def test_root_is_the_plain_bisection_of_the_gap(self, mode, share):
+        """Oracle: bisect _kl(q, r) + log1p(-r * share), q's logs taken at
+        every step, on (1e-12, q - 1e-12) to an absolute 1e-12."""
+        q = hardy_q()
+        lo, hi = 1e-12, q - 1e-12
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if _kl(q, mid) + math.log1p(-mid * share) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert repr(hardy_optimize_r(mode).r_opt) == repr(0.5 * (lo + hi))
 
     def test_gap_strictly_decreasing(self):
         q = hardy_q()

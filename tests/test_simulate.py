@@ -668,6 +668,21 @@ class TestDrawsPerReplication:
         assert one[0].tolist() == [33] and one[1].tolist() == [1]
         assert rows == [1, 1]
 
+    def test_a_walk_resolves_its_stop_rule_once(self, monkeypatch):
+        # the certain walk's one-row walk and run_trajectory's outcome redraw
+        # take the rule their caller resolved
+        calls, stop_rule = [], simulate._stop_rule
+
+        def counting(config):
+            calls.append(config)
+            return stop_rule(config)
+
+        monkeypatch.setattr(simulate, "_stop_rule", counting)
+        cfg = ghz_config(replications=1_000)
+        replication_summaries(cfg)
+        run_trajectory(cfg, 7)
+        assert len(calls) == 2
+
     def test_a_drawing_walk_builds_one_philox(self, monkeypatch):
         # three chunks, one generator: Philox(master_seed), whose key is the
         # run's key
