@@ -20,7 +20,6 @@ from .bayes import (
     kl_per_trial,
     log_bayes_factor,
     required_trials,
-    required_trials_ceil,
     update_odds,
 )
 from .scenarios import (
@@ -49,7 +48,6 @@ from .simulate import (
     SimulationConfig,
     StoppingReport,
     Trajectory,
-    expected_stop_estimate,
     run_replications,
     run_trajectory,
 )

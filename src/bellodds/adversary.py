@@ -171,11 +171,13 @@ def hardy_objective(r: tuple[float, float, float, float], mode: str = HARDY_MODE
 
     Setup 1 contributes KL(q, r1).  The zero-coincidence setups contribute
     -ln(1 - r1) jointly in "paper" mode, or max_j -ln(1 - r_j) over j = 2..4
-    in "literal" mode.  Feasibility of the assignment is the caller's
-    concern.
+    in "literal" mode.  Each value must be a probability; feasibility of
+    the assignment is the caller's concern.
     """
     if mode not in HARDY_MODES:
         raise ValueError(f"mode must be one of {HARDY_MODES}, got {mode!r}")
+    if len(r) != 4 or any(not 0.0 <= x <= 1.0 for x in r):  # also rejects NaN
+        raise ValueError(f"need four probabilities in [0, 1], got {r!r}")
     return max(*_hardy_rates(r, mode))
 
 
@@ -244,7 +246,7 @@ def minimax_lr_hardy(
     top = min(grid_steps, math.ceil(_HARDY_Q / cell))
     first = bisect.bisect_left(range(top + 1), True, key=crossed)
     splits = (_balanced_split(i, cell, mode) for i in range(first - 1, first + 1))
-    best_val, (r1, r2, r3, _) = min((hardy_objective(split, mode), split) for split in splits)
+    best_val, (r1, r2, r3, _) = min((max(*_hardy_rates(split, mode)), split) for split in splits)
     r4 = r1 - r2 - r3  # saturates the CH inequality exactly
     n_real = math.log(target_d) / best_val
     return HardyAssignment(r=(r1, r2, r3, r4)), n_real

@@ -62,8 +62,6 @@ def _clean(value):
         return None
     if isinstance(value, dict):
         return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
     return value
 
 

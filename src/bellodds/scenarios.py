@@ -162,17 +162,17 @@ def hardy_q() -> float:
     return _HARDY_Q
 
 
-def _bisect_decreasing(g, lo: float, hi: float, xtol: float = 1e-12, max_iter: int = 200) -> float:
+def _bisect_decreasing(g, lo: float, hi: float) -> float:
     """Root of a strictly decreasing scalar function by plain bisection."""
     g_lo, g_hi = g(lo), g(hi)
     if not (g_lo > 0.0 > g_hi):
         raise BisectionError(f"no sign change on [{lo!r}, {hi!r}]: g={g_lo!r}..{g_hi!r}")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if g(mid) > 0.0 else (lo, mid)
-        if hi - lo <= xtol:
+        if hi - lo <= 1e-12:
             return 0.5 * (lo + hi)
-    raise BisectionError(f"no convergence to xtol={xtol} within {max_iter} iterations")
+    raise BisectionError("no convergence to 1e-12 within 200 iterations")
 
 
 def hardy_optimize_r(mode: str = HARDY_MODE_PAPER, target_d: float = 1e4) -> HardySolution:
@@ -209,10 +209,8 @@ def hardy_naive_trials(survival_threshold: float) -> int:
         raise ValueError(f"threshold must be in (0, 1), got {survival_threshold!r}")
     q = hardy_q()
     n = max(1, math.floor(math.log(survival_threshold) / math.log1p(-q)))
-    while (1.0 - q) ** n >= survival_threshold:
+    while (1.0 - q) ** n >= survival_threshold:  # the start never passes the answer
         n += 1
-    while n > 1 and (1.0 - q) ** (n - 1) < survival_threshold:
-        n -= 1
     return n
 
 

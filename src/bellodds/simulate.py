@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import HypothesisPair, OddsRatio, TrialTally, _check_int, _kl, log_bayes_factor, required_trials
+from .bayes import HypothesisPair, TrialTally, _check_int, _kl, log_bayes_factor
 from .scenarios import ScenarioSpec, scenario_pair
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "SimulationConfig",
     "StoppingReport",
     "Trajectory",
-    "expected_stop_estimate",
     "replication_summaries",
     "run_replications",
     "run_trajectory",
@@ -411,19 +410,3 @@ def run_replications(config: SimulationConfig) -> StoppingReport:
     """All replications, aggregated: a pure function of the configuration, as
     each replication's substream is fixed by its index."""
     return summarize(replication_summaries(config))
-
-
-def expected_stop_estimate(pair: HypothesisPair, prior: OddsRatio, lower_threshold: float) -> float:
-    """Wald's drift value of the LR-rejection stopping time when QM is true:
-    ln(prior / lower_threshold) / KL (Wald, Ann. Math. Stat. 16, 1945).
-
-    The exact mean stop sits above it by the mean overshoot past the
-    threshold: for chained k=2 under the 100:1 -> 0.01 protocol, 287.15
-    against 289.05."""
-    if not (math.isfinite(prior.ratio) and prior.ratio > 0.0):
-        raise ValueError(f"prior odds must be finite and positive, got {prior.ratio!r}")
-    if not 0.0 < lower_threshold <= prior.ratio:
-        raise ValueError(
-            f"lower_threshold must be in (0, prior], got {lower_threshold!r} vs prior {prior.ratio!r}"
-        )
-    return required_trials(pair, prior.ratio / lower_threshold)

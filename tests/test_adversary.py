@@ -326,6 +326,21 @@ class TestHardyMinimax:
             # the zero-coincidence family costs nothing, but setup 1 is fatal
             assert hardy_objective((0.0, 0.0, 0.0, 0.0), mode) == math.inf
 
+    @pytest.mark.parametrize(
+        "r",
+        [
+            (math.nan, 0.0, 0.0, 0.0),  # scored 0.0
+            (0.03, math.nan, math.nan, math.nan),  # literal mode dropped the NaN shares
+            (0.03, -0.01, 0.02, 0.02),
+            (1.5, 0.5, 0.5, 0.5),  # a bare "math domain error"
+            (0.03, 0.01, 0.01, 1.2),
+        ],
+    )
+    def test_objective_rejects_non_probabilities(self, r):
+        for mode in ("paper", "literal"):
+            with pytest.raises(ValueError, match=r"need four probabilities in \[0, 1\]"):
+                hardy_objective(r, mode)
+
     @pytest.mark.parametrize("r1", [0.03, 0.0476, 0.06])
     def test_asymmetric_splits_never_beat_balanced(self, r1):
         balanced = (r1, r1 / 3, r1 / 3, r1 / 3)

@@ -26,7 +26,6 @@ from bellodds.bayes import (
     kl_per_trial,
     log_bayes_factor,
     required_trials,
-    required_trials_ceil,
     update_odds,
 )
 
@@ -122,6 +121,11 @@ class TestLogBayesFactor:
         got = log_bayes_factor(HypothesisPair(0.5, 0.25), TrialTally(2, 1))
         assert math.isclose(got.log_value, want, rel_tol=1e-12)
         assert math.isclose(got.log_value, LN_4_3, rel_tol=1e-12)
+
+    def test_factor_is_finite_until_exp_overflows(self):
+        # exp overflows near 709.78; the exact e^709.5 is 1.3549863193146328e308
+        assert math.isclose(LogBayesFactor(709.5).factor, 1.3549863193146328e308, rel_tol=1e-12)
+        assert LogBayesFactor(710.0).factor == math.inf
 
     def test_lr_impossible_outcome_gives_plus_inf(self):
         got = log_bayes_factor(HypothesisPair(0.09, 0.0), TrialTally(5, 1))
@@ -278,6 +282,15 @@ class TestUpdateOdds:
         assert update_odds(OddsRatio(1.0), LogBayesFactor(-1e6)).ratio == math.inf
         assert update_odds(OddsRatio(1.0), LogBayesFactor(1e6)).ratio == 0.0
 
+    @pytest.mark.parametrize(
+        "log_d,want",  # 1e-300 * e^-log_d from exact decimal arithmetic
+        [(-709.0, 82184074.61554972), (-800.0, 2.726374572112567e47)],
+    )
+    def test_small_prior_keeps_a_finite_posterior(self, log_d, want):
+        # e^-log_d alone overflows; the prior brings the posterior back into range
+        post = update_odds(OddsRatio(1e-300), LogBayesFactor(log_d))
+        assert math.isclose(post.ratio, want, rel_tol=1e-12)
+
     def test_rejects_negative_or_nan_odds(self):
         with pytest.raises(ValueError):
             OddsRatio(-0.5)
@@ -299,7 +312,9 @@ class TestRequiredTrials:
     def test_ghz_to_ten_thousand(self):
         got = required_trials(HypothesisPair(1.0, 0.75), 1e4)
         assert math.isclose(got, GHZ_TRIALS, rel_tol=1e-12)
-        assert required_trials_ceil(HypothesisPair(1.0, 0.75), 1e4) == 33
+
+    def test_already_decided(self):
+        assert required_trials(HypothesisPair(1.0, 0.75), 1.0) == 0.0
 
     def test_near_unit_target_needs_almost_nothing(self):
         got = required_trials(HypothesisPair(0.5, 0.25), 1.0 + 1e-9)

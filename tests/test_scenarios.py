@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bellodds.bayes import HypothesisPair, _kl, kl_per_trial, required_trials
 from bellodds.scenarios import (
@@ -16,7 +17,9 @@ from bellodds.scenarios import (
     GHZ,
     HARDY,
     HARDY_NAIVE,
+    BisectionError,
     ChainedGeometry,
+    _bisect_decreasing,
     ScenarioSpec,
     chained_pair,
     find_optimal_k,
@@ -195,6 +198,21 @@ class TestHardyOptimization:
             hardy_optimize_r("paper", 1.0)
 
 
+class TestBisection:
+    def test_no_sign_change(self):
+        with pytest.raises(BisectionError, match="no sign change"):
+            _bisect_decreasing(lambda x: 1.0 - x, 2.0, 3.0)
+
+    def test_no_convergence(self):
+        # 200 halvings of a width of 2e300 leave about 1e240, far above 1e-12
+        with pytest.raises(BisectionError, match="no convergence"):
+            _bisect_decreasing(lambda x: -x, -1e300, 1e300)
+
+
+# the survival (1 - q)^n of the all-zero theory, down past underflow to 0.0
+POWERS = st.integers(1, 7999).map(lambda n: (1.0 - hardy_q()) ** n)
+
+
 class TestHardyNaive:
     def test_half_survival_after_eight(self):
         assert hardy_naive_trials(0.5) == 8
@@ -211,6 +229,20 @@ class TestHardyNaive:
 
     def test_loose_threshold_needs_one_trial(self):
         assert hardy_naive_trials(0.95) == 1
+
+    @given(
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            POWERS,
+            st.builds(math.nextafter, POWERS, st.sampled_from([0.0, 1.0])),
+        ).filter(lambda t: 0.0 < t < 1.0)
+    )
+    @example(5e-324)
+    @example(math.nextafter(1.0, 0.0))
+    def test_smallest_n_below_the_threshold(self, t):
+        n, base = hardy_naive_trials(t), 1.0 - hardy_q()
+        assert n >= 1 and base**n < t
+        assert n == 1 or base ** (n - 1) >= t
 
     def test_threshold_bounds(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bellodds import simulate
-from bellodds.bayes import HypothesisPair, IndistinguishableError, OddsRatio, TrialTally, kl_per_trial, log_bayes_factor
+from bellodds.bayes import HypothesisPair, TrialTally, kl_per_trial, log_bayes_factor, required_trials
 from bellodds.scenarios import ScenarioSpec, chained_pair, hardy_q
 from bellodds.simulate import (
     INCONCLUSIVE,
@@ -19,7 +19,6 @@ from bellodds.simulate import (
     QM,
     QM_REJECTED,
     SimulationConfig,
-    expected_stop_estimate,
     replication_summaries,
     run_replications,
     run_trajectory,
@@ -154,34 +153,15 @@ class TestThresholdMonotonicity:
                 assert b.stop_trial <= a.stop_trial
 
 
-class TestExpectedStopEstimate:
-    def test_ghz_protocol(self):
-        got = expected_stop_estimate(HypothesisPair(1.0, 0.75), OddsRatio(100.0), 0.01)
-        assert math.isclose(got, 32.01569111860437, rel_tol=1e-12)
-
-    def test_chained_k4_protocol(self):
-        got = expected_stop_estimate(chained_pair(4), OddsRatio(100.0), 0.01)
-        assert math.isclose(got, 200.82073520208965, rel_tol=1e-10)
-
-    def test_already_decided(self):
-        assert expected_stop_estimate(HypothesisPair(1.0, 0.75), OddsRatio(0.01), 0.01) == 0.0
-
+class TestWaldDrift:
     def test_understates_the_simulated_mean(self):
-        # the estimate ignores overshoot, so the Monte Carlo mean sits above it
+        # the drift value ignores overshoot, so the Monte Carlo mean sits above it
         cfg = SimulationConfig(
             scenario=ScenarioSpec("chained", k=2), replications=2_000, max_trials=3_000, master_seed=SEED
         )
         report = run_replications(cfg)
-        estimate = expected_stop_estimate(chained_pair(2), OddsRatio(100.0), 0.01)
+        estimate = required_trials(chained_pair(2), 100 / 0.01)
         assert report.mean_stop > estimate - 3.0
-
-    def test_errors(self):
-        with pytest.raises(IndistinguishableError):
-            expected_stop_estimate(HypothesisPair(0.4, 0.4), OddsRatio(100.0), 0.01)
-        with pytest.raises(ValueError):
-            expected_stop_estimate(HypothesisPair(1.0, 0.75), OddsRatio(100.0), 200.0)
-        with pytest.raises(ValueError):  # prior / lower overflows to inf
-            expected_stop_estimate(HypothesisPair(1.0, 0.75), OddsRatio(1e300), 1e-300)
 
 
 class TestConfigValidation:
