@@ -13,7 +13,7 @@ without enumerating them, ties broken toward the lexicographically smallest
 assignment as an enumeration in index order breaks them; the tests keep
 those enumerations as oracles.  The Hardy search bisects its one-dimensional
 r1 grid for the first cell where setup 1's rate drops to the
-zero-coincidence family's and scores only that cell and its two neighbours;
+zero-coincidence family's and scores only that cell and the one before it;
 the tests keep the scan of every cell as its oracle.
 """
 
@@ -103,9 +103,7 @@ def minimax_lr_ghz(grid_steps: int = 200) -> tuple[GhzAssignment, float]:
     it is (a, a, a), a the first index whose rate does not exceed it: bit for
     bit what the enumeration of all triples, kept as a test oracle, returns.
     """
-    grid_steps = _check_int("grid_steps", grid_steps)
-    if grid_steps < 10:
-        raise ValueError(f"grid_steps must be >= 10, got {grid_steps}")
+    grid_steps = _check_int("grid_steps", grid_steps, 10)
     g = np.linspace(-1.0, 1.0, grid_steps + 1)
     e4 = np.minimum(np.maximum(2.0 - g - g - g, -1.0), 1.0)
     with np.errstate(divide="ignore"):
@@ -138,9 +136,8 @@ def minimax_lr_chained(k: int = 2, grid_steps: int = 100) -> tuple[ChainAssignme
     enumeration of all points, kept as a test oracle, returns.
     """
     pair = chained_pair(k)  # validates k: an integer >= 2
-    grid_steps = _check_int("grid_steps", grid_steps)
-    if grid_steps < 2:  # a 1-cell grid has only the corners, where every KL is infinite
-        raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
+    # a 1-cell grid has only the corners, where every KL is infinite
+    grid_steps = _check_int("grid_steps", grid_steps, 2)
     n_left = 2 * k - 1
     g = np.linspace(0.0, 1.0, grid_steps + 1)
     kl_left, kl_last = _kl_tables((pair.q, 1.0 - pair.q), g)
@@ -230,9 +227,7 @@ def minimax_lr_hardy(
     split) tuples a scan of every cell minimizes, so ties break as that scan
     breaks them: bit for bit what the scan, kept as a test oracle, returns.
     """
-    grid_steps = _check_int("grid_steps", grid_steps)
-    if grid_steps < 50:
-        raise ValueError(f"grid_steps must be >= 50, got {grid_steps}")
+    grid_steps = _check_int("grid_steps", grid_steps, 50)
     if not (math.isfinite(target_d) and target_d > 1.0):
         raise ValueError(f"target_d must be finite and > 1, got {target_d!r}")
     if mode not in HARDY_MODES:

@@ -44,12 +44,17 @@ class IndistinguishableError(ValueError):
     rounds to 0): no amount of data can separate the hypotheses."""
 
 
-def _check_int(name: str, value) -> int:
-    """value as an int; Python and numpy ints pass, floats and strings do not."""
+def _check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """value as an int in [lo, hi], None bounds open; Python and numpy ints pass, floats and strings do not."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if lo is not None and index < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {index}")
+    if hi is not None and index > hi:
+        raise ValueError(f"{name} must be an integer <= {hi}, got {index}")
+    return index
 
 
 @dataclass(frozen=True)
@@ -78,9 +83,8 @@ class TrialTally:
     m: int
 
     def __post_init__(self) -> None:
-        n, m = _check_int("n", self.n), _check_int("m", self.m)
-        if n < 0 or not 0 <= m <= n:
-            raise ValueError(f"need 0 <= m <= n, got n={self.n}, m={self.m}")
+        n = _check_int("n", self.n, 0)
+        _check_int("m", self.m, 0, n)
 
 
 @dataclass(frozen=True)

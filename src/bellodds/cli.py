@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from .bayes import kl_per_trial, required_trials
+from .bayes import _check_int, kl_per_trial, required_trials
 from .scenarios import (
     CHAINED,
     GHZ,
@@ -137,8 +137,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     target = _target_d(args.target_d)
-    if not 2 <= args.k_min <= args.k_max:
-        raise ValueError(f"need 2 <= --k-min <= --k-max, got [{args.k_min}, {args.k_max}]")
+    k_min = _check_int("--k-min", args.k_min, 2)
+    _check_int("--k-max", args.k_max, k_min)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["k", "theta", "q", "r", "kl_nats", "n_real"])
     for k in range(args.k_min, args.k_max + 1):

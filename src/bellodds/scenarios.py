@@ -75,8 +75,7 @@ class ScenarioSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == CHAINED:
-            if self.k is None or _check_int("k", self.k) < 2:
-                raise ValueError(f"chained scenarios need k >= 2, got {self.k!r}")
+            _check_int("k", self.k, 2)
         elif self.k is not None:
             raise ValueError(f"k only applies to chained scenarios, got kind={self.kind!r}")
         if self.hardy_mode not in HARDY_MODES:
@@ -103,9 +102,7 @@ class ChainedGeometry:
 
     @classmethod
     def for_k(cls, k: int) -> "ChainedGeometry":
-        k = _check_int("k", k)
-        if k < 2:
-            raise ValueError(f"k must be >= 2 (k = 2 is the CHSH configuration), got {k}")
+        k = _check_int("k", k, 2)  # k = 2 is the CHSH configuration
         return cls(k=k, theta=math.pi / (2 * k))
 
 
@@ -150,9 +147,7 @@ def chained_pair(k: int) -> HypothesisPair:
     q = (1 - cos(pi/2k)) / 2, while the saturating local-realist theory
     assigns the common value r = 1/2k to all of them.
     """
-    k = _check_int("k", k)
-    if k < 2:
-        raise ValueError(f"k must be >= 2 (k = 2 is the CHSH configuration), got {k}")
+    k = _check_int("k", k, 2)  # k = 2 is the CHSH configuration
     return HypothesisPair(q=(1.0 - math.cos(math.pi / (2 * k))) / 2.0, r=1.0 / (2 * k))
 
 
@@ -235,8 +230,7 @@ def find_optimal_k(target_d: float, k_min: int, k_max: int) -> tuple[int, float]
 
     Returns (k, trials); ties go to the smaller k.
     """
-    k_min, k_max = _check_int("k_min", k_min), _check_int("k_max", k_max)
-    if not 2 <= k_min <= k_max:
-        raise ValueError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
+    k_min = _check_int("k_min", k_min, 2)
+    k_max = _check_int("k_max", k_max, k_min)
     best_n, best_k = min((required_trials(chained_pair(k), target_d), k) for k in range(k_min, k_max + 1))
     return best_k, best_n

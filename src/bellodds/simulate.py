@@ -82,13 +82,9 @@ class SimulationConfig:
                     f"{name} {threshold!r} is too far from prior_odds {self.prior_odds!r}: "
                     "the log of their ratio is not finite"
                 )
-        for name in ("max_trials", "replications"):
-            _check_int(name, getattr(self, name))
-        if not 1 <= self.max_trials <= 2**53:  # the walker's float counts are exact up to 2**53
-            raise ValueError(f"max_trials must be in [1, 2**53], got {self.max_trials}")
-        if not 1 <= self.replications <= 2**32:
-            raise ValueError(f"replications must be in [1, 2**32], got {self.replications}")
-        _check_seed(self.master_seed)
+        _check_int("max_trials", self.max_trials, 1, 2**53)  # the walker's float counts are exact up to 2**53
+        _check_int("replications", self.replications, 1, 2**32)
+        _check_int("master_seed", self.master_seed, 0, 2**64 - 1)
         pair = self.resolved_pair()
         if pair.q == pair.r and pair.q in (0.0, 1.0):
             raise ValueError("degenerate pair q == r in {0, 1}: every trial would falsify both theories")
@@ -140,18 +136,9 @@ def trial_stream(master_seed: int, replication_index: int) -> np.random.Generato
     in any order, with identical results.  The batch walker (_draw) sets the
     same key and counter.
     """
-    index = _check_int("replication_index", replication_index)
-    if not 0 <= index < 2**32:
-        raise ValueError(f"replication_index must be in [0, 2**32), got {index!r}")
-    return np.random.Generator(np.random.Philox(_check_seed(master_seed)).advance(index << 128))
-
-
-def _check_seed(master_seed) -> int:
-    """master_seed as an int in [0, 2**64), the seeds Philox takes."""
-    seed = _check_int("master_seed", master_seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"master_seed must be a 64-bit nonnegative integer, got {seed!r}")
-    return seed
+    index = _check_int("replication_index", replication_index, 0, 2**32 - 1)
+    seed = _check_int("master_seed", master_seed, 0, 2**64 - 1)  # the seeds Philox takes
+    return np.random.Generator(np.random.Philox(seed).advance(index << 128))
 
 
 #: Decision codes of the batch walker, indexed by code.
@@ -347,9 +334,7 @@ def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajecto
     experiment on the spot.  The batch walker decides the stop; the outcomes
     are then redrawn from trial_stream and log D rebuilt from their counts.
     """
-    index = _check_int("replication_index", replication_index)
-    if not 0 <= index < config.replications:
-        raise ValueError(f"replication_index must be in [0, {config.replications}), got {index!r}")
+    index = _check_int("replication_index", replication_index, 0, config.replications - 1)
     p_true, (yes, no), *_ = rule = _stop_rule(config)
     (stop,), (code,), (final,) = (column.tolist() for column in _walk(config, index, index + 1, rule))
     outcomes = trial_stream(config.master_seed, index).random(stop) < p_true

@@ -89,8 +89,12 @@ class TestBinomialLogLikelihood:
     def test_rejects_bad_tally(self):
         with pytest.raises(ValueError):
             TrialTally(2, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be an integer >= 0"):
             TrialTally(-1, 0)
+        with pytest.raises(ValueError, match="m must be an integer >= 0"):
+            TrialTally(10, -1)
+        with pytest.raises(ValueError, match="m must be an integer <= 3"):
+            TrialTally(3, 4)
 
     @pytest.mark.parametrize("count", [2.5, "3"])
     def test_counts_must_be_integers(self, count):

@@ -158,6 +158,17 @@ class TestSweep:
         assert code == 1
         assert out == ""
 
+    def test_k_min_below_two_exits_1_before_the_header(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "chained", "--k-min", "1", "--k-max", "3")
+        assert code == 1
+        assert out == ""
+        assert "--k-min must be an integer >= 2, got 1" in err
+
+    def test_singleton_range(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--scenario", "chained", "--k-min", "4", "--k-max", "4")
+        assert code == 0
+        assert [r["k"] for r in csv.DictReader(io.StringIO(out))] == ["4"]
+
     def test_non_chained_scenario_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--scenario", "ghz", "--k-min", "2", "--k-max", "4")
         assert code == 1

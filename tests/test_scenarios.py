@@ -83,6 +83,8 @@ class TestChained:
             chained_pair(1)
         with pytest.raises(ValueError):
             ChainedGeometry.for_k(0)
+        with pytest.raises(ValueError, match="k must be an integer >= 2"):
+            ChainedGeometry.for_k(1)
 
     @pytest.mark.parametrize("make", [chained_pair, ChainedGeometry.for_k])
     @pytest.mark.parametrize("k", [2.5, 4.0, "4", float("nan")])
@@ -264,7 +266,7 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(HARDY, hardy_mode="folk")
 
-    @pytest.mark.parametrize("k", [2.5, 4.0, "4"])
+    @pytest.mark.parametrize("k", [2.5, 4.0, "4", None, float("nan")])
     def test_non_integer_k_rejected(self, k):
         with pytest.raises(ValueError, match="k must be an integer"):
             ScenarioSpec(CHAINED, k=k)
@@ -314,9 +316,9 @@ class TestFindOptimalK:
         assert math.isclose(n, CHAINED3_TRIALS, rel_tol=1e-10)
 
     def test_bad_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k_max must be an integer >= 3"):
             find_optimal_k(1e4, 3, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k_min must be an integer >= 2"):
             find_optimal_k(1e4, 1, 5)
 
     @pytest.mark.parametrize("bound", [2.5, 4.0, "4", float("nan")])

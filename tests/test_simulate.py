@@ -182,6 +182,7 @@ class TestConfigValidation:
     def test_counts(self):
         with pytest.raises(ValueError):
             ghz_config(max_trials=0)
+        ghz_config(max_trials=1)
         ghz_config(max_trials=2**53)  # the walker's float counts are exact up to here
         with pytest.raises(ValueError, match="max_trials"):
             ghz_config(max_trials=2**53 + 1)
@@ -189,7 +190,7 @@ class TestConfigValidation:
             ghz_config(replications=0)
 
     @pytest.mark.parametrize("name", ["max_trials", "replications", "master_seed"])
-    @pytest.mark.parametrize("value", [2.5, 33.0, "7"])
+    @pytest.mark.parametrize("value", [2.5, 33.0, "7", None, float("nan")])
     def test_non_integer_counts_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             ghz_config(**{name: value})
@@ -209,6 +210,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ghz_config(master_seed=-1)
         ghz_config(master_seed=2**64 - 1)
+        with pytest.raises(ValueError, match="master_seed"):
+            ghz_config(master_seed=2**64)
 
     def test_true_theory(self):
         with pytest.raises(ValueError):
