@@ -149,6 +149,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_int("--reps", args.reps, 1, 2**32)
+    _check_int("--seed", args.seed, 0, 2**64 - 1)
+    _check_int("--max-trials", args.max_trials, 1, 2**53)
     spec = _spec_from_args(args)
     config = SimulationConfig(
         scenario=spec,

@@ -228,9 +228,18 @@ def scenario_pair(spec: ScenarioSpec) -> ScenarioResolution:
 def find_optimal_k(target_d: float, k_min: int, k_max: int) -> tuple[int, float]:
     """The k in [k_min, k_max] minimizing the chained trial count.
 
-    Returns (k, trials); ties go to the smaller k.
+    Returns (k, trials); ties go to the smaller k.  The scan stops early, and
+    exactly: q_k < r_k = 1/2k, so KL(q_k||r_k) < -ln(1 - 1/2k), which falls
+    with k.  Once ln(target_d) over that bound reaches the best count (with a
+    relative margin of 1e-9 for rounding), no later k can tie or win.
     """
     k_min = _check_int("k_min", k_min, 2)
     k_max = _check_int("k_max", k_max, k_min)
-    best_n, best_k = min((required_trials(chained_pair(k), target_d), k) for k in range(k_min, k_max + 1))
+    best_n, best_k = required_trials(chained_pair(k_min), target_d), k_min
+    for k in range(k_min + 1, k_max + 1):
+        if math.log(target_d) / -math.log1p(-0.5 / k) >= best_n * (1.0 + 1e-9):
+            break
+        n = required_trials(chained_pair(k), target_d)
+        if n < best_n:
+            best_n, best_k = n, k
     return best_k, best_n

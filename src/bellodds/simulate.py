@@ -146,9 +146,10 @@ _DECISIONS = (INCONCLUSIVE, LR_REJECTED, QM_REJECTED)
 #: First block of trials of a walk that is not sized from the drift; later
 #: blocks double.
 _FIRST_BLOCK = 64
-#: Widest block (a multiple of 8), which bounds the draws a replication makes
-#: past its stopping trial.
-_MAX_BLOCK = 2048
+#: Widest block (a multiple of 8, below 2**16).  _BLOCK_FLOATS cuts blocks
+#: narrower once more than 21 rows live, so this cap binds only with at most
+#: 21; it bounds the draws past a stop of the walks not sized from the drift.
+_MAX_BLOCK = 6144
 #: Replications walked side by side.
 _CHUNK_ROWS = 128
 #: Most floats a block holds, rows x width: it bounds the walk's buffer at
@@ -209,7 +210,7 @@ def _yes_counts(is_yes: np.ndarray, count: np.ndarray, m: np.ndarray, scratch: n
     exact below 2**53, eight trials to a word: a little-endian word of bool
     lanes times 0x0101010101010101 holds in byte j the count of lanes 0..j,
     in byte 7 its total.  The totals' running sum is each word's carry within
-    the block (at most _MAX_BLOCK, so 16 bits), spread over 16-bit lanes, one
+    the block (at most _MAX_BLOCK < 2**16), spread over 16-bit lanes, one
     per trial.  The words go in scratch, flat float64 at least m's size."""
     rows, width = is_yes.shape
     words, flat = is_yes.view("<u8"), scratch.view("<u8")
@@ -243,7 +244,7 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
     threshold it drifts to, which for the first block is the whole distance
     from log D = 0.  Otherwise the first block is _FIRST_BLOCK and each
     later one doubles.  Every block is capped at _MAX_BLOCK trials and at
-    _BLOCK_FLOATS draws.
+    _BLOCK_FLOATS draws, the tighter cap once more than 21 rows are live.
 
     After every trial the walk compares log D with ln(prior/upper) and
     ln(prior/lower).  Log D after n trials with m "yes" outcomes is

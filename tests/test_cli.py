@@ -316,6 +316,23 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--scenario", "ghz", "--upper", "inf", "--reps", "2")
         assert code == 1 and "upper_threshold" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--reps", 0, ">= 1"),
+            ("--reps", 2**32 + 1, f"<= {2**32}"),
+            ("--seed", -1, ">= 0"),
+            ("--seed", 2**64, f"<= {2**64 - 1}"),
+            ("--max-trials", 0, ">= 1"),
+            ("--max-trials", 2**53 + 1, f"<= {2**53}"),
+        ],
+    )
+    def test_integer_flag_out_of_range_exits_1_naming_the_flag(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "simulate", "--scenario", "ghz", flag, str(value))
+        assert code == 1
+        assert out == ""
+        assert f"{flag} must be an integer {message}, got {value}" in err
+
 
 class TestCompare:
     def test_csv_table(self, capsys):

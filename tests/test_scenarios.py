@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from bellodds import scenarios
 from bellodds.bayes import HypothesisPair, _kl, kl_per_trial, required_trials
 from bellodds.scenarios import (
     CHAINED,
@@ -330,3 +331,23 @@ class TestFindOptimalK:
 
     def test_numpy_integer_bounds_accepted(self):
         assert find_optimal_k(1e4, np.int64(2), np.int64(12)) == find_optimal_k(1e4, 2, 12)
+
+    @pytest.mark.parametrize("target", [1.0, 1.0001, 1.5, 10.0, 1e4, 1e20, 1e100, 1e300])
+    def test_early_stop_matches_a_full_scan(self, target):
+        for k_min in (2, 3, 4, 5, 9, 17, 39):
+            for k_max in sorted({k_min, k_min + 1, k_min + 7, 40, 199} - set(range(k_min))):
+                scan = min((required_trials(chained_pair(k), target), k) for k in range(k_min, k_max + 1))
+                assert find_optimal_k(target, k_min, k_max) == (scan[1], scan[0]), (k_min, k_max)
+
+    def test_stops_after_k_11_at_any_k_max(self, monkeypatch):
+        # ln(1e4) / -ln(1 - 1/24) = 216.4 > 200.8 trials at k = 4
+        best, calls = find_optimal_k(1e4, 2, 12), []
+
+        def counting(k):
+            calls.append(k)
+            return chained_pair(k)
+
+        monkeypatch.setattr(scenarios, "chained_pair", counting)
+        assert find_optimal_k(1e4, 2, 10**6) == best
+        assert calls == list(range(2, 12))
+        assert find_optimal_k(1e4, 2, 2**64) == best

@@ -494,7 +494,7 @@ class TestYesCounts:
         assert np.array_equal(m, np.cumsum(is_yes, axis=1, dtype=np.float64) + count[:, None])
 
     @pytest.mark.parametrize("rows", [1, 128])
-    @pytest.mark.parametrize("width", [8, 16, 24, 344, 2048])
+    @pytest.mark.parametrize("width", [8, 16, 24, 344, 2048, 6144])
     @pytest.mark.parametrize("kind", ["all-False", "all-True", "random"])
     def test_matches_cumsum(self, rows, width, kind):
         rng = np.random.default_rng(width * rows)
@@ -505,9 +505,12 @@ class TestYesCounts:
         }[kind]
         self.assert_counts(is_yes, rng.integers(0, 10_000, rows).astype(np.float64))
 
-    @pytest.mark.parametrize("width", [8, 2048])
+    @pytest.mark.parametrize("width", [8, 2048, 6144])
     def test_counts_near_2_53(self, width):
-        # an all-True row ends on 2**53 exactly, the largest count the walk keeps
+        # an all-True row ends on 2**53 exactly, the largest count the walk
+        # keeps; at the widest block its 16-bit lanes carry up to 6144, and
+        # the words need whole blocks of 8 trials and carries below 2**16
+        assert simulate._MAX_BLOCK % 8 == 0 and simulate._MAX_BLOCK < 2**16
         is_yes = np.ones((3, width), dtype=bool)
         is_yes[1, ::3] = False
         self.assert_counts(is_yes, np.full(3, float(2**53 - width)))
@@ -696,11 +699,12 @@ class TestDrawsPerReplication:
         assert tally["draws"] <= 1.65 * stops.sum()
 
     def test_lr_true_far_threshold_takes_few_blocks(self, monkeypatch):
-        # walks of about 6k trials: with blocks sized from the drift each
-        # row is drawn about 3.5 times, doubling from _FIRST_BLOCK about 9.5
+        # walks of about 6k trials: with blocks sized from the drift and
+        # capped at 6144 trials each row is drawn 1.4 times (14 rows; a
+        # 2048-trial cap draws 34), doubling from _FIRST_BLOCK about 9.5
         tally = counted_draws(monkeypatch)
         replication_summaries(walk_config("chained-k2", LR, upper_threshold=1e100, max_trials=100_000, replications=10))
-        assert tally["rows"] <= 5 * 10
+        assert tally["rows"] <= 2 * 10
 
 
 def traced_peak(run, config: SimulationConfig) -> int:
