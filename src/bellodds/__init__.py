@@ -23,7 +23,6 @@ from .bayes import (
     update_odds,
 )
 from .scenarios import (
-    ChainedGeometry,
     HardySolution,
     ScenarioResolution,
     ScenarioSpec,

@@ -44,13 +44,13 @@ class IndistinguishableError(ValueError):
     rounds to 0): no amount of data can separate the hypotheses."""
 
 
-def _check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
-    """value as an int in [lo, hi], None bounds open; Python and numpy ints pass, floats and strings do not."""
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value as an int in [lo, hi], hi None for no upper bound; Python and numpy ints pass, floats and strings do not."""
     try:
         index = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if lo is not None and index < lo:
+    if index < lo:
         raise ValueError(f"{name} must be an integer >= {lo}, got {index}")
     if hi is not None and index > hi:
         raise ValueError(f"{name} must be an integer <= {hi}, got {index}")

@@ -24,12 +24,12 @@ from .scenarios import (
     HARDY_MODE_PAPER,
     HARDY_MODES,
     HARDY_NAIVE,
-    ChainedGeometry,
+    KINDS,
     ScenarioSpec,
     hardy_naive_trials,
     scenario_pair,
 )
-from .simulate import _DECISIONS, GENERATOR, SimulationConfig, replication_summaries, summarize
+from .simulate import _DECISIONS, GENERATOR, LR, QM, SimulationConfig, replication_summaries, summarize
 
 __all__ = ["main"]
 
@@ -87,7 +87,7 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--scenario", required=True, choices=[GHZ, CHAINED, HARDY, HARDY_NAIVE],
+        "--scenario", required=True, choices=KINDS,
         help="experiment family to analyze",
     )
     parser.add_argument("--k", type=int, default=None, help="directions per observer (chained only)")
@@ -103,7 +103,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     pair = scenario_pair(spec).pair
     extras: dict = {}
     if spec.kind == CHAINED:
-        extras = {"k": spec.k, "theta": ChainedGeometry.for_k(spec.k).theta}
+        extras = {"k": spec.k, "theta": math.pi / (2 * spec.k)}
     elif spec.kind == HARDY:
         extras = {"mode": spec.hardy_mode, "r_opt": pair.r}
     if spec.kind == HARDY_NAIVE:
@@ -144,7 +144,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for k in range(args.k_min, args.k_max + 1):
         pair = scenario_pair(ScenarioSpec(CHAINED, k=k)).pair
         kl = kl_per_trial(pair)
-        writer.writerow([k, ChainedGeometry.for_k(k).theta, pair.q, pair.r, kl, required_trials(pair, target)])
+        writer.writerow([k, math.pi / (2 * k), pair.q, pair.r, kl, required_trials(pair, target)])
     return 0
 
 
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="replicated sequential experiments to a stopping decision")
     _add_scenario_flags(p)
-    p.add_argument("--true-theory", choices=["qm", "lr"], default="qm")
+    p.add_argument("--true-theory", choices=(QM, LR), default=QM)
     p.add_argument("--prior-ratio", type=float, default=100.0, help="prior LR:QM odds")
     p.add_argument("--lower", type=float, default=0.01, help="odds at or below which LR is rejected")
     p.add_argument("--upper", type=float, default=1e6, help="odds at or above which QM is rejected")

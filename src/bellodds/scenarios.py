@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from .bayes import HypothesisPair, _check_int, _kl_logs, required_trials
 
 __all__ = [
-    "BisectionError",
-    "ChainedGeometry",
     "GHZ",
     "CHAINED",
     "HARDY",
@@ -54,10 +52,6 @@ _HARDY_Q = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5  # hardy_q(), with its logs for _
 _HARDY_Q_LOGS = math.log(_HARDY_Q), math.log1p(-_HARDY_Q)
 
 
-class BisectionError(RuntimeError):
-    """Root bracketing or convergence failed."""
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Which experiment family is analyzed.
@@ -90,20 +84,6 @@ class ScenarioSpec:
         if self.kind == HARDY:
             return f"hardy-{self.hardy_mode}"
         return self.kind
-
-
-@dataclass(frozen=True)
-class ChainedGeometry:
-    """k alternative measurement directions per observer, consecutive
-    directions separated by theta = pi / 2k."""
-
-    k: int
-    theta: float
-
-    @classmethod
-    def for_k(cls, k: int) -> "ChainedGeometry":
-        k = _check_int("k", k, 2)  # k = 2 is the CHSH configuration
-        return cls(k=k, theta=math.pi / (2 * k))
 
 
 @dataclass(frozen=True)
@@ -157,19 +137,6 @@ def hardy_q() -> float:
     return _HARDY_Q
 
 
-def _bisect_decreasing(g, lo: float, hi: float) -> float:
-    """Root of a strictly decreasing scalar function by plain bisection."""
-    g_lo, g_hi = g(lo), g(hi)
-    if not (g_lo > 0.0 > g_hi):
-        raise BisectionError(f"no sign change on [{lo!r}, {hi!r}]: g={g_lo!r}..{g_hi!r}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if g(mid) > 0.0 else (lo, mid)
-        if hi - lo <= 1e-12:
-            return 0.5 * (lo + hi)
-    raise BisectionError("no convergence to 1e-12 within 200 iterations")
-
-
 def hardy_optimize_r(mode: str = HARDY_MODE_PAPER, target_d: float = 1e4) -> HardySolution:
     """Find the r1 in (0, q) equalizing the two setup families' evidence rates.
 
@@ -177,7 +144,7 @@ def hardy_optimize_r(mode: str = HARDY_MODE_PAPER, target_d: float = 1e4) -> Har
     coincidences yield -ln(1 - r1) per trial in "paper" mode, or
     -ln(1 - r1/3) in "literal" mode.  Both sides are strictly monotone in r1,
     so bisection on (0, q) cannot miss: bracket (1e-12, q - 1e-12), where
-    KL(q, r1) is finite, absolute tolerance 1e-12, iteration cap 200.
+    KL(q, r1) is finite, absolute tolerance 1e-12.
     """
     if mode not in HARDY_MODES:
         raise ValueError(f"mode must be one of {HARDY_MODES}, got {mode!r}")
@@ -189,7 +156,11 @@ def hardy_optimize_r(mode: str = HARDY_MODE_PAPER, target_d: float = 1e4) -> Har
     def gap(r: float) -> float:  # _kl's +0.0 clamp cannot change its sign: the family term is negative
         return _kl_logs(q, log_q, log1m_q, math.log(r), math.log1p(-r)) + math.log1p(-r * share)
 
-    r1 = _bisect_decreasing(gap, 1e-12, q - 1e-12)
+    lo, hi = 1e-12, q - 1e-12  # gap(lo) > 0 > gap(hi) in both modes
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gap(mid) > 0.0 else (lo, mid)
+    r1 = 0.5 * (lo + hi)
     return HardySolution(r_opt=r1, n_real=required_trials(HypothesisPair(q, r1), target_d))
 
 

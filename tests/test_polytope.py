@@ -198,6 +198,24 @@ class TestChainedCertificate:
         assert moved[-1] > kl_per_trial(chained_pair(k)) > max(moved[:-1])
 
 
+class TestEveryLocalTheory:
+    """With the setting drawn uniformly on each trial, independently of the
+    hidden state, no deterministic strategy takes the walk's LR-favouring
+    step less often than r* does: a "no" for GHZ (q = 1 > r*), a "yes" for
+    chained (q < r*), where the last setup's "yes" is "not equal".  A local
+    theory, adaptive or not, mixes strategies trial by trial, so its walk,
+    coupled to r*'s through shared uniforms, never lies above r*'s."""
+
+    @pytest.mark.parametrize("k", [None, *CHAINED_K], ids=["ghz", *(f"chained-k{k}" for k in CHAINED_K)])
+    def test_r_star_is_the_worst_case_step_law(self, k):
+        if k is None:
+            assert ghz_strategies().mean(axis=1).max() == ghz_pair().r == 0.75
+        else:
+            strategies = chained_strategies(k)
+            yes = np.hstack([strategies[:, :-1], 1.0 - strategies[:, -1:]])
+            assert yes.mean(axis=1).min() == chained_pair(k).r == 1.0 / (2 * k)
+
+
 class TestHardyLiteralCertificate:
     @pytest.fixture(scope="class")
     def literal(self) -> float:

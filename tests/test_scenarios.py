@@ -12,15 +12,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bellodds import scenarios
-from bellodds.bayes import HypothesisPair, _kl, kl_per_trial, required_trials
+from bellodds.bayes import HypothesisPair, _kl, _kl_logs, kl_per_trial, required_trials
 from bellodds.scenarios import (
     CHAINED,
     GHZ,
     HARDY,
     HARDY_NAIVE,
-    BisectionError,
-    ChainedGeometry,
-    _bisect_decreasing,
     ScenarioSpec,
     chained_pair,
     find_optimal_k,
@@ -75,27 +72,19 @@ class TestChained:
         assert math.isclose(kl_per_trial(pair), CHAINED4_KL, rel_tol=1e-12)
         assert math.isclose(required_trials(pair, 1e4), CHAINED4_TRIALS, rel_tol=1e-10)
 
-    def test_geometry_angle(self):
-        assert ChainedGeometry.for_k(2).theta == math.pi / 4
-        assert ChainedGeometry.for_k(4).theta == math.pi / 8
-
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
-            chained_pair(1)
-        with pytest.raises(ValueError):
-            ChainedGeometry.for_k(0)
+            chained_pair(0)
         with pytest.raises(ValueError, match="k must be an integer >= 2"):
-            ChainedGeometry.for_k(1)
+            chained_pair(1)
 
-    @pytest.mark.parametrize("make", [chained_pair, ChainedGeometry.for_k])
     @pytest.mark.parametrize("k", [2.5, 4.0, "4", float("nan")])
-    def test_k_must_be_an_integer(self, make, k):
+    def test_k_must_be_an_integer(self, k):
         with pytest.raises(ValueError, match="k must be an integer"):
-            make(k)
+            chained_pair(k)
 
     def test_numpy_integer_k_accepted(self):
         assert chained_pair(np.int64(4)) == chained_pair(4)
-        assert ChainedGeometry.for_k(np.int64(4)) == ChainedGeometry.for_k(4)
 
     def test_lr_never_coincides_with_qm(self):
         for k in range(2, 65):
@@ -181,12 +170,21 @@ class TestHardyOptimization:
                 hi = mid
         assert repr(hardy_optimize_r(mode).r_opt) == repr(0.5 * (lo + hi))
 
-    def test_gap_strictly_decreasing(self):
+    @pytest.mark.parametrize("share", [1.0, 1.0 / 3.0])
+    def test_gap_strictly_decreasing(self, share):
+        """In both modes.  hardy_optimize_r bisects without a run-time sign
+        check, so its gap, in its own arithmetic, must also change sign
+        between the exact ends of its bracket."""
         q = hardy_q()
         rs = np.linspace(1e-6, q - 1e-6, 200)
-        gap = q * np.log(q / rs) + (1 - q) * np.log((1 - q) / (1 - rs)) + np.log1p(-rs)
+        gap = q * np.log(q / rs) + (1 - q) * np.log((1 - q) / (1 - rs)) + np.log1p(-rs * share)
         assert np.all(np.diff(gap) < 0.0)
         assert gap[0] > 0.0 > gap[-1]
+
+        def solver_gap(r):
+            return _kl_logs(q, *scenarios._HARDY_Q_LOGS, math.log(r), math.log1p(-r)) + math.log1p(-r * share)
+
+        assert solver_gap(1e-12) > 0.0 > solver_gap(q - 1e-12)
 
     def test_target_dependence_only_in_trials(self):
         lo = hardy_optimize_r("paper", 1e2)
@@ -199,17 +197,6 @@ class TestHardyOptimization:
             hardy_optimize_r("folk", 1e4)
         with pytest.raises(ValueError):
             hardy_optimize_r("paper", 1.0)
-
-
-class TestBisection:
-    def test_no_sign_change(self):
-        with pytest.raises(BisectionError, match="no sign change"):
-            _bisect_decreasing(lambda x: 1.0 - x, 2.0, 3.0)
-
-    def test_no_convergence(self):
-        # 200 halvings of a width of 2e300 leave about 1e240, far above 1e-12
-        with pytest.raises(BisectionError, match="no convergence"):
-            _bisect_decreasing(lambda x: -x, -1e300, 1e300)
 
 
 # the survival (1 - q)^n of the all-zero theory, down past underflow to 0.0
