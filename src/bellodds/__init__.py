@@ -14,13 +14,11 @@ from .bayes import (
     IndistinguishableError,
     InfiniteInformationError,
     LogBayesFactor,
-    OddsRatio,
     TrialTally,
     binomial_log_likelihood,
     kl_per_trial,
     log_bayes_factor,
     required_trials,
-    update_odds,
 )
 from .scenarios import (
     HardySolution,
@@ -38,7 +36,6 @@ from .adversary import (
     ChainAssignment,
     GhzAssignment,
     HardyAssignment,
-    hardy_objective,
     minimax_lr_chained,
     minimax_lr_ghz,
     minimax_lr_hardy,

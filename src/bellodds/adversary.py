@@ -32,7 +32,6 @@ __all__ = [
     "ChainAssignment",
     "GhzAssignment",
     "HardyAssignment",
-    "hardy_objective",
     "minimax_lr_chained",
     "minimax_lr_ghz",
     "minimax_lr_hardy",
@@ -163,24 +162,10 @@ def _kl_tables(ps: tuple[float, ...], g: np.ndarray) -> list[np.ndarray]:
     return [np.where(kl > 0.0, kl, 0.0) for kl in (_kl_logs(p, math.log(p), math.log1p(-p), log_r, log1m_r) for p in ps)]
 
 
-def hardy_objective(r: tuple[float, float, float, float], mode: str = HARDY_MODE_PAPER) -> float:
-    """Experimenter's best per-trial rate against a Hardy assignment.
-
-    Setup 1 contributes KL(q, r1).  The zero-coincidence setups contribute
-    -ln(1 - r1) jointly in "paper" mode, or max_j -ln(1 - r_j) over j = 2..4
-    in "literal" mode.  Each value must be a probability; feasibility of
-    the assignment is the caller's concern.
-    """
-    if mode not in HARDY_MODES:
-        raise ValueError(f"mode must be one of {HARDY_MODES}, got {mode!r}")
-    if len(r) != 4 or any(not 0.0 <= x <= 1.0 for x in r):  # also rejects NaN
-        raise ValueError(f"need four probabilities in [0, 1], got {r!r}")
-    return max(*_hardy_rates(r, mode))
-
-
 def _hardy_rates(r: tuple[float, float, float, float], mode: str) -> tuple[float, float]:
-    """Setup 1's rate and the zero-coincidence family's rate, the two terms
-    hardy_objective takes the larger of."""
+    """The experimenter's two rates against a Hardy assignment r, the larger
+    its value: setup 1's KL(q, r1), and the zero-coincidence family's,
+    -ln(1 - r1) in "paper" mode, max_j -ln(1 - r_j) over j = 2..4 in "literal"."""
     r1, r2, r3, r4 = r
     share = r1 if mode == HARDY_MODE_PAPER else max(r2, r3, r4)
     family = math.inf if share >= 1.0 else -math.log1p(-share)
@@ -210,9 +195,10 @@ def minimax_lr_hardy(
     exactly: max_j -ln(1 - r_j) grows with the largest share, and with the
     shares confined to the same grid the smallest achievable largest share is
     ceil(i/3) cells out of r1's i, the balanced split.  Each r1 is scored by
-    hardy_objective on that split in whole cells.  The reported r4 is
-    r1 - r2 - r3 instead, which saturates CH exactly in floating point but
-    may round past the cell value, so it is not the one scored.
+    the larger of _hardy_rates' two terms on that split in whole cells.  The
+    reported r4 is r1 - r2 - r3 instead, which saturates CH exactly in
+    floating point but may round past the cell value, so it is not the one
+    scored.
 
     The grid is not scanned.  The family rate -ln(1 - share) does not
     decrease with the cell index i, and setup 1's KL(q, r1) does not

@@ -20,13 +20,11 @@ __all__ = [
     "IndistinguishableError",
     "InfiniteInformationError",
     "LogBayesFactor",
-    "OddsRatio",
     "TrialTally",
     "binomial_log_likelihood",
     "kl_per_trial",
     "log_bayes_factor",
     "required_trials",
-    "update_odds",
 ]
 
 
@@ -113,17 +111,6 @@ class LogBayesFactor:
         return LogBayesFactor(a + b)
 
 
-@dataclass(frozen=True)
-class OddsRatio:
-    """LR:QM betting odds.  0 means LR is dead, +inf means QM is dead."""
-
-    ratio: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.ratio) or self.ratio < 0.0:
-            raise ValueError(f"odds must be nonnegative, got {self.ratio!r}")
-
-
 def _xlogp(count: float, p: float) -> float:
     """count * ln(p) with the 0 * ln(0) = 0 convention."""
     if count == 0:
@@ -182,25 +169,6 @@ def log_bayes_factor(pair: HypothesisPair, tally: TrialTally) -> LogBayesFactor:
     if math.isinf(yes) and math.isinf(no) and yes != no:
         raise BothFalsifiedError("tally is impossible under both hypotheses")
     return LogBayesFactor(yes + no)
-
-
-def update_odds(prior: OddsRatio, evidence: LogBayesFactor) -> OddsRatio:
-    """Posterior LR:QM odds: the prior divided by the likelihood ratio.
-
-    Infinite evidence maps to 0 or +inf odds; an already-dead hypothesis
-    (prior 0 or +inf) stays dead regardless of further evidence.
-    """
-    if prior.ratio == 0.0 or math.isinf(prior.ratio):
-        return prior
-    x = -evidence.log_value
-    try:
-        return OddsRatio(prior.ratio * math.exp(x))
-    except OverflowError:  # exp(x) alone overflows; a small prior may bring the product back
-        log_odds = math.log(prior.ratio) + x
-    try:
-        return OddsRatio(math.exp(log_odds))
-    except OverflowError:
-        return OddsRatio(math.inf)
 
 
 def _kl_logs(q: float, log_q: float, log1m_q: float, log_r, log1m_r):

@@ -170,11 +170,11 @@ def _stop_rule(config: SimulationConfig) -> tuple:
     for an infinite one, whose outcome is counted 0 times until it ends the
     walk (so 0 * inf never forms); the one outcome that can falsify a theory
     in the walk (True for "yes", False for "no", None if none), the one the
-    false theory forbids, as the true theory's own is never drawn; its step,
-    +inf if QM is true, else -inf; the thresholds ln(prior/upper) and
-    ln(prior/lower); and the drift, the mean log D step under the true
-    theory: KL(q||r) if QM is true, else -KL(r||q).
-    """
+    false theory forbids, as the true theory's own is never drawn; the
+    thresholds ln(prior/upper) and ln(prior/lower); and the drift, the mean
+    log D step under the true theory: KL(q||r) if QM is true, else -KL(r||q).
+    With a falsifier the false theory's p is 0 or 1 and the true theory's
+    another value, so the drift is +-inf, the falsifier's step."""
     pair = config.resolved_pair()
     p_true, p_false, sign = (pair.q, pair.r, 1.0) if config.true_theory == QM else (pair.r, pair.q, -1.0)
     steps = (log_bayes_factor(pair, TrialTally(1, yes)).log_value for yes in (1, 0))
@@ -182,7 +182,7 @@ def _stop_rule(config: SimulationConfig) -> tuple:
     falsifier = None if 0.0 < p_false < 1.0 else p_false == 0.0
     lo = math.log(config.prior_odds / config.upper_threshold)
     hi = math.log(config.prior_odds / config.lower_threshold)
-    return p_true, (yes, no), falsifier, sign * math.inf, (lo, hi), sign * _kl(p_true, p_false)
+    return p_true, (yes, no), falsifier, (lo, hi), sign * _kl(p_true, p_false)
 
 
 def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: int, draws: np.ndarray) -> None:
@@ -254,11 +254,11 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
 
     A walk stops at its first trial that reaches a threshold, that draws the
     one outcome able to falsify a theory (_stop_rule; the final log D is
-    then that outcome's +-inf step) or that is trial max_trials.  Its final
-    decides it: at or past ln(prior/lower) is LR_REJECTED, at or past
-    ln(prior/upper) QM_REJECTED, otherwise INCONCLUSIVE.
+    then that outcome's +-inf step, the drift) or that is trial max_trials.
+    Its final decides it: at or past ln(prior/lower) is LR_REJECTED, at or
+    past ln(prior/upper) QM_REJECTED, otherwise INCONCLUSIVE.
     """
-    p_true, (yes, no), falsifier, falsified, (lo, hi), drift = rule = rule or _stop_rule(config)
+    p_true, (yes, no), falsifier, (lo, hi), drift = rule = rule or _stop_rule(config)
     certain = p_true in (0.0, 1.0)
     if certain and stop - start > 1:  # every row walks the same outcomes
         return tuple(np.full(stop - start, column[0]) for column in _walk(config, start, start + 1, rule))
@@ -312,7 +312,7 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
                 stops[at] = n[first]
                 final = log_d[rows, first]
                 if falsifier is not None:
-                    final[is_yes[rows, first] == falsifier] = falsified
+                    final[is_yes[rows, first] == falsifier] = drift
                 finals[at] = final
                 live, count = live[walking], count[walking]
             if not sized:

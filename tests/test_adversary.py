@@ -19,7 +19,7 @@ from bellodds.adversary import (
     GhzAssignment,
     HardyAssignment,
     _balanced_split,
-    hardy_objective,
+    _hardy_rates,
     minimax_lr_chained,
     minimax_lr_ghz,
     minimax_lr_hardy,
@@ -117,7 +117,7 @@ def enumerate_hardy(
         raise ValueError(f"target_d must be finite and > 1, got {target_d!r}")
     cell = 1.0 / grid_steps
     splits = (_balanced_split(i, cell, mode) for i in range(grid_steps + 1))
-    best_val, (r1, r2, r3, _) = min((hardy_objective(split, mode), split) for split in splits)
+    best_val, (r1, r2, r3, _) = min((max(*_hardy_rates(split, mode)), split) for split in splits)
     r4 = r1 - r2 - r3  # saturates the CH inequality exactly
     n_real = math.log(target_d) / best_val
     return HardyAssignment(r=(r1, r2, r3, r4)), n_real
@@ -287,6 +287,9 @@ class TestChainedMinimax:
             ChainAssignment((0.1, 0.1, 0.1, 0.9))  # 0.3 < 0.9
         with pytest.raises(ValueError):
             ChainAssignment((0.1, 0.2, 0.3))  # odd length
+        for probs in [(0.1, 0.1, 0.1, 1.5), (0.1, 0.1, 0.1, math.nan)]:
+            with pytest.raises(ValueError, match=r"probabilities out of \[0, 1\]"):
+                ChainAssignment(probs)
 
 
 class TestHardyMinimax:
@@ -324,22 +327,7 @@ class TestHardyMinimax:
         HardyAssignment((0.0, 0.0, 0.0, 0.0))  # CH holds with equality
         for mode in ("paper", "literal"):
             # the zero-coincidence family costs nothing, but setup 1 is fatal
-            assert hardy_objective((0.0, 0.0, 0.0, 0.0), mode) == math.inf
-
-    @pytest.mark.parametrize(
-        "r",
-        [
-            (math.nan, 0.0, 0.0, 0.0),  # scored 0.0
-            (0.03, math.nan, math.nan, math.nan),  # literal mode dropped the NaN shares
-            (0.03, -0.01, 0.02, 0.02),
-            (1.5, 0.5, 0.5, 0.5),  # a bare "math domain error"
-            (0.03, 0.01, 0.01, 1.2),
-        ],
-    )
-    def test_objective_rejects_non_probabilities(self, r):
-        for mode in ("paper", "literal"):
-            with pytest.raises(ValueError, match=r"need four probabilities in \[0, 1\]"):
-                hardy_objective(r, mode)
+            assert max(*_hardy_rates((0.0, 0.0, 0.0, 0.0), mode)) == math.inf
 
     @pytest.mark.parametrize("r1", [0.03, 0.0476, 0.06])
     def test_asymmetric_splits_never_beat_balanced(self, r1):
@@ -352,7 +340,7 @@ class TestHardyMinimax:
         for asym in lopsided:
             assert sum(asym[1:]) >= r1 - 1e-12  # still CH-feasible
             for mode in ("paper", "literal"):
-                assert hardy_objective(asym, mode) >= hardy_objective(balanced, mode) - 1e-12
+                assert max(*_hardy_rates(asym, mode)) >= max(*_hardy_rates(balanced, mode)) - 1e-12
 
     def test_independent_full_grid_enumeration(self):
         """Brute-force every (r1, r2, r3, r4) on a coarse grid with the
@@ -442,3 +430,12 @@ class TestHardyMinimax:
             minimax_lr_hardy(1000, 1e4, "folk")
         with pytest.raises(ValueError):
             HardyAssignment((0.5, 0.1, 0.1, 0.1))  # CH violated
+        for r in [
+            (math.nan, 0.0, 0.0, 0.0),
+            (0.03, math.nan, math.nan, math.nan),
+            (0.03, -0.01, 0.02, 0.02),
+            (1.5, 0.5, 0.5, 0.5),
+            (0.03, 0.01, 0.01, 1.2),
+        ]:
+            with pytest.raises(ValueError, match=r"need four probabilities in \[0, 1\]"):
+                HardyAssignment(r)

@@ -19,14 +19,12 @@ from bellodds.bayes import (
     IndistinguishableError,
     InfiniteInformationError,
     LogBayesFactor,
-    OddsRatio,
     TrialTally,
     _kl,
     binomial_log_likelihood,
     kl_per_trial,
     log_bayes_factor,
     required_trials,
-    update_odds,
 )
 
 LN_4_3 = 0.28768207245178085
@@ -260,56 +258,6 @@ class TestKlPerTrial:
                 continue
             terms.append(pmf * log_bayes_factor(pair, TrialTally(n, m)).log_value)
         assert abs(math.fsum(terms) - n * kl_per_trial(pair)) < 1e-10
-
-
-class TestUpdateOdds:
-    def test_hundred_to_one_through_ten_thousand(self):
-        post = update_odds(OddsRatio(100.0), LogBayesFactor(math.log(1e4)))
-        assert math.isclose(post.ratio, 0.01, rel_tol=1e-12)
-
-    def test_no_evidence_is_identity(self):
-        assert update_odds(OddsRatio(7.25), LogBayesFactor(0.0)).ratio == 7.25
-
-    def test_factor_two_halves_the_odds(self):
-        post = update_odds(OddsRatio(1.0), LogBayesFactor(math.log(2.0)))
-        assert math.isclose(post.ratio, 0.5, rel_tol=1e-12)
-
-    def test_falsifications_map_to_dead_odds(self):
-        assert update_odds(OddsRatio(100.0), LogBayesFactor(math.inf)).ratio == 0.0
-        assert update_odds(OddsRatio(100.0), LogBayesFactor(-math.inf)).ratio == math.inf
-
-    def test_dead_odds_stay_dead(self):
-        assert update_odds(OddsRatio(0.0), LogBayesFactor(-5.0)).ratio == 0.0
-        assert update_odds(OddsRatio(math.inf), LogBayesFactor(5.0)).ratio == math.inf
-
-    def test_no_overflow_for_huge_evidence(self):
-        assert update_odds(OddsRatio(1.0), LogBayesFactor(-1e6)).ratio == math.inf
-        assert update_odds(OddsRatio(1.0), LogBayesFactor(1e6)).ratio == 0.0
-
-    @pytest.mark.parametrize(
-        "log_d,want",  # 1e-300 * e^-log_d from exact decimal arithmetic
-        [(-709.0, 82184074.61554972), (-800.0, 2.726374572112567e47)],
-    )
-    def test_small_prior_keeps_a_finite_posterior(self, log_d, want):
-        # e^-log_d alone overflows; the prior brings the posterior back into range
-        post = update_odds(OddsRatio(1e-300), LogBayesFactor(log_d))
-        assert math.isclose(post.ratio, want, rel_tol=1e-12)
-
-    def test_rejects_negative_or_nan_odds(self):
-        with pytest.raises(ValueError):
-            OddsRatio(-0.5)
-        with pytest.raises(ValueError):
-            OddsRatio(math.nan)
-
-    @given(
-        prior=st.floats(min_value=1e-6, max_value=1e6),
-        d1=st.floats(min_value=-50, max_value=50),
-        d2=st.floats(min_value=-50, max_value=50),
-    )
-    def test_sequential_updates_compose(self, prior, d1, d2):
-        stepwise = update_odds(update_odds(OddsRatio(prior), LogBayesFactor(d1)), LogBayesFactor(d2))
-        at_once = update_odds(OddsRatio(prior), LogBayesFactor(d1) + LogBayesFactor(d2))
-        assert math.isclose(stepwise.ratio, at_once.ratio, rel_tol=1e-12, abs_tol=0.0)
 
 
 class TestRequiredTrials:
