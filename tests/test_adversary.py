@@ -287,9 +287,11 @@ class TestChainedMinimax:
             ChainAssignment((0.1, 0.1, 0.1, 0.9))  # 0.3 < 0.9
         with pytest.raises(ValueError):
             ChainAssignment((0.1, 0.2, 0.3))  # odd length
-        for probs in [(0.1, 0.1, 0.1, 1.5), (0.1, 0.1, 0.1, math.nan)]:
-            with pytest.raises(ValueError, match=r"probabilities out of \[0, 1\]"):
-                ChainAssignment(probs)
+
+    @pytest.mark.parametrize("probs", [(0.1, 0.1, 0.1, 1.5), (0.1, 0.1, 0.1, math.nan)])
+    def test_assignment_rejects_non_probabilities(self, probs):
+        with pytest.raises(ValueError, match=r"probabilities out of \[0, 1\]"):
+            ChainAssignment(probs)
 
 
 class TestHardyMinimax:
@@ -430,12 +432,17 @@ class TestHardyMinimax:
             minimax_lr_hardy(1000, 1e4, "folk")
         with pytest.raises(ValueError):
             HardyAssignment((0.5, 0.1, 0.1, 0.1))  # CH violated
-        for r in [
+
+    @pytest.mark.parametrize(
+        "r",
+        [
             (math.nan, 0.0, 0.0, 0.0),
             (0.03, math.nan, math.nan, math.nan),
             (0.03, -0.01, 0.02, 0.02),
             (1.5, 0.5, 0.5, 0.5),
             (0.03, 0.01, 0.01, 1.2),
-        ]:
-            with pytest.raises(ValueError, match=r"need four probabilities in \[0, 1\]"):
-                HardyAssignment(r)
+        ],
+    )
+    def test_assignment_rejects_non_probabilities(self, r):
+        with pytest.raises(ValueError, match=r"need four probabilities in \[0, 1\]"):
+            HardyAssignment(r)

@@ -3,6 +3,7 @@ convergence against closed-form oracles, and the determinism contract."""
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +62,89 @@ class TestZeroDrift:
         assert t.decision == INCONCLUSIVE
         assert t.stop_trial == 50
         assert np.all(t.cumulative_log_d == 0.0)
+
+
+class TestOddsUpdate:
+    """The walker is the one odds update: after n trials the LR:QM odds are
+    prior_odds * exp(-log D_n), and the walk stops at the first trial that
+    brings them to a threshold."""
+
+    @pytest.mark.parametrize("lower,stop", [(0.5, 1), (0.26, 2), (0.25, 2), (0.24, 3), (0.125, 3)])
+    def test_each_yes_halves_the_odds(self, lower, stop):
+        # q = 1, r = 1/2: every trial is "yes" and worth ln 2; 2 ln 2 is ln 4 exactly
+        t = run_trajectory(ghz_config(scenario=HypothesisPair(1.0, 0.5), prior_odds=1.0, lower_threshold=lower), 0)
+        assert (t.decision, t.stop_trial) == (LR_REJECTED, stop)
+        assert t.cumulative_log_d[-1] == stop * math.log(2.0)
+
+    def test_no_evidence_never_moves_the_odds(self):
+        # thresholds a hair either side of the prior, and still no decision
+        cfg = ghz_config(scenario=HypothesisPair(0.6, 0.6), lower_threshold=99.999, upper_threshold=100.001)
+        for i in range(4):
+            t = run_trajectory(cfg, i)
+            assert (t.decision, t.stop_trial) == (INCONCLUSIVE, 100)
+            assert np.all(t.cumulative_log_d == 0.0)
+
+    @pytest.mark.parametrize(
+        "pair,truth,final,decision",
+        [
+            (HypothesisPair(0.5, 0.0), QM, math.inf, LR_REJECTED),  # "yes" falsifies LR
+            (HypothesisPair(1.0, 0.75), LR, -math.inf, QM_REJECTED),  # "no" falsifies QM
+        ],
+    )
+    def test_falsification_kills_the_odds_on_the_spot(self, pair, truth, final, decision):
+        # thresholds hundreds of nats away: only the falsifying outcome ends the walk
+        cfg = ghz_config(
+            scenario=pair, true_theory=truth, lower_threshold=1e-300, upper_threshold=1e300, max_trials=10_000
+        )
+        falsifier = pair.r == 0.0
+        for i in range(8):
+            t = run_trajectory(cfg, i)
+            assert (t.decision, t.cumulative_log_d[-1]) == (decision, final)
+            assert len(t.outcomes) == t.stop_trial  # no trial after the odds die
+            assert t.outcomes[-1] == falsifier and not (t.outcomes[:-1] == falsifier).any()
+            assert np.isfinite(t.cumulative_log_d[:-1]).all()
+
+    def test_no_overflow_for_huge_evidence(self):
+        # odds from 1 to 1e-300 is e^690 of evidence; the walk never forms the odds themselves
+        cfg = ghz_config(
+            scenario=HypothesisPair(0.999, 0.001),
+            prior_odds=1.0,
+            lower_threshold=1e-300,
+            upper_threshold=1e300,
+            replications=16,
+            max_trials=10_000,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stops, codes, finals = replication_summaries(cfg)
+        assert all(simulate._DECISIONS[code] == LR_REJECTED for code in codes.tolist())
+        assert np.isfinite(finals).all() and (finals >= math.log(1e300)).all()
+
+    @pytest.mark.parametrize("prior", [1e-300, 1e300])
+    def test_only_the_ratios_to_the_prior_matter(self, prior):
+        # the default thresholds sit 1e4 either side of the prior 100
+        for scenario in (ScenarioSpec("ghz"), ScenarioSpec("chained", k=2)):
+            base = ghz_config(scenario=scenario, max_trials=3_000, replications=32)
+            moved = replace(base, prior_odds=prior, lower_threshold=prior * 1e-4, upper_threshold=prior * 1e4)
+            assert all(map(np.array_equal, replication_summaries(moved), replication_summaries(base)))
+
+    @pytest.mark.parametrize("prior", [-0.5, 0.0, math.nan, math.inf])
+    def test_rejects_non_positive_nan_or_infinite_prior(self, prior):
+        with pytest.raises(ValueError, match="prior_odds"):
+            ghz_config(prior_odds=prior)
+
+    @given(
+        q=st.floats(min_value=0.01, max_value=0.99),
+        r=st.floats(min_value=0.01, max_value=0.99),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_sequential_updates_compose(self, q, r, seed):
+        # log D after every trial is the running sum of the one-trial factors
+        pair = HypothesisPair(q, r)
+        t = run_trajectory(ghz_config(scenario=pair, master_seed=seed, max_trials=200, replications=1), 0)
+        steps = [log_bayes_factor(pair, TrialTally(1, int(yes))).log_value for yes in t.outcomes]
+        for n in range(1, t.stop_trial + 1):
+            assert math.isclose(t.cumulative_log_d[n - 1], math.fsum(steps[:n]), rel_tol=1e-12, abs_tol=1e-9)
 
 
 @pytest.fixture(scope="module")
