@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import _check_int, _kl, _kl_logs
-from .scenarios import _HARDY_Q, _HARDY_Q_LOGS, HARDY_MODE_PAPER, HARDY_MODES, chained_pair
+from .scenarios import _HARDY_Q, HARDY_MODE_PAPER, HARDY_MODES, chained_pair
 
 __all__ = [
     "ChainAssignment",
@@ -169,7 +169,7 @@ def _hardy_rates(r: tuple[float, float, float, float], mode: str) -> tuple[float
     r1, r2, r3, r4 = r
     share = r1 if mode == HARDY_MODE_PAPER else max(r2, r3, r4)
     family = math.inf if share >= 1.0 else -math.log1p(-share)
-    return _kl(_HARDY_Q, r1, _HARDY_Q_LOGS), family
+    return _kl(_HARDY_Q, r1), family
 
 
 def _balanced_split(i: int, cell: float, mode: str) -> tuple[float, float, float, float]:
@@ -224,7 +224,7 @@ def minimax_lr_hardy(
         setup1, family = _hardy_rates(_balanced_split(i, cell, mode), mode)
         return setup1 <= family
 
-    top = min(grid_steps, math.ceil(_HARDY_Q / cell))
+    top = math.ceil(_HARDY_Q / cell)  # below grid_steps: q < 0.1 and grid_steps >= 50
     first = bisect.bisect_left(range(top + 1), True, key=crossed)
     splits = (_balanced_split(i, cell, mode) for i in range(first - 1, first + 1))
     best_val, (r1, r2, r3, _) = min((max(*_hardy_rates(split, mode)), split) for split in splits)

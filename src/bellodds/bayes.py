@@ -178,15 +178,15 @@ def _kl_logs(q: float, log_q: float, log1m_q: float, log_r, log1m_r):
     return yes + no
 
 
-def _kl(q: float, r: float, q_logs: tuple[float, float] | None = None) -> float:
+def _kl(q: float, r: float) -> float:
     """KL(Bernoulli(q) || Bernoulli(r)) in nats; +inf where r forbids an
     outcome q allows.  Scalar math.log/log1p on purpose (numpy's array logs
     can differ in the last bit): tables take them once per r, numpy doing the
-    exact + - * of _kl_logs.  q_logs: (ln q, ln(1 - q)) for a fixed q.  The
-    result is clamped at +0.0, as rounding can make it negative for r near q."""
+    exact + - * of _kl_logs.  The result is clamped at +0.0, as rounding can
+    make it negative for r near q."""
     if r == 0.0 or r == 1.0:
         return 0.0 if q == r else math.inf
-    log_q, log1m_q = q_logs or (math.log(q) if q > 0.0 else -math.inf, math.log1p(-q) if q < 1.0 else -math.inf)
+    log_q, log1m_q = math.log(q) if q > 0.0 else -math.inf, math.log1p(-q) if q < 1.0 else -math.inf
     kl = _kl_logs(q, log_q, log1m_q, math.log(r), math.log1p(-r))
     return kl if kl > 0.0 else 0.0
 

@@ -48,8 +48,7 @@ HARDY_MODE_PAPER = "paper"
 HARDY_MODE_LITERAL = "literal"
 HARDY_MODES = (HARDY_MODE_PAPER, HARDY_MODE_LITERAL)
 
-_HARDY_Q = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5  # hardy_q(), with its logs for _kl
-_HARDY_Q_LOGS = math.log(_HARDY_Q), math.log1p(-_HARDY_Q)
+_HARDY_Q = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5  # hardy_q()
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def hardy_optimize_r(mode: str = HARDY_MODE_PAPER, target_d: float = 1e4) -> Har
     if not (math.isfinite(target_d) and target_d > 1.0):
         raise ValueError(f"target_d must be finite and > 1, got {target_d!r}")
     q, share = _HARDY_Q, 1.0 if mode == HARDY_MODE_PAPER else 1.0 / 3.0
-    log_q, log1m_q = _HARDY_Q_LOGS
+    log_q, log1m_q = math.log(q), math.log1p(-q)
 
     def gap(r: float) -> float:  # _kl's +0.0 clamp cannot change its sign: the family term is negative
         return _kl_logs(q, log_q, log1m_q, math.log(r), math.log1p(-r)) + math.log1p(-r * share)
@@ -174,7 +173,7 @@ def hardy_naive_trials(survival_threshold: float) -> int:
     if not 0.0 < survival_threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {survival_threshold!r}")
     q = hardy_q()
-    n = max(1, math.floor(math.log(survival_threshold) / math.log1p(-q)))
+    n = math.floor(math.log(survival_threshold) / math.log1p(-q))
     while (1.0 - q) ** n >= survival_threshold:  # the start never passes the answer
         n += 1
     return n

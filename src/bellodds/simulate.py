@@ -52,8 +52,12 @@ class SimulationConfig:
 
     The experiment stops once the LR:QM odds are <= lower_threshold (LR
     rejected) or >= upper_threshold (QM rejected), checked after each trial's
-    update.  scenario is a ScenarioSpec, whose pair scenario_pair resolves,
-    or a HypothesisPair, simulated as given.  replications is at most 2**32.
+    update in float64 logs (log D from the counts against ln(prior/threshold)),
+    so a tie can round either way: for the pair (1, 0.1) the decimal odds hit
+    0.01 at trial 4, but 4 * (ln 1 - ln 0.1) = 9.210340371976182 is below
+    ln(1e4) = 9.210340371976184, and the walk stops at trial 5.  scenario is a
+    ScenarioSpec, whose pair scenario_pair resolves, or a HypothesisPair,
+    simulated as given.  replications is at most 2**32.
     """
 
     scenario: ScenarioSpec | HypothesisPair

@@ -412,10 +412,10 @@ class TestHardyMinimax:
         coarse = {mode: minimax_lr_hardy(1000, 1e4, mode)[0].r[0] for mode in ("paper", "literal")}
         calls = 0
 
-        def counting_kl(q, r, *q_logs):
+        def counting_kl(q, r):
             nonlocal calls
             calls += 1
-            return _kl(q, r, *q_logs)
+            return _kl(q, r)
 
         monkeypatch.setattr(adversary, "_kl", counting_kl)
         grid_steps = 10**7  # a scan would evaluate 10^7 + 1 cells

@@ -182,7 +182,7 @@ class TestHardyOptimization:
         assert gap[0] > 0.0 > gap[-1]
 
         def solver_gap(r):
-            return _kl_logs(q, *scenarios._HARDY_Q_LOGS, math.log(r), math.log1p(-r)) + math.log1p(-r * share)
+            return _kl_logs(q, math.log(q), math.log1p(-q), math.log(r), math.log1p(-r)) + math.log1p(-r * share)
 
         assert solver_gap(1e-12) > 0.0 > solver_gap(q - 1e-12)
 
