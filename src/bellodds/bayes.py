@@ -19,13 +19,17 @@ __all__ = [
     "HypothesisPair",
     "IndistinguishableError",
     "InfiniteInformationError",
-    "LogBayesFactor",
+    "LR",
+    "QM",
     "TrialTally",
     "binomial_log_likelihood",
     "kl_per_trial",
     "log_bayes_factor",
     "required_trials",
 ]
+
+QM = "qm"  # the theory whose "yes" probability is q
+LR = "lr"  # the theory whose "yes" probability is r
 
 
 class BothFalsifiedError(ValueError):
@@ -85,32 +89,6 @@ class TrialTally:
         _check_int("m", self.m, 0, n)
 
 
-@dataclass(frozen=True)
-class LogBayesFactor:
-    """Natural log of the QM:LR likelihood ratio for some observed data.
-
-    +inf means the data is impossible under LR (local realism falsified
-    outright), -inf the mirror image for QM.  Finite values add across
-    independent trial blocks.
-    """
-
-    log_value: float
-
-    @property
-    def factor(self) -> float:
-        """The ratio itself; for display only, may overflow to inf."""
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            return math.inf
-
-    def __add__(self, other: "LogBayesFactor") -> "LogBayesFactor":
-        a, b = self.log_value, other.log_value
-        if math.isinf(a) and math.isinf(b) and a != b:
-            raise BothFalsifiedError("each block falsified a different hypothesis")
-        return LogBayesFactor(a + b)
-
-
 def _xlogp(count: float, p: float) -> float:
     """count * ln(p) with the 0 * ln(0) = 0 convention."""
     if count == 0:
@@ -153,7 +131,7 @@ def _log_ratio_term(count: int, pq: float, pr: float) -> float:
     return count * (math.log(pq) - math.log(pr))
 
 
-def log_bayes_factor(pair: HypothesisPair, tally: TrialTally) -> LogBayesFactor:
+def log_bayes_factor(pair: HypothesisPair, tally: TrialTally) -> float:
     """Log likelihood ratio (QM over LR) of an observed tally.
 
     The binomial coefficients cancel, leaving
@@ -162,13 +140,14 @@ def log_bayes_factor(pair: HypothesisPair, tally: TrialTally) -> LogBayesFactor:
 
     A single observed outcome that LR declares impossible pushes the value to
     +inf (LR falsified); the QM mirror image gives -inf.  A tally impossible
-    under both raises BothFalsifiedError.
+    under both raises BothFalsifiedError, so blocks combine by joining their
+    tallies: that raises when each block falsified a different hypothesis.
     """
     yes = _log_ratio_term(tally.m, pair.q, pair.r)
     no = _log_ratio_term(tally.n - tally.m, 1.0 - pair.q, 1.0 - pair.r)
     if math.isinf(yes) and math.isinf(no) and yes != no:
         raise BothFalsifiedError("tally is impossible under both hypotheses")
-    return LogBayesFactor(yes + no)
+    return yes + no
 
 
 def _kl_logs(q: float, log_q: float, log1m_q: float, log_r, log1m_r):

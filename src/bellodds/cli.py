@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from .bayes import _check_int, kl_per_trial, required_trials
+from .bayes import LR, QM, _check_int, kl_per_trial, required_trials
 from .scenarios import (
     CHAINED,
     GHZ,
@@ -29,7 +29,6 @@ from .scenarios import (
     hardy_naive_trials,
     scenario_pair,
 )
-from .simulate import _DECISIONS, GENERATOR, LR, QM, SimulationConfig, replication_summaries, summarize
 
 __all__ = ["main"]
 
@@ -149,6 +148,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # numpy loads for this command only
+    from .simulate import _DECISIONS, GENERATOR, SimulationConfig, replication_summaries, summarize
+
     _check_int("--reps", args.reps, 1, 2**32)
     _check_int("--seed", args.seed, 0, 2**64 - 1)
     _check_int("--max-trials", args.max_trials, 1, 2**53)

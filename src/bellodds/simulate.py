@@ -15,15 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import HypothesisPair, TrialTally, _check_int, _kl, log_bayes_factor
+from .bayes import LR, QM, HypothesisPair, TrialTally, _check_int, _kl, log_bayes_factor
 from .scenarios import ScenarioSpec, scenario_pair
 
 __all__ = [
     "GENERATOR",
     "INCONCLUSIVE",
-    "LR",
     "LR_REJECTED",
-    "QM",
     "QM_REJECTED",
     "SimulationConfig",
     "StoppingReport",
@@ -34,9 +32,6 @@ __all__ = [
     "summarize",
     "trial_stream",
 ]
-
-QM = "qm"
-LR = "lr"
 
 LR_REJECTED = "lr_rejected"
 QM_REJECTED = "qm_rejected"
@@ -116,8 +111,9 @@ class StoppingReport:
     """Stopping statistics over all replications.
 
     mean_log_d_per_trial pools evidence across replications (total log
-    factor over total trials), which converges to the per-trial KL when QM
-    is true; it is +inf for scenarios where a single outcome can falsify LR.
+    factor over total trials): it converges to KL(q||r) when QM is true and
+    to -KL(r||q) when LR is true, and is +inf once an outcome falsifies LR
+    (hardy-naive, QM true) and -inf once one falsifies QM (ghz, LR true).
     """
 
     mean_stop: float
@@ -181,7 +177,7 @@ def _stop_rule(config: SimulationConfig) -> tuple:
     another value, so the drift is +-inf, the falsifier's step."""
     pair = config.resolved_pair()
     p_true, p_false, sign = (pair.q, pair.r, 1.0) if config.true_theory == QM else (pair.r, pair.q, -1.0)
-    steps = (log_bayes_factor(pair, TrialTally(1, yes)).log_value for yes in (1, 0))
+    steps = (log_bayes_factor(pair, TrialTally(1, yes)) for yes in (1, 0))
     yes, no = (step if math.isfinite(step) else 0.0 for step in steps)
     falsifier = None if 0.0 < p_false < 1.0 else p_false == 0.0
     lo = math.log(config.prior_odds / config.upper_threshold)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bellodds import cli
+from bellodds import cli, simulate
 from bellodds.bayes import kl_per_trial, required_trials
 from bellodds.cli import main
 from bellodds.scenarios import chained_pair, ghz_pair, hardy_optimize_r, hardy_q, scenario_pair
@@ -248,7 +248,7 @@ class TestSimulate:
         def walk(config):
             raise AssertionError("walked before opening the dump file")
 
-        monkeypatch.setattr(cli, "replication_summaries", walk)
+        monkeypatch.setattr(simulate, "replication_summaries", walk)
         code, out, err = run_cli(
             capsys, "simulate", "--scenario", "ghz", "--reps", "3",
             "--dump-trajectories", str(tmp_path / "missing" / "t.jsonl"),
@@ -392,6 +392,26 @@ class TestExitCodes:
         proc = run_proc("analyze", "--scenario", "ghz")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n_ceil"] == 33
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare"],
+            ["analyze", "--scenario", "ghz"],
+            ["analyze", "--scenario", "hardy"],
+            ["sweep", "--scenario", "chained", "--k-min", "2", "--k-max", "4"],
+        ],
+    )
+    def test_closed_form_commands_leave_numpy_unloaded(self, argv):
+        # only simulate walks with numpy; the other commands run without it
+        probe = (
+            "import sys\n"
+            "from bellodds.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "[]")
 
     def test_json_reparse_is_lossless(self, capsys):
         _, out, _ = run_cli(capsys, "analyze", "--scenario", "hardy")

@@ -11,13 +11,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bellodds import simulate
-from bellodds.bayes import HypothesisPair, TrialTally, kl_per_trial, log_bayes_factor, required_trials
+from bellodds.bayes import LR, QM, HypothesisPair, TrialTally, kl_per_trial, log_bayes_factor, required_trials
 from bellodds.scenarios import ScenarioSpec, chained_pair, hardy_q
 from bellodds.simulate import (
     INCONCLUSIVE,
-    LR,
     LR_REJECTED,
-    QM,
     QM_REJECTED,
     SimulationConfig,
     replication_summaries,
@@ -103,6 +101,7 @@ class TestOddsUpdate:
             assert len(t.outcomes) == t.stop_trial  # no trial after the odds die
             assert t.outcomes[-1] == falsifier and not (t.outcomes[:-1] == falsifier).any()
             assert np.isfinite(t.cumulative_log_d[:-1]).all()
+        assert run_replications(cfg).mean_log_d_per_trial == final  # the pooled rate takes the falsifier's sign
 
     def test_no_overflow_for_huge_evidence(self):
         # odds from 1 to 1e-300 is e^690 of evidence; the walk never forms the odds themselves
@@ -142,7 +141,7 @@ class TestOddsUpdate:
         # log D after every trial is the running sum of the one-trial factors
         pair = HypothesisPair(q, r)
         t = run_trajectory(ghz_config(scenario=pair, master_seed=seed, max_trials=200, replications=1), 0)
-        steps = [log_bayes_factor(pair, TrialTally(1, int(yes))).log_value for yes in t.outcomes]
+        steps = [log_bayes_factor(pair, TrialTally(1, int(yes))) for yes in t.outcomes]
         for n in range(1, t.stop_trial + 1):
             assert math.isclose(t.cumulative_log_d[n - 1], math.fsum(steps[:n]), rel_tol=1e-12, abs_tol=1e-9)
 
@@ -401,8 +400,8 @@ def reference_walk(config: SimulationConfig, index: int) -> tuple[int, str]:
     decisions."""
     pair = config.resolved_pair()
     p_true = pair.q if config.true_theory == QM else pair.r
-    step_yes = log_bayes_factor(pair, TrialTally(1, 1)).log_value
-    step_no = log_bayes_factor(pair, TrialTally(1, 0)).log_value
+    step_yes = log_bayes_factor(pair, TrialTally(1, 1))
+    step_no = log_bayes_factor(pair, TrialTally(1, 0))
     hi = math.log(config.prior_odds / config.lower_threshold)
     lo = math.log(config.prior_odds / config.upper_threshold)
     rng = trial_stream(config.master_seed, index)
@@ -477,8 +476,8 @@ def count_formula_walk(config: SimulationConfig, index: int) -> tuple[int, str, 
     final log D in hex, to be matched bit for bit."""
     pair = config.resolved_pair()
     p_true = pair.q if config.true_theory == QM else pair.r
-    step_yes = log_bayes_factor(pair, TrialTally(1, 1)).log_value
-    step_no = log_bayes_factor(pair, TrialTally(1, 0)).log_value
+    step_yes = log_bayes_factor(pair, TrialTally(1, 1))
+    step_no = log_bayes_factor(pair, TrialTally(1, 0))
     # an infinite step's outcome ends the walk, so until then its count is 0
     yes, no = (step if math.isfinite(step) else 0.0 for step in (step_yes, step_no))
     hi = math.log(config.prior_odds / config.lower_threshold)
@@ -640,7 +639,7 @@ class TestFinalLogD:
             t = run_trajectory(cfg, i)
             assert (t.stop_trial, t.decision) == (stop, simulate._DECISIONS[code])
             tally = TrialTally(t.stop_trial, int(t.outcomes.sum()))
-            assert final == log_bayes_factor(pair, tally).log_value
+            assert final == log_bayes_factor(pair, tally)
             assert t.cumulative_log_d[-1] == final
             assert not np.isnan(t.cumulative_log_d).any()
 
