@@ -26,6 +26,7 @@ from .scenarios import (
     HARDY_NAIVE,
     KINDS,
     ScenarioSpec,
+    chained_pair,
     hardy_naive_trials,
     scenario_pair,
 )
@@ -137,11 +138,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     target = _target_d(args.target_d)
     k_min = _check_int("--k-min", args.k_min, 2)
-    _check_int("--k-max", args.k_max, k_min)
+    k_max = _check_int("--k-max", args.k_max, k_min)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["k", "theta", "q", "r", "kl_nats", "n_real"])
-    for k in range(args.k_min, args.k_max + 1):
-        pair = scenario_pair(ScenarioSpec(CHAINED, k=k)).pair
+    for k in range(k_min, k_max + 1):
+        pair = chained_pair(k)
         kl = kl_per_trial(pair)
         writer.writerow([k, math.pi / (2 * k), pair.q, pair.r, kl, required_trials(pair, target)])
     return 0

@@ -102,9 +102,8 @@ class HardySolution:
 
 @dataclass(frozen=True)
 class ScenarioResolution:
-    """A scenario and the hypothesis pair it resolves to."""
+    """The hypothesis pair a scenario resolves to."""
 
-    spec: ScenarioSpec
     pair: HypothesisPair
 
 
@@ -187,12 +186,12 @@ def scenario_pair(spec: ScenarioSpec) -> ScenarioResolution:
     trial counts come from required_trials.  Pure and cached.
     """
     if spec.kind == GHZ:
-        return ScenarioResolution(spec, ghz_pair())
+        return ScenarioResolution(ghz_pair())
     if spec.kind == CHAINED:
-        return ScenarioResolution(spec, chained_pair(spec.k))
+        return ScenarioResolution(chained_pair(spec.k))
     if spec.kind == HARDY:
-        return ScenarioResolution(spec, HypothesisPair(hardy_q(), hardy_optimize_r(spec.hardy_mode).r_opt))
-    return ScenarioResolution(spec, HypothesisPair(hardy_q(), 0.0))
+        return ScenarioResolution(HypothesisPair(hardy_q(), hardy_optimize_r(spec.hardy_mode).r_opt))
+    return ScenarioResolution(HypothesisPair(hardy_q(), 0.0))
 
 
 def find_optimal_k(target_d: float, k_min: int, k_max: int) -> tuple[int, float]:

@@ -86,7 +86,7 @@ class SimulationConfig:
         _check_int("master_seed", self.master_seed, 0, 2**64 - 1)
         pair = self.resolved_pair()
         if pair.q == pair.r and pair.q in (0.0, 1.0):
-            raise ValueError("degenerate pair q == r in {0, 1}: every trial would falsify both theories")
+            raise ValueError(f"degenerate pair q = r = {pair.q!r}: the outcome both theories forbid has no log D step")
 
     def resolved_pair(self) -> HypothesisPair:
         if isinstance(self.scenario, HypothesisPair):

@@ -110,7 +110,7 @@ def test_c07_minimax_grid_oracles():
         abs(p - want) <= 0.01 + 1e-12
         for p, want in zip(chain_assignment.probs, (0.25, 0.25, 0.25, 0.75))
     )
-    hardy_assignment, _ = minimax_lr_hardy(1000, 1e4, "paper")
+    hardy_assignment, _ = minimax_lr_hardy(1000, mode="paper")
     hardy_ok = abs(hardy_assignment.r[0] - 0.03358) <= 1e-3
     check(
         "C7 minimax grids reproduce the symmetric optima",

@@ -107,19 +107,15 @@ def enumerate_chained(
     return ChainAssignment(probs=probs), best_val
 
 
-def enumerate_hardy(
-    grid_steps: int = 1000, target_d: float = 1e4, mode: str = "paper"
-) -> tuple[HardyAssignment, float]:
+def enumerate_hardy(grid_steps: int = 1000, mode: str = "paper") -> tuple[HardyAssignment, float]:
     """Oracle for minimax_lr_hardy: every r1 grid cell, scored in index order."""
     if grid_steps < 50:
         raise ValueError(f"grid_steps must be >= 50, got {grid_steps}")
-    if not (math.isfinite(target_d) and target_d > 1.0):
-        raise ValueError(f"target_d must be finite and > 1, got {target_d!r}")
     cell = 1.0 / grid_steps
     splits = (_balanced_split(i, cell, mode) for i in range(grid_steps + 1))
     best_val, (r1, r2, r3, _) = min((max(*_hardy_rates(split, mode)), split) for split in splits)
     r4 = r1 - r2 - r3  # saturates the CH inequality exactly
-    n_real = math.log(target_d) / best_val
+    n_real = math.log(1e4) / best_val
     return HardyAssignment(r=(r1, r2, r3, r4)), n_real
 
 
@@ -296,7 +292,7 @@ class TestChainedMinimax:
 
 class TestHardyMinimax:
     def test_paper_grid_optimum(self):
-        assignment, n_real = minimax_lr_hardy(1000, 1e4, "paper")
+        assignment, n_real = minimax_lr_hardy(1000, "paper")
         r1 = assignment.r[0]
         assert abs(r1 - 0.03358) <= 1e-3  # within one grid cell
         assert math.isclose(n_real, HARDY_GRID_TRIALS_PAPER, rel_tol=1e-9)
@@ -306,13 +302,13 @@ class TestHardyMinimax:
         assert 0.0 <= value - 0.034160565938475516 <= 1e-3
 
     def test_paper_split_saturates_ch(self):
-        assignment, _ = minimax_lr_hardy(1000, 1e4, "paper")
+        assignment, _ = minimax_lr_hardy(1000, "paper")
         r1, r2, r3, r4 = assignment.r
         assert abs(r1 - (r2 + r3 + r4)) <= 1e-12
         assert abs(r2 - r1 / 3.0) <= 1e-12 and abs(r3 - r1 / 3.0) <= 1e-12
 
     def test_literal_grid_optimum(self):
-        assignment, n_real = minimax_lr_hardy(1000, 1e4, "literal")
+        assignment, n_real = minimax_lr_hardy(1000, "literal")
         r1, r2, r3, r4 = assignment.r
         assert abs(r1 - HARDY_R_LITERAL) <= 1e-3
         assert math.isclose(LN_1E4 / n_real, HARDY_GRID_VALUE_LITERAL, rel_tol=1e-9)
@@ -321,8 +317,8 @@ class TestHardyMinimax:
 
     def test_refinement_is_monotone(self):
         for mode in ("paper", "literal"):
-            _, n_coarse = minimax_lr_hardy(500, 1e4, mode)
-            _, n_fine = minimax_lr_hardy(1000, 1e4, mode)
+            _, n_coarse = minimax_lr_hardy(500, mode)
+            _, n_fine = minimax_lr_hardy(1000, mode)
             assert LN_1E4 / n_fine <= LN_1E4 / n_coarse + 1e-12, mode
 
     def test_all_zero_corner_is_feasible_but_hopeless(self):
@@ -379,7 +375,7 @@ class TestHardyMinimax:
     @pytest.mark.parametrize("mode", ["paper", "literal"])
     def test_matches_enumeration(self, mode):
         def differs(g):
-            return repr(minimax_lr_hardy(g, 1e4, mode)) != repr(enumerate_hardy(g, 1e4, mode))
+            return repr(minimax_lr_hardy(g, mode)) != repr(enumerate_hardy(g, mode))
 
         assert [g for g in [*range(50, 601), 1000, 2000, 3000] if differs(g)] == []
 
@@ -409,7 +405,7 @@ class TestHardyMinimax:
             assert best in (first - 1, first), g
 
     def test_evaluations_are_logarithmic_in_the_grid(self, monkeypatch):
-        coarse = {mode: minimax_lr_hardy(1000, 1e4, mode)[0].r[0] for mode in ("paper", "literal")}
+        coarse = {mode: minimax_lr_hardy(1000, mode)[0].r[0] for mode in ("paper", "literal")}
         calls = 0
 
         def counting_kl(q, r):
@@ -421,15 +417,13 @@ class TestHardyMinimax:
         grid_steps = 10**7  # a scan would evaluate 10^7 + 1 cells
         for mode in ("paper", "literal"):
             calls = 0
-            assignment, _ = minimax_lr_hardy(grid_steps, 1e4, mode)
+            assignment, _ = minimax_lr_hardy(grid_steps, mode)
             assert calls <= 2 * math.log2(grid_steps) + 5, mode
             assert abs(assignment.r[0] - coarse[mode]) <= 1e-3, mode
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            minimax_lr_hardy(1000, 1.0)
-        with pytest.raises(ValueError):
-            minimax_lr_hardy(1000, 1e4, "folk")
+            minimax_lr_hardy(1000, "folk")
         with pytest.raises(ValueError):
             HardyAssignment((0.5, 0.1, 0.1, 0.1))  # CH violated
 

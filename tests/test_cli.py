@@ -173,6 +173,14 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", "--scenario", "ghz", "--k-min", "2", "--k-max", "4")
         assert code == 1
 
+    def test_rows_bypass_the_scenario_cache(self, capsys):
+        # a long range must not evict the specs that analyze and simulate resolved
+        before = scenario_pair.cache_info()
+        code, _, _ = run_cli(capsys, "sweep", "--scenario", "chained", "--k-min", "2", "--k-max", "12")
+        after = scenario_pair.cache_info()
+        assert code == 0
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
 
 class TestSimulate:
     def test_ghz_report_schema(self, capsys):
@@ -387,6 +395,19 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_analyze", fail)
         code, out, err = run_cli(capsys, "analyze", "--scenario", "ghz")
         assert (code, out, err) == (2, "", "bellodds: numerical failure: no finite answer\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_overflowing_k_exits_2(self, capsys, tmp_path, command):
+        # pi / (2k) overflows converting k to a float; simulate fails in its
+        # config, before the dump file opens
+        dump = tmp_path / "t.jsonl"
+        argv = [command, "--scenario", "chained", "--k", str(10**309)]
+        if command == "simulate":
+            argv += ["--dump-trajectories", str(dump)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("bellodds: numerical failure: ") and err.count("\n") == 1
+        assert not dump.exists()
 
     def test_module_entrypoint(self):
         proc = run_proc("analyze", "--scenario", "ghz")

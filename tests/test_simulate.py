@@ -313,9 +313,9 @@ class TestConfigValidation:
         assert all(map(np.array_equal, replication_summaries(by_pair), replication_summaries(by_spec)))
 
     def test_degenerate_pair_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"q = r = 0\.0: the outcome both theories forbid"):
             ghz_config(scenario=HypothesisPair(0.0, 0.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"q = r = 1\.0: the outcome both theories forbid"):
             ghz_config(scenario=HypothesisPair(1.0, 1.0))
 
     def test_replication_index_bounds(self):
