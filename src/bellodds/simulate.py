@@ -134,8 +134,8 @@ def trial_stream(master_seed: int, replication_index: int) -> np.random.Generato
     advancing index * 2**128 counter steps; at 4 draws per step, neighbours
     lie 2**130 draws apart.  Any replication can be generated on any worker,
     in any order, with identical results.  The batch walker (_draw) sets the
-    same key and counter.
-    """
+    same key and counter, and in blocks of _RAW_WIDTH trials or more decides
+    "yes" on the raw words these doubles are made from."""
     index = _check_int("replication_index", replication_index, 0, 2**32 - 1)
     seed = _check_int("master_seed", master_seed, 0, 2**64 - 1)  # the seeds Philox takes
     return np.random.Generator(np.random.Philox(seed).advance(index << 128))
@@ -156,6 +156,8 @@ _CHUNK_ROWS = 128
 #: 2 x 1 MB, so memory stays flat in the number of replications.  At least
 #: 8 x _CHUNK_ROWS, so a block is never narrower than 8 trials.
 _BLOCK_FLOATS = 128 * 1024
+#: Narrowest block whose "yes" flags _draw takes from raw words; below it, their extra call per row costs more.
+_RAW_WIDTH = 1024
 
 
 def _sized_block(distance: float, drift: float) -> int:
@@ -185,11 +187,15 @@ def _stop_rule(config: SimulationConfig) -> tuple:
     return p_true, (yes, no), falsifier, (lo, hi), sign * _kl(p_true, p_false)
 
 
-def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: int, draws: np.ndarray) -> None:
-    """Fills row i of draws with draws done + 1, done + 2, ... of the
-    substream of replication indices[i] under the run's key, from one
-    generator set to each counter in turn.  done must be a multiple of 4:
-    Philox makes 4 draws per counter step."""
+def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: int, draws: np.ndarray, p_true: float,
+          cut: np.uint64) -> np.ndarray:
+    """Row i's "yes" flags for draws done + 1, done + 2, ... of the substream
+    of replication indices[i] under the run's key, from one generator set to
+    each counter in turn (done a multiple of 4: Philox makes 4 draws per
+    counter step).  Rows narrower than _RAW_WIDTH compare doubles with
+    p_true; wider ones skip the float fill and compare the raw words with
+    cut, ceil(p_true * 2**53) << 11, which decides alike: a double is
+    (word >> 11) * 2**-53, and p_true * 2**53 is exact."""
     bit_generator, step, inner = gen.bit_generator, done // 4, {"counter": None, "key": key}
     state = {
         "bit_generator": "Philox",
@@ -199,10 +205,15 @@ def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: in
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for row, index in zip(draws, indices):
+    flags = np.empty(draws.shape, dtype=bool) if draws.shape[1] >= _RAW_WIDTH else None
+    for row, index in zip(draws if flags is None else flags, indices):
         inner["counter"] = [step, 0, index, 0]
         bit_generator.state = state
-        gen.random(out=row)
+        if flags is None:
+            gen.random(out=row)
+        else:
+            np.less(bit_generator.random_raw(row.size), cut, out=row)
+    return draws < p_true if flags is None else flags
 
 
 def _yes_counts(is_yes: np.ndarray, count: np.ndarray, m: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -232,10 +243,11 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
     Returns their stopping trials, int8 decision codes (indices into
     _DECISIONS) and final log Bayes factors.  Replications go in chunks of
     _CHUNK_ROWS, each drawn in blocks of a multiple of 8 trials (_draw) under
-    the run's one key, so every row gets exactly the draws of its trial_stream;
-    the last block may draw up to 7 trials past max_trials, which no walk
-    reaches.  A walk whose outcomes are certain (p_true is 0 or 1) makes no
-    draws, and every row walks as the first does.
+    the run's one key, so every row gets exactly the draws of its trial_stream
+    (raw words in blocks of _RAW_WIDTH or more); the last block may draw up
+    to 7 trials past max_trials, which no walk reaches.  A walk whose
+    outcomes are certain (p_true is 0 or 1) makes no draws, and every row
+    walks as the first does.
 
     Blocks are sized from the drift, the mean log D step under the true
     theory (_stop_rule).  Where it is finite and non-zero (no outcome of
@@ -268,12 +280,13 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
     if not certain:  # one Philox, whose key every replication shares
         gen = np.random.Generator(np.random.Philox(config.master_seed))
         key = gen.bit_generator.state["state"]["key"].tolist()
+        cut = np.uint64(math.ceil(p_true * 2.0**53) << 11)  # below 2**64, as p_true < 1
     stops = np.empty(stop - start, dtype=np.int64)
     finals = np.empty(stop - start)
     # one buffer for the walk, so the blocks do not grow and shrink the heap
-    # (which costs page faults): per block, half of it takes the draws, then
-    # the "yes" counts m and then log D in place, the other half the counts'
-    # words and then the "no" term
+    # (which costs page faults): per block, half of it takes the doubles of a
+    # block narrower than _RAW_WIDTH, then the "yes" counts m and then log D
+    # in place, the other half the counts' words and then the "no" term
     floats = min(_CHUNK_ROWS, stop - start) * min(_MAX_BLOCK, config.max_trials + 7)
     buffer = np.empty((2, min(floats, _BLOCK_FLOATS)))
     for base in range(start, stop, _CHUNK_ROWS):
@@ -285,10 +298,9 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
             n = np.arange(done + 1, done + width + 1, dtype=np.float64)
             draws, no_part = (half[: live.size * width].reshape(live.size, width) for half in buffer)
             if certain:  # draws < p_true has one value for every draw in [0, 1)
-                draws.fill(0.0)
+                is_yes = np.full(draws.shape, p_true == 1.0)
             else:
-                _draw(gen, key, (live + base).tolist(), done, draws)
-            is_yes = draws < p_true
+                is_yes = _draw(gen, key, (live + base).tolist(), done, draws, p_true, cut)
             m = _yes_counts(is_yes, count, draws, buffer[1])
             count = m[:, -1].copy()
             np.subtract(n, m, out=no_part)

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, strategies as st
 
 from bellodds import simulate
 from bellodds.bayes import LR, QM, HypothesisPair, TrialTally, kl_per_trial, log_bayes_factor, required_trials
-from bellodds.scenarios import ScenarioSpec, chained_pair, hardy_q
+from bellodds.scenarios import ScenarioSpec, chained_pair, hardy_optimize_r, hardy_q
 from bellodds.simulate import (
     INCONCLUSIVE,
     LR_REJECTED,
@@ -469,6 +470,56 @@ class TestSubstreams:
             assert np.array_equal(trial_stream(seed, index).random(16), jumped.random(16)), (seed, index)
 
 
+CUT_POINT_PS = [
+    2.0**-1074,
+    2.0**-53,
+    0.1,
+    0.25,
+    0.5,
+    1.0 - 2.0**-53,
+    hardy_q(),
+    chained_pair(2).q,
+    chained_pair(2).r,
+    chained_pair(4).q,
+    chained_pair(4).r,
+    hardy_optimize_r().r_opt,
+]
+
+
+def word_cut(p: float) -> int:
+    """The smallest raw Philox word whose double is not below p:
+    ceil(p * 2**53) << 11, from the exact rational p."""
+    return math.ceil(Fraction(p) * 2**53) << 11
+
+
+class TestWordCutPoint:
+    """Wide blocks decide "yes" on Philox's raw words (simulate._draw):
+    numpy's double is (word >> 11) * 2**-53, so draw < p exactly when
+    word < ceil(p * 2**53) << 11."""
+
+    @pytest.mark.parametrize("p", CUT_POINT_PS)
+    def test_words_beside_the_cut(self, p):
+        t = word_cut(p)
+        words = [0, t - 2049, t - 2048, t - 1, t, t + 1, t + 2047, 2**64 - 1]
+        for w in (w for w in words if 0 <= w < 2**64):
+            assert ((w >> 11) * 2.0**-53 < p) == (w < t), (p, w)
+
+    @pytest.mark.parametrize("p", CUT_POINT_PS)
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_word_flags_are_the_float_flags(self, p, seed):
+        # 4096 trials: _draw takes the word path
+        assert 4096 >= simulate._RAW_WIDTH
+        cut = np.uint64(word_cut(p))
+        gen = np.random.Generator(np.random.Philox(seed))
+        key = gen.bit_generator.state["state"]["key"].tolist()
+        for index in (0, 2**32 - 1):
+            expected = trial_stream(seed, index).random(4096) < p
+            raw = np.random.Philox(seed).advance(index << 128).random_raw(4096)
+            assert np.array_equal(raw < cut, expected), (seed, index)
+            flags = simulate._draw(gen, key, [index], 0, np.empty((1, 4096)), p, cut)
+            assert np.array_equal(flags[0], expected), (seed, index)
+
+
 def count_formula_walk(config: SimulationConfig, index: int) -> tuple[int, str, str]:
     """One trial at a time, log D from the counts: m * step_yes + (n - m) *
     step_no after n trials with m "yes", in Python floats, against the
@@ -525,6 +576,55 @@ class TestCountFormulaWalk:
     def test_matches_the_walker_bitwise(self, name, truth, max_trials):
         cfg = walk_config(name, truth, max_trials=max_trials, replications=20)
         assert batch_walk(cfg) == [count_formula_walk(cfg, i) for i in range(20)]
+
+    @pytest.mark.parametrize("truth", [QM, LR])
+    @pytest.mark.parametrize("p", [0.5, 0.75])
+    def test_a_word_path_block_with_the_cut_at_or_past_2_63(self, p, truth):
+        # zero drift, so blocks double from 64 to 512 and then one block of
+        # 1024 trials decides "yes" on raw words, against a cut of 2**63 at
+        # p = 1/2 (and 3 * 2**62 at 3/4): numpy must compare the uint64 words
+        # with a uint64 cut, not with a float
+        assert simulate._RAW_WIDTH <= 1024
+        cfg = SimulationConfig(HypothesisPair(p, p), truth, max_trials=2_001, master_seed=SEED, replications=20)
+        assert batch_walk(cfg) == [count_formula_walk(cfg, i) for i in range(20)]
+
+    @pytest.mark.parametrize("pair", [HypothesisPair(0.001, 0.0), HypothesisPair(0.999, 1.0)])
+    def test_a_falsifier_drawn_on_the_word_path(self, pair):
+        # QM true and an infinite drift, so blocks double from 64 trials and
+        # every trial past 960 is decided on raw words, with the cut near 0
+        # or near 2**64; the outcome LR forbids ("yes" at r = 0, "no" at
+        # r = 1) comes once in 1000 trials, so some walks end on it there
+        assert simulate._RAW_WIDTH <= 1024
+        cfg = SimulationConfig(pair, QM, max_trials=4_001, master_seed=SEED, replications=20)
+        walks = batch_walk(cfg)
+        assert walks == [count_formula_walk(cfg, i) for i in range(20)]
+        assert any(stop > 960 and decision == LR_REJECTED for stop, decision, _ in walks)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_a_first_draw_on_the_cut(self, index):
+        # p is the walk's first draw, then the next double up: trial 1 is
+        # "no", then "yes", and a cut one word group off flips it.  The drift
+        # is so small that the first block is the widest, so trial 1 is
+        # decided on raw words
+        draw = trial_stream(SEED, index).random()
+        for p in (draw, math.nextafter(draw, 1.0)):
+            pair = HypothesisPair(p, 0.99 * p)
+            assert simulate._sized_block(math.log(1e4), kl_per_trial(pair)) >= simulate._RAW_WIDTH
+            cfg = SimulationConfig(pair, QM, max_trials=10_000, master_seed=SEED, replications=index + 1)
+            assert batch_walk(cfg)[index] == count_formula_walk(cfg, index)
+
+    def test_a_word_on_the_cut(self):
+        # p is the double of a drawn word whose low 11 bits are 0, so that
+        # word is the cut itself and its trial is "no" (draw < p is false),
+        # which a walk taking word <= cut would count "yes"; the first block
+        # is the widest, as above
+        words = np.random.Philox(SEED).random_raw(5_000)
+        j = int(np.flatnonzero(words % 2048 == 0)[0])
+        p = (int(words[j]) >> 11) * 2.0**-53
+        cfg = SimulationConfig(HypothesisPair(p, 0.99 * p), QM, max_trials=5_000, master_seed=SEED, replications=1)
+        walks = batch_walk(cfg)
+        assert walks == [count_formula_walk(cfg, 0)]
+        assert walks[0][0] > j
 
     @pytest.mark.parametrize("truth", [QM, LR])
     def test_thresholds_on_and_beside_a_reached_log_d(self, truth):
@@ -672,6 +772,7 @@ def assert_layout_free(config: SimulationConfig, monkeypatch) -> None:
     monkeypatch.setattr(simulate, "_FIRST_BLOCK", 8)
     monkeypatch.setattr(simulate, "_MAX_BLOCK", 48)
     monkeypatch.setattr(simulate, "_BLOCK_FLOATS", 7 * 8 * 2)
+    monkeypatch.setattr(simulate, "_RAW_WIDTH", 24)  # blocks of 8-16 trials draw floats, 24-48 raw words
     assert all(np.array_equal(a, b) for a, b in zip(replication_summaries(config), default, strict=True))
 
 
@@ -682,12 +783,12 @@ def counted_draws(monkeypatch) -> dict:
     tally = {"rows": 0, "draws": 0, "first_widths": []}
     draw = simulate._draw
 
-    def counting(gen, key, indices, done, draws):
+    def counting(gen, key, indices, done, draws, *cut):
         tally["rows"] += len(indices)
         tally["draws"] += draws.size
         if done == 0:
             tally["first_widths"] += [draws.shape[1]] * len(indices)
-        draw(gen, key, indices, done, draws)
+        return draw(gen, key, indices, done, draws, *cut)
 
     monkeypatch.setattr(simulate, "_draw", counting)
     return tally
