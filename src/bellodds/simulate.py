@@ -158,6 +158,15 @@ _CHUNK_ROWS = 128
 _BLOCK_FLOATS = 128 * 1024
 #: Narrowest block whose "yes" flags _draw takes from raw words; below it, their extra call per row costs more.
 _RAW_WIDTH = 1024
+#: Trial counts below which _bounds caches a stop rule's count bounds; a
+#: block reaching past it builds its own, uncached.
+_BOUND_CAP = 2**16
+#: Most stop rules whose count bounds _bounds keeps, the least recently used
+#: going first.
+_BOUND_RULES = 8
+#: Count bounds per stop rule (yes, no, lo, hi): int32 arrays a and b over
+#: the trial counts 0, 1, ..., each below _BOUND_CAP (_count_bounds).
+_BOUNDS: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _sized_block(distance: float, drift: float) -> int:
@@ -185,6 +194,55 @@ def _stop_rule(config: SimulationConfig) -> tuple:
     lo = math.log(config.prior_odds / config.upper_threshold)
     hi = math.log(config.prior_odds / config.lower_threshold)
     return p_true, (yes, no), falsifier, (lo, hi), sign * _kl(p_true, p_false)
+
+
+def _log_d(m, n, yes: float, no: float):
+    """The walk's float log D after n trials with m "yes" outcomes:
+    fl(fl(m * yes) + fl((n - m) * no)), n - m exact below 2**53."""
+    return m * yes + (n - m) * no
+
+
+def _count_bounds(yes: float, no: float, lo: float, hi: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each trial count in n (float64), the "yes" counts a and b (float64)
+    such that a walk with m "yes" outcomes in n trials goes on exactly when
+    a < m < b, that is when lo < _log_d(m, n, yes, no) < hi.  Rounding is
+    monotone, so that float log D is monotone in m for a fixed n (yes and no
+    are of opposite signs or 0): each bound is the real-valued crossing, fixed
+    up by steps of one count until the float log D agrees."""
+    if yes < no:  # log D falls in m: negating it (exact) and the thresholds makes it rise
+        yes, no, lo, hi = -yes, -no, -hi, -lo
+
+    def last_below(t: float, below) -> np.ndarray:
+        """The largest m in [0, n] with below(log D, t), or -1."""
+        if yes == no:  # both steps 0: log D is 0 for every m
+            m = np.where(below(0.0, t), n, -1.0)
+        else:
+            m = np.clip(np.floor((t - n * no) / (yes - no)), -1.0, n)
+        while (up := (m < n) & below(_log_d(m + 1, n, yes, no), t)).any():
+            m += up
+        while (down := (m >= 0) & ~below(_log_d(m, n, yes, no), t)).any():
+            m -= down
+        return m
+
+    return last_below(lo, np.less_equal), last_below(hi, np.less) + 1
+
+
+def _bounds(rule: tuple[float, ...], start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """_count_bounds of rule (yes, no, lo, hi) for the trial counts
+    start..stop - 1, from _BOUNDS, which grows in windows of at most
+    _MAX_BLOCK trial counts up to _BOUND_CAP; past it they are built for the
+    caller alone.  The bounds are a pure function of the rule, so what the
+    cache holds never changes a walk."""
+    if stop > _BOUND_CAP:
+        return _count_bounds(*rule, np.arange(start, stop, dtype=np.float64))
+    a, b = _BOUNDS.pop(rule, None) or (np.empty(0, dtype=np.int32),) * 2
+    while a.size < stop:
+        n = np.arange(a.size, min(a.size + _MAX_BLOCK, _BOUND_CAP), dtype=np.float64)
+        a, b = (np.concatenate((old, new.astype(np.int32))) for old, new in zip((a, b), _count_bounds(*rule, n)))
+    _BOUNDS[rule] = a, b
+    while len(_BOUNDS) > _BOUND_RULES:
+        del _BOUNDS[next(iter(_BOUNDS))]
+    return a[start:stop], b[start:stop]
 
 
 def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: int, draws: np.ndarray, p_true: float,
@@ -222,7 +280,8 @@ def _yes_counts(is_yes: np.ndarray, count: np.ndarray, m: np.ndarray, scratch: n
     lanes times 0x0101010101010101 holds in byte j the count of lanes 0..j,
     in byte 7 its total.  The totals' running sum is each word's carry within
     the block (at most _MAX_BLOCK < 2**16), spread over 16-bit lanes, one
-    per trial.  The words go in scratch, flat float64 at least m's size."""
+    per trial.  The words go in scratch, flat float64 of at least 3/8 of m's
+    size."""
     rows, width = is_yes.shape
     words, flat = is_yes.view("<u8"), scratch.view("<u8")
     prefix = np.multiply(words, 0x0101010101010101, out=flat[: words.size].reshape(words.shape))
@@ -258,11 +317,15 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
     later one doubles.  Every block is capped at _MAX_BLOCK trials and at
     _BLOCK_FLOATS draws, the tighter cap once more than 21 rows are live.
 
-    After every trial the walk compares log D with ln(prior/upper) and
-    ln(prior/lower).  Log D after n trials with m "yes" outcomes is
-    (n - m) ln((1-q)/(1-r)) + m ln(q/r), a function of the counts alone, so
-    it does not depend on the block or chunk layout; the counts (_yes_counts)
-    are kept in float64, exact up to 2**53, which bounds max_trials.
+    After every trial the walk decides as if it compared log D with
+    ln(prior/upper) and ln(prior/lower).  Log D after n trials with m "yes"
+    outcomes is (n - m) ln((1-q)/(1-r)) + m ln(q/r) in floats (_log_d), a
+    function of the counts alone, so it does not depend on the block or chunk
+    layout, and that comparison is the integer one a(n) < m < b(n) against
+    count bounds tabulated once per n from the same expression (_count_bounds)
+    and cached per stop rule (_bounds).  Log D itself is formed only for a
+    walk's final and to size the next block.  The counts (_yes_counts) are
+    kept in float64, exact up to 2**53, which bounds max_trials.
 
     A walk stops at its first trial that reaches a threshold, that draws the
     one outcome able to falsify a theory (_stop_rule; the final log D is
@@ -284,53 +347,48 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
     stops = np.empty(stop - start, dtype=np.int64)
     finals = np.empty(stop - start)
     # one buffer for the walk, so the blocks do not grow and shrink the heap
-    # (which costs page faults): per block, half of it takes the doubles of a
-    # block narrower than _RAW_WIDTH, then the "yes" counts m and then log D
-    # in place, the other half the counts' words and then the "no" term
-    floats = min(_CHUNK_ROWS, stop - start) * min(_MAX_BLOCK, config.max_trials + 7)
-    buffer = np.empty((2, min(floats, _BLOCK_FLOATS)))
+    # (which costs page faults): per block, its head takes the doubles of a
+    # block narrower than _RAW_WIDTH and then the "yes" counts m, its tail
+    # (3/8 of the head) the counts' words
+    floats = min(min(_CHUNK_ROWS, stop - start) * min(_MAX_BLOCK, config.max_trials + 7), _BLOCK_FLOATS)
+    buffer = np.empty(floats + (3 * floats + 7) // 8)
     for base in range(start, stop, _CHUNK_ROWS):
         live = np.arange(min(_CHUNK_ROWS, stop - base))  # chunk rows still walking
         count = np.zeros(live.size)  # "yes" outcomes so far
         done, block = 0, _sized_block(abs(target), drift) if sized else _FIRST_BLOCK
         while live.size:
             width = min(block, _BLOCK_FLOATS // live.size // 8 * 8, (config.max_trials - done + 7) & -8)
-            n = np.arange(done + 1, done + width + 1, dtype=np.float64)
-            draws, no_part = (half[: live.size * width].reshape(live.size, width) for half in buffer)
+            draws = buffer[: live.size * width].reshape(live.size, width)
             if certain:  # draws < p_true has one value for every draw in [0, 1)
                 is_yes = np.full(draws.shape, p_true == 1.0)
             else:
                 is_yes = _draw(gen, key, (live + base).tolist(), done, draws, p_true, cut)
-            m = _yes_counts(is_yes, count, draws, buffer[1])
+            m = _yes_counts(is_yes, count, draws, buffer[floats:])
             count = m[:, -1].copy()
-            np.subtract(n, m, out=no_part)
-            no_part *= no
-            log_d = np.multiply(m, yes, out=m)
-            log_d += no_part
-            stopped = log_d >= hi
-            stopped |= log_d <= lo
+            a, b = _bounds((yes, no, lo, hi), done + 1, done + width + 1)
+            stopped = m <= a
+            stopped |= m >= b
             if falsifier is not None:
                 stopped |= is_yes == falsifier
             if done + width >= config.max_trials:
                 stopped[:, config.max_trials - done - 1] = True
-            done += width
             first = stopped.argmax(axis=1)
             ended = stopped[np.arange(live.size), first]
-            walking = slice(None)  # every row, unless one ended
             if ended.any():
-                walking = ~ended
                 rows, first = ended.nonzero()[0], first[ended]
                 at = live[ended] + (base - start)
-                stops[at] = n[first]
-                final = log_d[rows, first]
+                n = first + (done + 1)
+                stops[at] = n
+                final = _log_d(m[rows, first], n, yes, no)
                 if falsifier is not None:
                     final[is_yes[rows, first] == falsifier] = drift
                 finals[at] = final
-                live, count = live[walking], count[walking]
+                live, count = live[~ended], count[~ended]
+            done += width
             if not sized:
                 block = min(2 * block, _MAX_BLOCK)
             elif live.size:
-                block = _sized_block(np.abs(target - log_d[walking, -1]).max(), drift)
+                block = _sized_block(np.abs(target - _log_d(count, done, yes, no)).max(), drift)
     codes = np.zeros(stop - start, dtype=np.int8)
     codes[finals >= hi] = 1
     codes[finals <= lo] = 2
@@ -351,8 +409,7 @@ def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajecto
     p_true, (yes, no), *_ = rule = _stop_rule(config)
     (stop,), (code,), (final,) = (column.tolist() for column in _walk(config, index, index + 1, rule))
     outcomes = trial_stream(config.master_seed, index).random(stop) < p_true
-    m, n = np.cumsum(outcomes), np.arange(1, stop + 1)
-    cumulative = m * yes + (n - m) * no
+    cumulative = _log_d(np.cumsum(outcomes), np.arange(1, stop + 1), yes, no)
     cumulative[-1] = final  # +-inf if the last outcome falsified a theory
     return Trajectory(outcomes, cumulative, _DECISIONS[code], stop)
 

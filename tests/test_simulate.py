@@ -1,6 +1,7 @@
 """Sequential-experiment simulations: deterministic walks, statistical
 convergence against closed-form oracles, and the determinism contract."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -708,6 +709,151 @@ class TestYesCounts:
         assert m.tolist() == [[1.0] * 9 + [2.0] + [3.0] * 6, [5.0] * 7 + [6.0] + [7.0] * 8]
 
 
+def scanned_bounds(yes: float, no: float, lo: float, hi: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """a(n) and b(n) for n = 0..n_max from every m in [0, n] through the
+    walk's float log D, m * yes + (n - m) * no: where log D rises in m, a is
+    the last m at or below lo and b the first at or above hi, and where it
+    falls the other way round (-1 and n + 1 when there is none).  Each n's
+    set of m that go on must be a < m < b."""
+    a, b = np.empty(n_max + 1), np.empty(n_max + 1)
+    for n0 in range(0, n_max + 1, 64):
+        n = np.arange(n0, min(n0 + 64, n_max + 1), dtype=np.float64)[:, None]
+        m = np.arange(n[-1, 0] + 1)[None, :]
+        log_d, valid = m * yes + (n - m) * no, m <= n
+        low, high = (log_d <= lo, log_d >= hi) if yes >= no else (log_d >= hi, log_d <= lo)
+        a[n0 : n0 + n.size] = np.where(valid & low, m, -1.0).max(axis=1)
+        b[n0 : n0 + n.size] = np.where(valid & high, m, n + 1).min(axis=1)
+        goes_on = valid & (log_d > lo) & (log_d < hi)
+        assert np.array_equal(goes_on, valid & (a[n0 : n0 + n.size, None] < m) & (m < b[n0 : n0 + n.size, None]))
+    return a, b
+
+
+def rule_of(config: SimulationConfig) -> tuple[float, float, float, float]:
+    """The (yes, no, lo, hi) that simulate._count_bounds and _bounds take."""
+    _, steps, _, thresholds, _ = simulate._stop_rule(config)
+    return (*steps, *thresholds)
+
+
+class TestCountBounds:
+    """simulate._count_bounds against a scan of every count, for n <= 3000."""
+
+    @staticmethod
+    def assert_scanned(rule: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+        a, b = simulate._count_bounds(*rule, np.arange(3_001, dtype=np.float64))
+        expected = scanned_bounds(*rule, 3_000)
+        assert np.array_equal(a, expected[0]) and np.array_equal(b, expected[1]), rule
+        return a, b
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            ScenarioSpec("chained", k=2),  # log D falls in m
+            HypothesisPair(0.7, 0.3),  # and rises
+            ScenarioSpec("ghz"),  # rises, its "no" step infinite and zeroed
+            ScenarioSpec("hardy-naive"),  # rises, its "yes" step zeroed
+            HypothesisPair(0.001, 0.0),  # rises, its "yes" step zeroed
+            HypothesisPair(0.999, 1.0),  # falls, its "no" step zeroed
+        ],
+    )
+    def test_matches_the_scan(self, scenario):
+        # the rule is the same whichever theory is true
+        self.assert_scanned(rule_of(SimulationConfig(scenario)))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_a_threshold_at_a_reached_log_d_of_a_random_pair(self, seed):
+        # a threshold equal to the float log D of some (n, m), however far
+        # from the prior: there the real-valued crossing can round to the
+        # count on either side of the bound, and only the fix-up finds it
+        rng = np.random.default_rng(seed)
+        q, r = rng.random(2)
+        yes, no, lo, hi = rule_of(SimulationConfig(HypothesisPair(q, r)))
+        n = int(rng.integers(10, 3_000))
+        x = simulate._log_d(int(rng.integers(0, n + 1)), n, yes, no)
+        self.assert_scanned((yes, no, lo, x) if x >= 0 else (yes, no, x, hi))
+
+    def test_equal_steps_have_no_bounds(self):
+        # q = r: log D is 0 at every count, inside the thresholds
+        a, b = self.assert_scanned(rule_of(SimulationConfig(HypothesisPair(0.3, 0.3))))
+        assert (a == -1).all() and np.array_equal(b, np.arange(3_002.0)[1:])
+
+    @pytest.mark.parametrize("side", ["lower_threshold", "upper_threshold"])
+    def test_thresholds_on_and_beside_a_reached_log_d(self, side):
+        # chained k=2's log D falls in m: at n = 200 it is about 12.6 at
+        # m = 20 and -7.4 at m = 50.  With ln(prior/lower) there, or one ulp
+        # below, a(200) = 20 (m = 20 stops), and one ulp above 19; with
+        # ln(prior/upper) there, or one ulp above, b(200) = 50, and one ulp
+        # below 51
+        yes, no, *_ = rule_of(SimulationConfig(ScenarioSpec("chained", k=2)))
+        m = 20 if side == "lower_threshold" else 50
+        x = m * yes + (200 - m) * no
+        found = []
+        for target in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)):
+            cfg = SimulationConfig(ScenarioSpec("chained", k=2), **{side: threshold_at(100.0, target)})
+            found.append(self.assert_scanned(rule_of(cfg))[side == "upper_threshold"][200])
+        assert found == ([20, 20, 19] if side == "lower_threshold" else [51, 50, 50])
+
+    def test_a_tie_rounds_below_the_threshold(self):
+        # (1, 0.1) at 100/0.01: 4 ln 10 = 9.210340371976182 rounds below
+        # ln(1e4) = 9.210340371976184, so 4 "yes" in 4 trials go on and the
+        # walk stops at trial 5
+        cfg = SimulationConfig(HypothesisPair(1.0, 0.1), replications=3)
+        _, b = self.assert_scanned(rule_of(cfg))
+        assert b[4] == 5 and b[5] == 5
+        assert replication_summaries(cfg)[0].tolist() == [5, 5, 5]
+
+
+def walk_columns_equal(x: tuple[np.ndarray, ...], y: tuple[np.ndarray, ...]) -> bool:
+    return all(np.array_equal(a, b) for a, b in zip(x, y, strict=True))
+
+
+class TestBoundCache:
+    """simulate._bounds caches each stop rule's count bounds; what the cache
+    holds never changes a walk."""
+
+    def test_cold_and_warm(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_BOUNDS", {})
+        cfg = walk_config("chained-k2", LR, upper_threshold=1e100, max_trials=10_000, replications=12)
+        cold = replication_summaries(cfg)
+        assert list(simulate._BOUNDS) == [rule_of(cfg)]
+        assert walk_columns_equal(replication_summaries(cfg), cold)
+
+    def test_after_other_rules_fill_and_evict_the_cache(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_BOUNDS", {})
+        cfg = walk_config("hardy-paper", QM, max_trials=2_001, replications=40)
+        others = [replace(cfg, upper_threshold=1e6 * (i + 2)) for i in range(simulate._BOUND_RULES)]
+        cold = replication_summaries(cfg)
+        for other in others[1:]:  # the cache fills; cfg's rule is the oldest
+            replication_summaries(other)
+        assert len(simulate._BOUNDS) == simulate._BOUND_RULES and rule_of(cfg) in simulate._BOUNDS
+        assert walk_columns_equal(replication_summaries(cfg), cold)
+        for other in others:  # cfg's rule goes
+            replication_summaries(other)
+        assert rule_of(cfg) not in simulate._BOUNDS
+        assert walk_columns_equal(replication_summaries(cfg), cold)
+
+    def test_bounded_in_rules_and_in_trials(self, monkeypatch):
+        # zero drift: blocks of 64, 128, ... trials, against a cap of 100,
+        # and walks that run to max_trials
+        monkeypatch.setattr(simulate, "_BOUNDS", {})
+        monkeypatch.setattr(simulate, "_BOUND_CAP", 100)
+        configs = [
+            walk_config("q=r", LR, upper_threshold=1e6 * (i + 2), max_trials=2_001, replications=5)
+            for i in range(simulate._BOUND_RULES + 3)
+        ]
+        for cfg in configs:
+            assert replication_summaries(cfg)[0].tolist() == [2_001] * 5
+        assert list(simulate._BOUNDS) == [rule_of(cfg) for cfg in configs[3:]]
+        assert all(bounds.size == 100 and bounds.dtype == np.int32 for ab in simulate._BOUNDS.values() for bounds in ab)
+
+    def test_cached_windows_are_the_builder_s(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_BOUNDS", {})
+        rule = rule_of(walk_config("hardy-naive", QM))
+        built = simulate._count_bounds(*rule, np.arange(20_000.0))
+        for start, stop in ((1, 100), (50, 7_000), (6_000, 20_000), (1, 20_000)):
+            window = simulate._bounds(rule, start, stop)
+            assert all(np.array_equal(w, x[start:stop]) for w, x in zip(window, built, strict=True)), (start, stop)
+
+
 def stops_and_decisions(config: SimulationConfig) -> list[tuple[int, str]]:
     stops, codes, _ = replication_summaries(config)
     return [(stop, simulate._DECISIONS[code]) for stop, code in zip(stops.tolist(), codes.tolist())]
@@ -773,6 +919,10 @@ def assert_layout_free(config: SimulationConfig, monkeypatch) -> None:
     monkeypatch.setattr(simulate, "_MAX_BLOCK", 48)
     monkeypatch.setattr(simulate, "_BLOCK_FLOATS", 7 * 8 * 2)
     monkeypatch.setattr(simulate, "_RAW_WIDTH", 24)  # blocks of 8-16 trials draw floats, 24-48 raw words
+    # an empty bound cache, grown in windows of 48 trial counts up to 64;
+    # blocks reaching past trial 64 build their count bounds uncached
+    monkeypatch.setattr(simulate, "_BOUNDS", {})
+    monkeypatch.setattr(simulate, "_BOUND_CAP", 64)
     assert all(np.array_equal(a, b) for a, b in zip(replication_summaries(config), default, strict=True))
 
 
@@ -915,8 +1065,52 @@ class TestMemory:
         cfg = walk_config("chained-k2", QM, replications=20_000)
         assert traced_peak(lambda c: summarize(replication_summaries(c)), cfg) <= 3_000_000
 
+    def test_a_long_lr_true_walk(self):
+        # lr-long's shape: 10 walks of 3.5k-9k trials in blocks of up to
+        # 6144, with the rule's count bounds cached by the warm-up (0.93 MB)
+        cfg = walk_config("chained-k2", LR, upper_threshold=1e100, replications=10)
+        assert traced_peak(run_replications, cfg) <= 3_000_000
+
+    def test_a_walk_past_the_bound_cap(self):
+        # every block past trial 2**16 builds its count bounds, at most
+        # _MAX_BLOCK of them, for itself (0.69 MB)
+        cfg = SimulationConfig(HypothesisPair(0.5, 0.5), max_trials=300_000, master_seed=SEED, replications=3)
+        assert cfg.max_trials > simulate._BOUND_CAP
+        assert traced_peak(run_replications, cfg) <= 3_000_000
+
     def test_columns_at_many_replications(self):
         # ghz at 200k reps: the stops and finals take 3.2 MB, the walk's
         # buffer 2.1 MB, the int8 codes and a mask 0.2 MB each (5.71 MB in
         # all); int64 codes from a nested np.where reach 8.72 MB
         assert traced_peak(replication_summaries, ghz_config(replications=200_000, max_trials=100_000)) <= 6_500_000
+
+
+class TestPinnedColumns:
+    """The walker's columns over 468 configurations, hashed.  The digest was
+    taken from the walker that compared float log D with the thresholds
+    after every trial; its count bounds must decide and end every walk as
+    that compare did, bit for bit."""
+
+    DIGEST = "3b1f3f2aa78f0da17b8c02c39e16bfd271f5c38459bfe378c80f9f8c6160011d"
+    SCENARIOS = [
+        ScenarioSpec("ghz"),
+        ScenarioSpec("chained", k=2),
+        ScenarioSpec("chained", k=4),
+        ScenarioSpec("chained", k=7),
+        ScenarioSpec("hardy"),
+        ScenarioSpec("hardy", hardy_mode="literal"),
+        ScenarioSpec("hardy-naive"),
+        *(HypothesisPair(q, r) for q, r in ((1.0, 0.1), (0.3, 0.7), (0.5, 0.5), (0.0, 0.4), (0.9, 1.0), (1.0, 0.5))),
+    ]
+
+    def test_sweep_digest(self):
+        digest = hashlib.sha256()
+        for scenario in self.SCENARIOS:
+            for truth in (QM, LR):
+                for thresholds in ((100.0, 0.01, 1e6), (100.0, 0.01, 1e100), (1.0, 0.25, 4.0)):
+                    for max_trials in (30, 2_001, 100_000):
+                        for seed in (0, 2**63):
+                            cfg = SimulationConfig(scenario, truth, *thresholds, max_trials, seed, 40)
+                            for stop, code, final in zip(*(c.tolist() for c in replication_summaries(cfg))):
+                                digest.update(f"{stop} {code} {final.hex()}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
