@@ -11,6 +11,8 @@ of the configuration no matter how replications are scheduled.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +137,9 @@ def trial_stream(master_seed: int, replication_index: int) -> np.random.Generato
     lie 2**130 draws apart.  Any replication can be generated on any worker,
     in any order, with identical results.  The batch walker (_draw) sets the
     same key and counter, and in blocks of _RAW_WIDTH trials or more decides
-    "yes" on the raw words these doubles are made from."""
+    "yes" on the raw words these doubles are made from, some of whose rows a
+    helper thread may fill: a row's words depend on its key and counter
+    alone, not on the thread that draws them."""
     index = _check_int("replication_index", replication_index, 0, 2**32 - 1)
     seed = _check_int("master_seed", master_seed, 0, 2**64 - 1)  # the seeds Philox takes
     return np.random.Generator(np.random.Philox(seed).advance(index << 128))
@@ -158,6 +162,12 @@ _CHUNK_ROWS = 128
 _BLOCK_FLOATS = 128 * 1024
 #: Narrowest block whose "yes" flags _draw takes from raw words; below it, their extra call per row costs more.
 _RAW_WIDTH = 1024
+#: Fewest draws (rows x width) of a raw-word block whose rows _draw shares
+#: with the fill helper thread (_FillHelper); below it the hand-off costs
+#: more than the half fill it saves.
+_SPLIT_DRAWS = 2**15
+#: CPUs the process may run on; on one, _draw fills every row itself.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 #: Trial counts below which _bounds caches a stop rule's count bounds; a
 #: block reaching past it builds its own, uncached.
 _BOUND_CAP = 2**16
@@ -245,16 +255,14 @@ def _bounds(rule: tuple[float, ...], start: int, stop: int) -> tuple[np.ndarray,
     return a[start:stop], b[start:stop]
 
 
-def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: int, draws: np.ndarray, p_true: float,
-          cut: np.uint64) -> np.ndarray:
-    """Row i's "yes" flags for draws done + 1, done + 2, ... of the substream
-    of replication indices[i] under the run's key, from one generator set to
-    each counter in turn (done a multiple of 4: Philox makes 4 draws per
-    counter step).  Rows narrower than _RAW_WIDTH compare doubles with
-    p_true; wider ones skip the float fill and compare the raw words with
-    cut, ceil(p_true * 2**53) << 11, which decides alike: a double is
-    (word >> 11) * 2**-53, and p_true * 2**53 is exact."""
-    bit_generator, step, inner = gen.bit_generator, done // 4, {"counter": None, "key": key}
+def _fill(gen: np.random.Generator, key: list[int], indices: list[int], step: int, rows: np.ndarray,
+          cut: np.uint64) -> None:
+    """Fills row i of rows from the substream of replication indices[i] under
+    the run's key, from Philox counter step on, with gen set to each counter
+    in turn: a float64 row with its doubles, a bool row with its raw words'
+    "yes" flags, word < cut.  A row's draws depend on its key and counter
+    alone, not on gen's own seed."""
+    bit_generator, inner, raw = gen.bit_generator, {"counter": None, "key": key}, rows.dtype == bool
     state = {
         "bit_generator": "Philox",
         "state": inner,
@@ -263,15 +271,102 @@ def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: in
         "has_uint32": 0,
         "uinteger": 0,
     }
-    flags = np.empty(draws.shape, dtype=bool) if draws.shape[1] >= _RAW_WIDTH else None
-    for row, index in zip(draws if flags is None else flags, indices):
+    for row, index in zip(rows, indices):
         inner["counter"] = [step, 0, index, 0]
         bit_generator.state = state
-        if flags is None:
-            gen.random(out=row)
-        else:
+        if raw:
             np.less(bit_generator.random_raw(row.size), cut, out=row)
-    return draws < p_true if flags is None else flags
+        else:
+            gen.random(out=row)
+
+
+class _FillHelper:
+    """A daemon thread that runs _fill on its own generator, one job at a
+    time, while the walk's thread fills the other rows of the block: Philox's
+    C loop runs without the GIL, so the two fills overlap.  busy is held from
+    a job's post until the thread has finished it."""
+
+    def __init__(self) -> None:
+        self.pid = os.getpid()  # a forked child has no thread behind this object
+        self.gen = np.random.Generator(np.random.Philox(0))
+        self.busy = threading.Lock()
+        self.posted = threading.Lock()
+        self.posted.acquire()
+        self.job: list = []  # _fill's arguments, a lock released once they are filled, the error if one was raised
+        threading.Thread(target=self._run, name="bellodds-fill", daemon=True).start()
+
+    def _run(self) -> None:
+        while True:
+            self.posted.acquire()
+            job = self.job
+            try:
+                _fill(self.gen, *job[0])
+            except BaseException as error:  # handed to the walk's thread, which raises it
+                job[2] = error
+            job[1].release()
+            self.busy.release()
+
+    def fill(self, gen: np.random.Generator, key: list[int], indices: list[int], step: int, rows: np.ndarray,
+             cut: np.uint64) -> bool:
+        """_fill of every row, the second half's on the thread; False, having
+        filled nothing, while another walk holds the thread."""
+        if not self.busy.acquire(blocking=False):
+            return False
+        half, finished = (len(indices) + 1) // 2, threading.Lock()
+        finished.acquire()
+        self.job = job = [(key, indices[half:], step, rows[half:], cut), finished, None]
+        self.posted.release()
+        try:
+            _fill(gen, key, indices[:half], step, rows[:half], cut)
+        finally:
+            finished.acquire()  # the thread's rows are written, or it failed
+        if job[2] is not None:
+            raise job[2]
+        return True
+
+
+#: The fill helper _helper started, with the pid of its process.
+_HELPER: _FillHelper | None = None
+#: Held while _helper starts one.
+_STARTING = threading.Lock()
+
+
+def _helper() -> _FillHelper | None:
+    """This process's fill helper, started on first use (again in a forked
+    child), or None while another thread starts it."""
+    global _HELPER
+    if _HELPER is None or _HELPER.pid != os.getpid():
+        if not _STARTING.acquire(blocking=False):
+            return None
+        try:
+            if _HELPER is None or _HELPER.pid != os.getpid():
+                _HELPER = _FillHelper()
+        finally:
+            _STARTING.release()
+    return _HELPER
+
+
+def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: int, draws: np.ndarray, p_true: float,
+          cut: np.uint64) -> np.ndarray:
+    """Row i's "yes" flags for draws done + 1, done + 2, ... of the substream
+    of replication indices[i] under the run's key (_fill; done a multiple of
+    4: Philox makes 4 draws per counter step).  Rows narrower than
+    _RAW_WIDTH compare doubles with p_true; wider ones skip the float fill
+    and compare the raw words with cut, ceil(p_true * 2**53) << 11, which
+    decides alike: a double is (word >> 11) * 2**-53, and p_true * 2**53 is
+    exact.  A block of raw words with two rows or more and _SPLIT_DRAWS
+    draws or more, in a process that may run on more than one CPU, gives
+    half its rows to the fill helper thread, unless another walk holds it;
+    the flags are the same either way."""
+    step = done // 4
+    if draws.shape[1] < _RAW_WIDTH:
+        _fill(gen, key, indices, step, draws, cut)
+        return draws < p_true
+    flags = np.empty(draws.shape, dtype=bool)
+    helper = _helper() if len(indices) > 1 and flags.size >= _SPLIT_DRAWS and _CPUS > 1 else None
+    if helper is None or not helper.fill(gen, key, indices, step, flags, cut):
+        _fill(gen, key, indices, step, flags, cut)
+    return flags
 
 
 def _yes_counts(is_yes: np.ndarray, count: np.ndarray, m: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -303,10 +398,11 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
     _DECISIONS) and final log Bayes factors.  Replications go in chunks of
     _CHUNK_ROWS, each drawn in blocks of a multiple of 8 trials (_draw) under
     the run's one key, so every row gets exactly the draws of its trial_stream
-    (raw words in blocks of _RAW_WIDTH or more); the last block may draw up
-    to 7 trials past max_trials, which no walk reaches.  A walk whose
-    outcomes are certain (p_true is 0 or 1) makes no draws, and every row
-    walks as the first does.
+    (raw words in blocks of _RAW_WIDTH or more, half of whose rows a helper
+    thread may fill, with the same words); the last block may draw up to 7
+    trials past max_trials, which no walk reaches.  The walk itself runs on
+    the caller's thread.  A walk whose outcomes are certain (p_true is 0 or
+    1) makes no draws, and every row walks as the first does.
 
     Blocks are sized from the drift, the mean log D step under the true
     theory (_stop_rule).  Where it is finite and non-zero (no outcome of

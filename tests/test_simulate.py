@@ -3,6 +3,11 @@ convergence against closed-form oracles, and the determinism contract."""
 
 import hashlib
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -944,6 +949,31 @@ def counted_draws(monkeypatch) -> dict:
     return tally
 
 
+#: lr-long's shape: 10 walks of 3.5k-9k trials, in blocks of up to 6144 raw words
+WIDE = walk_config("chained-k2", LR, upper_threshold=1e100, replications=10)
+
+
+def share_fills(monkeypatch, on: bool) -> None:
+    """Every raw-word block of two rows or more shares its fill with the
+    helper thread (on), also on one CPU, or none does."""
+    monkeypatch.setattr(simulate, "_SPLIT_DRAWS", 0 if on else 2**62)
+    monkeypatch.setattr(simulate, "_CPUS", 2)
+
+
+def filling_threads(monkeypatch) -> list[int]:
+    """Wraps simulate._fill; the returned list gets the thread id of each
+    call."""
+    idents = []
+    fill = simulate._fill
+
+    def recording(*args):
+        idents.append(threading.get_ident())
+        return fill(*args)
+
+    monkeypatch.setattr(simulate, "_fill", recording)
+    return idents
+
+
 class TestDrawsPerReplication:
     def test_ghz_qm_true_stops_at_33_without_draws(self, monkeypatch):
         # QM says "yes" with certainty, so every walk stops at trial 33
@@ -1016,6 +1046,24 @@ class TestDrawsPerReplication:
         monkeypatch.setattr(np.random, "Philox", counting)
         replication_summaries(walk_config("chained-k2", QM, replications=300))
         assert built == [(SEED,)]
+
+    def test_a_wide_walk_builds_one_philox(self, monkeypatch):
+        # LR-true walks whose blocks share their rows with the fill helper:
+        # each walk builds Philox(master_seed), and the helper's generator,
+        # whose seed no draw reads, is built once, on the first shared block
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        share_fills(monkeypatch, True)
+        monkeypatch.setattr(simulate, "_HELPER", None)
+        monkeypatch.setattr(np.random, "Philox", counting)
+        for _ in range(2):
+            replication_summaries(WIDE)
+        assert built == [(SEED,), (0,), (SEED,)]
 
     def test_first_block_is_sized_from_the_drift(self, monkeypatch):
         # hardy with QM true draws; 1.25 x ln(1e4) / KL = 337.02 rounds up to 344
@@ -1114,3 +1162,187 @@ class TestPinnedColumns:
                             for stop, code, final in zip(*(c.tolist() for c in replication_summaries(cfg))):
                                 digest.update(f"{stop} {code} {final.hex()}\n".encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+def columns(config: SimulationConfig) -> list[list]:
+    """replication_summaries' stops, codes and finals, these as float.hex."""
+    stops, codes, finals = replication_summaries(config)
+    return [stops.tolist(), codes.tolist(), [final.hex() for final in finals.tolist()]]
+
+
+def bounded(run, timeout: float = 120.0):
+    """run() on a new thread, joined with a timeout, so that a deadlock fails
+    the test instead of hanging it: run's result, or its exception raised here."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = run()
+        except Exception as error:
+            out["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"no return within {timeout} s"
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+def serial_and_shared(config: SimulationConfig, monkeypatch) -> tuple[list, list, list[int]]:
+    """config's columns with no block's fill shared, then with every raw-word
+    block of two rows or more sharing it, and the threads that filled rows
+    in the second walk."""
+    share_fills(monkeypatch, False)
+    serial = columns(config)
+    share_fills(monkeypatch, True)
+    idents = filling_threads(monkeypatch)
+    return serial, columns(config), idents
+
+
+class TestSharedFill:
+    """Raw-word blocks of two rows or more may fill half their rows on the
+    fill helper thread (simulate._FillHelper).  A row's words depend on its
+    key and counter alone, so the walker's columns are the same, byte for
+    byte, whichever thread draws which row."""
+
+    @pytest.mark.parametrize("truth", [QM, LR])
+    @pytest.mark.parametrize("scenario", TestPinnedColumns.SCENARIOS, ids=repr)
+    def test_pinned_scenarios_far_upper_threshold(self, scenario, truth, monkeypatch):
+        cfg = SimulationConfig(scenario, truth, 100.0, 0.01, 1e100, 100_000, SEED, 40)
+        serial, shared, _ = serial_and_shared(cfg, monkeypatch)
+        assert shared == serial
+
+    @pytest.mark.parametrize("replications", [2, 3, 41, 129])
+    def test_row_counts(self, replications, monkeypatch):
+        # odd halves, and at 129 a chunk of 128 rows (blocks of 1024 trials)
+        # and one of a single row, which fills alone
+        serial, shared, idents = serial_and_shared(replace(WIDE, replications=replications), monkeypatch)
+        assert shared == serial
+        assert len(set(idents)) == 2
+
+    def test_max_trials_inside_a_shared_block(self, monkeypatch):
+        # one 2504-trial block, whose walks end at trial 2500 at the latest
+        serial, shared, idents = serial_and_shared(replace(WIDE, max_trials=2_500), monkeypatch)
+        assert shared == serial
+        assert 2_500 in serial[0] and len(set(idents)) == 2
+
+    def test_an_error_on_the_helper_reaches_the_walk(self, monkeypatch):
+        share_fills(monkeypatch, False)
+        serial = columns(WIDE)
+        share_fills(monkeypatch, True)
+        fill, walkers = simulate._fill, []
+
+        def failing(gen, key, indices, *rest):
+            if threading.get_ident() not in walkers:
+                raise RuntimeError("the helper's fill failed")
+            return fill(gen, key, indices, *rest)
+
+        def walk():
+            walkers.append(threading.get_ident())
+            return columns(WIDE)
+
+        monkeypatch.setattr(simulate, "_fill", failing)
+        with pytest.raises(RuntimeError, match="the helper's fill failed"):
+            bounded(walk)
+        monkeypatch.setattr(simulate, "_fill", fill)
+        idents = filling_threads(monkeypatch)
+        assert bounded(walk) == serial
+        assert len(set(idents)) == 2
+
+    def test_walks_on_several_threads_at_once(self, monkeypatch):
+        # four user threads on the helper, switching every 10 us: a walk
+        # that finds the helper busy fills its rows itself
+        configs = [replace(WIDE, master_seed=seed) for seed in range(4)]
+        share_fills(monkeypatch, False)
+        serial = [columns(cfg) for cfg in configs]
+        share_fills(monkeypatch, True)
+        results = [None] * len(configs)
+
+        def work(i):
+            results[i] = [columns(configs[i]) for _ in range(3)]
+
+        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[walk] * 3 for walk in serial]
+
+    def test_a_walk_that_finds_the_helper_busy_fills_alone(self, monkeypatch):
+        serial, _, idents = serial_and_shared(WIDE, monkeypatch)
+        helper = simulate._helper()
+        assert helper.busy.acquire(timeout=60)
+        idents.clear()
+        try:
+            assert bounded(lambda: columns(WIDE)) == serial
+        finally:
+            helper.busy.release()
+        assert len(set(idents)) == 1
+        idents.clear()
+        assert bounded(lambda: columns(WIDE)) == serial
+        assert len(set(idents)) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_helper(self, monkeypatch):
+        serial, shared, _ = serial_and_shared(WIDE, monkeypatch)
+        parent = simulate._HELPER
+        assert shared == serial and parent.pid == os.getpid()
+        with warnings.catch_warnings():
+            # from Python 3.12 os.fork warns that the child of a process with
+            # threads may deadlock: the child gets none of them, the helper
+            # included, which is what this test is about
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                idents = filling_threads(monkeypatch)
+                helped = columns(WIDE) == serial and len(set(idents)) == 2
+                status = 0 if helped and simulate._HELPER is not parent and simulate._HELPER.pid == os.getpid() else 1
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 120
+        while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if waited[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's walk did not return within 120 s")
+        assert os.waitstatus_to_exitcode(waited[1]) == 0
+
+    @pytest.mark.parametrize(
+        "gate, config",
+        [
+            ({"_SPLIT_DRAWS": 2**62}, WIDE),
+            ({"_CPUS": 1}, WIDE),
+            ({}, replace(WIDE, replications=1)),
+            ({}, walk_config("chained-k2", QM, replications=100)),  # blocks below _RAW_WIDTH
+        ],
+        ids=["few-draws", "one-cpu", "one-row", "narrow"],
+    )
+    def test_a_walk_the_gate_keeps_alone_starts_no_thread(self, gate, config, monkeypatch):
+        share_fills(monkeypatch, True)
+        for name, value in gate.items():
+            monkeypatch.setattr(simulate, name, value)
+        monkeypatch.setattr(simulate, "_HELPER", None)
+        threads = threading.active_count()
+        replication_summaries(config)
+        assert threading.active_count() == threads
+        assert simulate._HELPER is None
+
+    def test_the_first_shared_block_starts_the_helper(self, monkeypatch):
+        share_fills(monkeypatch, True)
+        monkeypatch.setattr(simulate, "_HELPER", None)
+        threads = threading.active_count()
+        for _ in range(2):
+            replication_summaries(WIDE)
+        assert threading.active_count() == threads + 1
+        assert simulate._HELPER.pid == os.getpid()
