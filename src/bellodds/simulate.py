@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -137,9 +138,10 @@ def trial_stream(master_seed: int, replication_index: int) -> np.random.Generato
     lie 2**130 draws apart.  Any replication can be generated on any worker,
     in any order, with identical results.  The batch walker (_draw) sets the
     same key and counter, and in blocks of _RAW_WIDTH trials or more decides
-    "yes" on the raw words these doubles are made from, some of whose rows a
-    helper thread may fill: a row's words depend on its key and counter
-    alone, not on the thread that draws them."""
+    "yes" on the raw words these doubles are made from, some of whose rows
+    the process's fill thread may draw, in whatever order its job queue
+    runs them: a row's words depend on its key and counter alone, not on the
+    thread that draws them or when."""
     index = _check_int("replication_index", replication_index, 0, 2**32 - 1)
     seed = _check_int("master_seed", master_seed, 0, 2**64 - 1)  # the seeds Philox takes
     return np.random.Generator(np.random.Philox(seed).advance(index << 128))
@@ -163,8 +165,8 @@ _BLOCK_FLOATS = 128 * 1024
 #: Narrowest block whose "yes" flags _draw takes from raw words; below it, their extra call per row costs more.
 _RAW_WIDTH = 1024
 #: Fewest draws (rows x width) of a raw-word block whose rows _draw shares
-#: with the fill helper thread (_FillHelper); below it the hand-off costs
-#: more than the half fill it saves.
+#: with the fill thread (_fill_jobs); below it the hand-off costs more than
+#: the half fill it saves.
 _SPLIT_DRAWS = 2**15
 #: CPUs the process may run on; on one, _draw fills every row itself.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -280,70 +282,23 @@ def _fill(gen: np.random.Generator, key: list[int], indices: list[int], step: in
             gen.random(out=row)
 
 
-class _FillHelper:
-    """A daemon thread that runs _fill on its own generator, one job at a
-    time, while the walk's thread fills the other rows of the block: Philox's
-    C loop runs without the GIL, so the two fills overlap.  busy is held from
-    a job's post until the thread has finished it."""
-
-    def __init__(self) -> None:
-        self.pid = os.getpid()  # a forked child has no thread behind this object
-        self.gen = np.random.Generator(np.random.Philox(0))
-        self.busy = threading.Lock()
-        self.posted = threading.Lock()
-        self.posted.acquire()
-        self.job: list = []  # _fill's arguments, a lock released once they are filled, the error if one was raised
-        threading.Thread(target=self._run, name="bellodds-fill", daemon=True).start()
-
-    def _run(self) -> None:
-        while True:
-            self.posted.acquire()
-            job = self.job
-            try:
-                _fill(self.gen, *job[0])
-            except BaseException as error:  # handed to the walk's thread, which raises it
-                job[2] = error
-            job[1].release()
-            self.busy.release()
-
-    def fill(self, gen: np.random.Generator, key: list[int], indices: list[int], step: int, rows: np.ndarray,
-             cut: np.uint64) -> bool:
-        """_fill of every row, the second half's on the thread; False, having
-        filled nothing, while another walk holds the thread."""
-        if not self.busy.acquire(blocking=False):
-            return False
-        half, finished = (len(indices) + 1) // 2, threading.Lock()
-        finished.acquire()
-        self.job = job = [(key, indices[half:], step, rows[half:], cut), finished, None]
-        self.posted.release()
+def _fill_jobs(jobs: queue.SimpleQueue, gen: np.random.Generator) -> None:
+    """The fill thread: runs _fill on gen for each job, (_fill's other
+    arguments, a reply queue), in the order posted, and puts None or the
+    error it raised on the job's reply queue; a None job ends it.  Philox's C
+    loop runs without the GIL, so a job overlaps the poster's own fill."""
+    while (job := jobs.get()) is not None:
         try:
-            _fill(gen, key, indices[:half], step, rows[:half], cut)
-        finally:
-            finished.acquire()  # the thread's rows are written, or it failed
-        if job[2] is not None:
-            raise job[2]
-        return True
+            _fill(gen, *job[0])
+        except BaseException as error:  # handed to the posting thread, which raises it
+            job[1].put(error)
+        else:
+            job[1].put(None)
 
 
-#: The fill helper _helper started, with the pid of its process.
-_HELPER: _FillHelper | None = None
-#: Held while _helper starts one.
-_STARTING = threading.Lock()
-
-
-def _helper() -> _FillHelper | None:
-    """This process's fill helper, started on first use (again in a forked
-    child), or None while another thread starts it."""
-    global _HELPER
-    if _HELPER is None or _HELPER.pid != os.getpid():
-        if not _STARTING.acquire(blocking=False):
-            return None
-        try:
-            if _HELPER is None or _HELPER.pid != os.getpid():
-                _HELPER = _FillHelper()
-        finally:
-            _STARTING.release()
-    return _HELPER
+#: The job queue of each process's fill thread (_fill_jobs), by pid: a
+#: forked child has no thread behind its parent's queue.
+_JOBS: dict[int, queue.SimpleQueue] = {}
 
 
 def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: int, draws: np.ndarray, p_true: float,
@@ -355,17 +310,38 @@ def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: in
     and compare the raw words with cut, ceil(p_true * 2**53) << 11, which
     decides alike: a double is (word >> 11) * 2**-53, and p_true * 2**53 is
     exact.  A block of raw words with two rows or more and _SPLIT_DRAWS
-    draws or more, in a process that may run on more than one CPU, gives
-    half its rows to the fill helper thread, unless another walk holds it;
-    the flags are the same either way."""
+    draws or more, in a process that may run on more than one CPU, posts
+    its second half of rows, ceil(rows / 2) on, to the process's fill thread
+    (_fill_jobs, started on the first such block, again in a forked child),
+    fills the first half itself and waits for the thread's reply, raising
+    the error it sends back.  A block posted while another walk's job runs
+    waits its turn; the flags are the same whichever thread draws a row."""
     step = done // 4
     if draws.shape[1] < _RAW_WIDTH:
         _fill(gen, key, indices, step, draws, cut)
         return draws < p_true
     flags = np.empty(draws.shape, dtype=bool)
-    helper = _helper() if len(indices) > 1 and flags.size >= _SPLIT_DRAWS and _CPUS > 1 else None
-    if helper is None or not helper.fill(gen, key, indices, step, flags, cut):
+    if len(indices) < 2 or flags.size < _SPLIT_DRAWS or _CPUS < 2:
         _fill(gen, key, indices, step, flags, cut)
+        return flags
+    if (jobs := _JOBS.get(pid := os.getpid())) is None:
+        # started before it is published, so a failed start leaves no queue that a later block waits on forever
+        jobs = queue.SimpleQueue()
+        thread = threading.Thread(target=_fill_jobs, args=(jobs, np.random.Generator(np.random.Philox(0))),
+                                  name="bellodds-fill", daemon=True)
+        thread.start()
+        if _JOBS.setdefault(pid, jobs) is not jobs:  # another walk published first
+            jobs.put(None)
+            thread.join()
+            jobs = _JOBS[pid]
+    h, reply = (len(indices) + 1) // 2, queue.SimpleQueue()
+    jobs.put(((key, indices[h:], step, flags[h:], cut), reply))
+    try:
+        _fill(gen, key, indices[:h], step, flags[:h], cut)
+    finally:
+        error = reply.get()  # the thread's rows are written, or it failed
+    if error is not None:
+        raise error
     return flags
 
 
@@ -398,8 +374,8 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
     _DECISIONS) and final log Bayes factors.  Replications go in chunks of
     _CHUNK_ROWS, each drawn in blocks of a multiple of 8 trials (_draw) under
     the run's one key, so every row gets exactly the draws of its trial_stream
-    (raw words in blocks of _RAW_WIDTH or more, half of whose rows a helper
-    thread may fill, with the same words); the last block may draw up to 7
+    (raw words in blocks of _RAW_WIDTH or more, half of whose rows the fill
+    thread may draw, with the same words); the last block may draw up to 7
     trials past max_trials, which no walk reaches.  The walk itself runs on
     the caller's thread.  A walk whose outcomes are certain (p_true is 0 or
     1) makes no draws, and every row walks as the first does.

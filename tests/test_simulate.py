@@ -4,6 +4,7 @@ convergence against closed-form oracles, and the determinism contract."""
 import hashlib
 import math
 import os
+import queue
 import signal
 import sys
 import threading
@@ -955,7 +956,7 @@ WIDE = walk_config("chained-k2", LR, upper_threshold=1e100, replications=10)
 
 def share_fills(monkeypatch, on: bool) -> None:
     """Every raw-word block of two rows or more shares its fill with the
-    helper thread (on), also on one CPU, or none does."""
+    fill thread (on), also on one CPU, or none does."""
     monkeypatch.setattr(simulate, "_SPLIT_DRAWS", 0 if on else 2**62)
     monkeypatch.setattr(simulate, "_CPUS", 2)
 
@@ -1048,8 +1049,8 @@ class TestDrawsPerReplication:
         assert built == [(SEED,)]
 
     def test_a_wide_walk_builds_one_philox(self, monkeypatch):
-        # LR-true walks whose blocks share their rows with the fill helper:
-        # each walk builds Philox(master_seed), and the helper's generator,
+        # LR-true walks whose blocks share their rows with the fill thread:
+        # each walk builds Philox(master_seed), and the thread's generator,
         # whose seed no draw reads, is built once, on the first shared block
         built = []
         philox = np.random.Philox
@@ -1059,7 +1060,7 @@ class TestDrawsPerReplication:
             return philox(*args, **kwargs)
 
         share_fills(monkeypatch, True)
-        monkeypatch.setattr(simulate, "_HELPER", None)
+        monkeypatch.setattr(simulate, "_JOBS", {})
         monkeypatch.setattr(np.random, "Philox", counting)
         for _ in range(2):
             replication_summaries(WIDE)
@@ -1202,10 +1203,11 @@ def serial_and_shared(config: SimulationConfig, monkeypatch) -> tuple[list, list
 
 
 class TestSharedFill:
-    """Raw-word blocks of two rows or more may fill half their rows on the
-    fill helper thread (simulate._FillHelper).  A row's words depend on its
-    key and counter alone, so the walker's columns are the same, byte for
-    byte, whichever thread draws which row."""
+    """Raw-word blocks of two rows or more may post half their rows to the
+    process's fill thread (simulate._fill_jobs), whose queue is
+    simulate._JOBS[pid].  A row's words depend on its key and counter alone,
+    so the walker's columns are the same, byte for byte, whichever thread
+    draws which row, and whenever."""
 
     @pytest.mark.parametrize("truth", [QM, LR])
     @pytest.mark.parametrize("scenario", TestPinnedColumns.SCENARIOS, ids=repr)
@@ -1252,8 +1254,8 @@ class TestSharedFill:
         assert len(set(idents)) == 2
 
     def test_walks_on_several_threads_at_once(self, monkeypatch):
-        # four user threads on the helper, switching every 10 us: a walk
-        # that finds the helper busy fills its rows itself
+        # four user threads on the fill thread, switching every 10 us: a
+        # block posted while another walk's job runs waits its turn
         configs = [replace(WIDE, master_seed=seed) for seed in range(4)]
         share_fills(monkeypatch, False)
         serial = [columns(cfg) for cfg in configs]
@@ -1276,29 +1278,87 @@ class TestSharedFill:
         assert not any(thread.is_alive() for thread in threads)
         assert results == [[walk] * 3 for walk in serial]
 
-    def test_a_walk_that_finds_the_helper_busy_fills_alone(self, monkeypatch):
+    def test_a_walk_that_finds_the_fill_thread_busy_waits_its_turn(self, monkeypatch):
+        # a job of the test's own holds the fill thread until the walk has
+        # posted a block's other half behind it, then lets it go
         serial, _, idents = serial_and_shared(WIDE, monkeypatch)
-        helper = simulate._helper()
-        assert helper.busy.acquire(timeout=60)
-        idents.clear()
-        try:
-            assert bounded(lambda: columns(WIDE)) == serial
-        finally:
-            helper.busy.release()
-        assert len(set(idents)) == 1
+        fill, held, release, reply = simulate._fill, threading.Event(), threading.Event(), queue.SimpleQueue()
+        jobs = simulate._JOBS[os.getpid()]
+
+        def holding(gen, key, *rest):
+            if key is None:  # the test's job, on the fill thread
+                held.set()
+                assert release.wait(60)
+                return None
+            if held.is_set() and not jobs.empty():  # the walk's job waits its turn
+                release.set()
+            return fill(gen, key, *rest)
+
+        monkeypatch.setattr(simulate, "_fill", holding)
+        jobs.put(((None,), reply))
+        assert held.wait(60)
         idents.clear()
         assert bounded(lambda: columns(WIDE)) == serial
+        assert reply.get(timeout=60) is None
         assert len(set(idents)) == 2
+
+    def test_racing_walks_publish_one_fill_thread(self, monkeypatch):
+        # four user threads, released at once, may each start a fill thread
+        # for their first shared block; one queue is published, and the
+        # threads that lost stop their own before the walk goes on
+        share_fills(monkeypatch, False)
+        serial = columns(WIDE)
+        share_fills(monkeypatch, True)
+        monkeypatch.setattr(simulate, "_JOBS", {})
+        start, results = threading.Barrier(4), [None] * 4
+
+        def work(i):
+            start.wait(60)
+            results[i] = columns(WIDE)
+
+        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(4)]
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial] * 4
+        assert threading.active_count() == before + 1
+        assert list(simulate._JOBS) == [os.getpid()]
+
+    def test_a_failed_thread_start_publishes_no_queue(self, monkeypatch):
+        share_fills(monkeypatch, False)
+        serial = columns(WIDE)
+        share_fills(monkeypatch, True)
+        monkeypatch.setattr(simulate, "_JOBS", {})
+        start = threading.Thread.start
+
+        def failing(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", failing)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            replication_summaries(WIDE)
+        assert simulate._JOBS == {}
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert bounded(lambda: columns(WIDE)) == serial
+        assert list(simulate._JOBS) == [os.getpid()]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_starts_its_own_helper(self, monkeypatch):
         serial, shared, _ = serial_and_shared(WIDE, monkeypatch)
-        parent = simulate._HELPER
-        assert shared == serial and parent.pid == os.getpid()
+        parent = simulate._JOBS[os.getpid()]
+        assert shared == serial
         with warnings.catch_warnings():
             # from Python 3.12 os.fork warns that the child of a process with
-            # threads may deadlock: the child gets none of them, the helper
-            # included, which is what this test is about
+            # threads may deadlock: the child gets none of them, the fill
+            # thread included, which is what this test is about
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
         if pid == 0:
@@ -1306,7 +1366,7 @@ class TestSharedFill:
             try:
                 idents = filling_threads(monkeypatch)
                 helped = columns(WIDE) == serial and len(set(idents)) == 2
-                status = 0 if helped and simulate._HELPER is not parent and simulate._HELPER.pid == os.getpid() else 1
+                status = 0 if helped and simulate._JOBS[os.getpid()] is not parent else 1
             finally:
                 os._exit(status)
         deadline = time.monotonic() + 120
@@ -1332,17 +1392,17 @@ class TestSharedFill:
         share_fills(monkeypatch, True)
         for name, value in gate.items():
             monkeypatch.setattr(simulate, name, value)
-        monkeypatch.setattr(simulate, "_HELPER", None)
+        monkeypatch.setattr(simulate, "_JOBS", {})
         threads = threading.active_count()
         replication_summaries(config)
         assert threading.active_count() == threads
-        assert simulate._HELPER is None
+        assert simulate._JOBS == {}
 
     def test_the_first_shared_block_starts_the_helper(self, monkeypatch):
         share_fills(monkeypatch, True)
-        monkeypatch.setattr(simulate, "_HELPER", None)
+        monkeypatch.setattr(simulate, "_JOBS", {})
         threads = threading.active_count()
         for _ in range(2):
             replication_summaries(WIDE)
         assert threading.active_count() == threads + 1
-        assert simulate._HELPER.pid == os.getpid()
+        assert list(simulate._JOBS) == [os.getpid()]
