@@ -176,9 +176,9 @@ _BOUND_CAP = 2**16
 #: Most stop rules whose count bounds _bounds keeps, the least recently used
 #: going first.
 _BOUND_RULES = 8
-#: Count bounds per stop rule (yes, no, lo, hi): int32 arrays a and b over
-#: the trial counts 0, 1, ..., each below _BOUND_CAP (_count_bounds).
-_BOUNDS: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
+#: Count bounds per stop rule (_stop_rule's, all three stops): int32 arrays
+#: a and b over the trial counts 0, 1, ..., each below _BOUND_CAP.
+_BOUNDS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _sized_block(distance: float, drift: float) -> int:
@@ -189,15 +189,15 @@ def _sized_block(distance: float, drift: float) -> int:
 
 def _stop_rule(config: SimulationConfig) -> tuple:
     """The walk's view of the pair and thresholds: the true theory's "yes"
-    probability; the "yes" and "no" log D steps of the count formula, with 0
-    for an infinite one, whose outcome is counted 0 times until it ends the
-    walk (so 0 * inf never forms); the one outcome that can falsify a theory
-    in the walk (True for "yes", False for "no", None if none), the one the
-    false theory forbids, as the true theory's own is never drawn; the
-    thresholds ln(prior/upper) and ln(prior/lower); and the drift, the mean
-    log D step under the true theory: KL(q||r) if QM is true, else -KL(r||q).
-    With a falsifier the false theory's p is 0 or 1 and the true theory's
-    another value, so the drift is +-inf, the falsifier's step."""
+    probability; the stop rule, all three of the walk's stops, that
+    _count_bounds takes: the "yes" and "no" log D steps of the count formula,
+    with 0 for an infinite one, whose outcome is counted 0 times until it
+    ends the walk (so 0 * inf never forms), ln(prior/upper), ln(prior/lower),
+    the one outcome that can falsify a theory in the walk (True for "yes",
+    False for "no", None if none), the one the false theory forbids, as the
+    true theory's own is never drawn, and max_trials; and the drift, the mean
+    log D step under the true theory: KL(q||r) if QM is true, else -KL(r||q),
+    and with a falsifier +-inf, its step (the false theory's p is 0 or 1)."""
     pair = config.resolved_pair()
     p_true, p_false, sign = (pair.q, pair.r, 1.0) if config.true_theory == QM else (pair.r, pair.q, -1.0)
     steps = (log_bayes_factor(pair, TrialTally(1, yes)) for yes in (1, 0))
@@ -205,7 +205,7 @@ def _stop_rule(config: SimulationConfig) -> tuple:
     falsifier = None if 0.0 < p_false < 1.0 else p_false == 0.0
     lo = math.log(config.prior_odds / config.upper_threshold)
     hi = math.log(config.prior_odds / config.lower_threshold)
-    return p_true, (yes, no), falsifier, (lo, hi), sign * _kl(p_true, p_false)
+    return p_true, (yes, no, lo, hi, falsifier, config.max_trials), sign * _kl(p_true, p_false)
 
 
 def _log_d(m, n, yes: float, no: float):
@@ -214,13 +214,15 @@ def _log_d(m, n, yes: float, no: float):
     return m * yes + (n - m) * no
 
 
-def _count_bounds(yes: float, no: float, lo: float, hi: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _count_bounds(yes: float, no: float, lo: float, hi: float, falsifier: bool | None, max_trials: int,
+                  n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each trial count in n (float64), the "yes" counts a and b (float64)
     such that a walk with m "yes" outcomes in n trials goes on exactly when
-    a < m < b, that is when lo < _log_d(m, n, yes, no) < hi.  Rounding is
-    monotone, so that float log D is monotone in m for a fixed n (yes and no
-    are of opposite signs or 0): each bound is the real-valued crossing, fixed
-    up by steps of one count until the float log D agrees."""
+    a < m < b: while lo < _log_d(m, n, yes, no) < hi, m = 0 if "yes" is the
+    falsifier (b <= 1), m = n if "no" is (a >= n - 1), and n < max_trials.
+    Rounding is monotone, so float log D is monotone in m for a fixed n (yes
+    and no are of opposite signs or 0): a threshold's bound is the real-valued
+    crossing, fixed up by steps of one count until the float log D agrees."""
     if yes < no:  # log D falls in m: negating it (exact) and the thresholds makes it rise
         yes, no, lo, hi = -yes, -no, -hi, -lo
 
@@ -236,15 +238,17 @@ def _count_bounds(yes: float, no: float, lo: float, hi: float, n: np.ndarray) ->
             m -= down
         return m
 
-    return last_below(lo, np.less_equal), last_below(hi, np.less) + 1
+    a = np.maximum(last_below(lo, np.less_equal), n - 1 if falsifier is False else -1.0)
+    b = np.minimum(last_below(hi, np.less) + 1, 1.0 if falsifier else n + 1)
+    return np.where(n >= max_trials, n, a), b
 
 
-def _bounds(rule: tuple[float, ...], start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """_count_bounds of rule (yes, no, lo, hi) for the trial counts
-    start..stop - 1, from _BOUNDS, which grows in windows of at most
-    _MAX_BLOCK trial counts up to _BOUND_CAP; past it they are built for the
-    caller alone.  The bounds are a pure function of the rule, so what the
-    cache holds never changes a walk."""
+def _bounds(rule: tuple, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """_count_bounds of rule, all of a walk's stops (_stop_rule), for the
+    trial counts start..stop - 1, from _BOUNDS, which grows in windows of at
+    most _MAX_BLOCK trial counts up to _BOUND_CAP; past it they are built
+    for the caller alone.  The bounds are a pure function of the rule, so
+    what the cache holds never changes a walk."""
     if stop > _BOUND_CAP:
         return _count_bounds(*rule, np.arange(start, stop, dtype=np.float64))
     a, b = _BOUNDS.pop(rule, None) or (np.empty(0, dtype=np.int32),) * 2
@@ -389,23 +393,23 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
     later one doubles.  Every block is capped at _MAX_BLOCK trials and at
     _BLOCK_FLOATS draws, the tighter cap once more than 21 rows are live.
 
-    After every trial the walk decides as if it compared log D with
-    ln(prior/upper) and ln(prior/lower).  Log D after n trials with m "yes"
-    outcomes is (n - m) ln((1-q)/(1-r)) + m ln(q/r) in floats (_log_d), a
-    function of the counts alone, so it does not depend on the block or chunk
-    layout, and that comparison is the integer one a(n) < m < b(n) against
-    count bounds tabulated once per n from the same expression (_count_bounds)
-    and cached per stop rule (_bounds).  Log D itself is formed only for a
-    walk's final and to size the next block.  The counts (_yes_counts) are
-    kept in float64, exact up to 2**53, which bounds max_trials.
-
-    A walk stops at its first trial that reaches a threshold, that draws the
-    one outcome able to falsify a theory (_stop_rule; the final log D is
-    then that outcome's +-inf step, the drift) or that is trial max_trials.
-    Its final decides it: at or past ln(prior/lower) is LR_REJECTED, at or
-    past ln(prior/upper) QM_REJECTED, otherwise INCONCLUSIVE.
+    A walk stops at its first trial that reaches a threshold, draws the one
+    outcome able to falsify a theory (_stop_rule) or is trial max_trials: its
+    "yes" count m after n trials has m <= a(n) or m >= b(n), the count bounds
+    of all three stops, built once per n (_count_bounds) and cached per stop
+    rule (_bounds).  At the thresholds they decide as a compare of the float
+    log D, (n - m) ln((1-q)/(1-r)) + m ln(q/r) (_log_d), with ln(prior/upper)
+    and ln(prior/lower) would; log D is a function of the counts alone, not
+    of the block or chunk layout, formed only for a walk's final and to size
+    the next block.  The counts (_yes_counts) are float64, exact up to 2**53,
+    which bounds max_trials.  A walk that stops at m >= 1 while "yes"
+    falsifies, or at m < n while "no" does, drew the falsifier: its final is
+    that outcome's +-inf step, the drift.  The final decides the walk: at or
+    past ln(prior/lower) is LR_REJECTED, at or past ln(prior/upper)
+    QM_REJECTED, otherwise INCONCLUSIVE.
     """
-    p_true, (yes, no), falsifier, (lo, hi), drift = rule = rule or _stop_rule(config)
+    p_true, bounds, drift = rule = rule or _stop_rule(config)
+    yes, no, lo, hi, falsifier, max_trials = bounds
     certain = p_true in (0.0, 1.0)
     if certain and stop - start > 1:  # every row walks the same outcomes
         return tuple(np.full(stop - start, column[0]) for column in _walk(config, start, start + 1, rule))
@@ -422,14 +426,14 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
     # (which costs page faults): per block, its head takes the doubles of a
     # block narrower than _RAW_WIDTH and then the "yes" counts m, its tail
     # (3/8 of the head) the counts' words
-    floats = min(min(_CHUNK_ROWS, stop - start) * min(_MAX_BLOCK, config.max_trials + 7), _BLOCK_FLOATS)
+    floats = min(min(_CHUNK_ROWS, stop - start) * min(_MAX_BLOCK, max_trials + 7), _BLOCK_FLOATS)
     buffer = np.empty(floats + (3 * floats + 7) // 8)
     for base in range(start, stop, _CHUNK_ROWS):
         live = np.arange(min(_CHUNK_ROWS, stop - base))  # chunk rows still walking
         count = np.zeros(live.size)  # "yes" outcomes so far
         done, block = 0, _sized_block(abs(target), drift) if sized else _FIRST_BLOCK
         while live.size:
-            width = min(block, _BLOCK_FLOATS // live.size // 8 * 8, (config.max_trials - done + 7) & -8)
+            width = min(block, _BLOCK_FLOATS // live.size // 8 * 8, (max_trials - done + 7) & -8)
             draws = buffer[: live.size * width].reshape(live.size, width)
             if certain:  # draws < p_true has one value for every draw in [0, 1)
                 is_yes = np.full(draws.shape, p_true == 1.0)
@@ -437,13 +441,9 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
                 is_yes = _draw(gen, key, (live + base).tolist(), done, draws, p_true, cut)
             m = _yes_counts(is_yes, count, draws, buffer[floats:])
             count = m[:, -1].copy()
-            a, b = _bounds((yes, no, lo, hi), done + 1, done + width + 1)
+            a, b = _bounds(bounds, done + 1, done + width + 1)
             stopped = m <= a
             stopped |= m >= b
-            if falsifier is not None:
-                stopped |= is_yes == falsifier
-            if done + width >= config.max_trials:
-                stopped[:, config.max_trials - done - 1] = True
             first = stopped.argmax(axis=1)
             ended = stopped[np.arange(live.size), first]
             if ended.any():
@@ -451,9 +451,9 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
                 at = live[ended] + (base - start)
                 n = first + (done + 1)
                 stops[at] = n
-                final = _log_d(m[rows, first], n, yes, no)
+                final = _log_d(m_stop := m[rows, first], n, yes, no)
                 if falsifier is not None:
-                    final[is_yes[rows, first] == falsifier] = drift
+                    final[m_stop >= 1 if falsifier else m_stop < n] = drift
                 finals[at] = final
                 live, count = live[~ended], count[~ended]
             done += width
@@ -478,7 +478,7 @@ def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajecto
     are then redrawn from trial_stream and log D rebuilt from their counts.
     """
     index = _check_int("replication_index", replication_index, 0, config.replications - 1)
-    p_true, (yes, no), *_ = rule = _stop_rule(config)
+    p_true, (yes, no, *_), _ = rule = _stop_rule(config)
     (stop,), (code,), (final,) = (column.tolist() for column in _walk(config, index, index + 1, rule))
     outcomes = trial_stream(config.master_seed, index).random(stop) < p_true
     cumulative = _log_d(np.cumsum(outcomes), np.arange(1, stop + 1), yes, no)

@@ -715,29 +715,38 @@ class TestYesCounts:
         assert m.tolist() == [[1.0] * 9 + [2.0] + [3.0] * 6, [5.0] * 7 + [6.0] + [7.0] * 8]
 
 
-def scanned_bounds(yes: float, no: float, lo: float, hi: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """a(n) and b(n) for n = 0..n_max from every m in [0, n] through the
-    walk's float log D, m * yes + (n - m) * no: where log D rises in m, a is
-    the last m at or below lo and b the first at or above hi, and where it
-    falls the other way round (-1 and n + 1 when there is none).  Each n's
-    set of m that go on must be a < m < b."""
+def scanned_bounds(
+    yes: float, no: float, lo: float, hi: float, falsifier: bool | None, max_trials: int, n_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """a(n) and b(n) for n = 0..n_max from every m in [0, n]: a is the last
+    m that stops the walk from below and b the first that stops it from
+    above (-1 and n + 1 when there is none).  Through the walk's float log D,
+    m * yes + (n - m) * no, the low counts are those at or below lo where log
+    D rises in m, at or above hi where it falls, and the high ones the other
+    way round; a falsifying "no" (m < n) stops from below, a falsifying "yes"
+    (m >= 1) from above, and every m stops from below at n >= max_trials.
+    Each n's set of m that go on, inside the thresholds, unfalsified and
+    before max_trials, must be a < m < b."""
     a, b = np.empty(n_max + 1), np.empty(n_max + 1)
     for n0 in range(0, n_max + 1, 64):
         n = np.arange(n0, min(n0 + 64, n_max + 1), dtype=np.float64)[:, None]
         m = np.arange(n[-1, 0] + 1)[None, :]
         log_d, valid = m * yes + (n - m) * no, m <= n
         low, high = (log_d <= lo, log_d >= hi) if yes >= no else (log_d >= hi, log_d <= lo)
+        false_yes, false_no = (falsifier is True) & (m >= 1), (falsifier is False) & (m < n)
+        low |= false_no | (n >= max_trials)
+        high |= false_yes
         a[n0 : n0 + n.size] = np.where(valid & low, m, -1.0).max(axis=1)
         b[n0 : n0 + n.size] = np.where(valid & high, m, n + 1).min(axis=1)
-        goes_on = valid & (log_d > lo) & (log_d < hi)
+        goes_on = valid & (log_d > lo) & (log_d < hi) & ~false_yes & ~false_no & (n < max_trials)
         assert np.array_equal(goes_on, valid & (a[n0 : n0 + n.size, None] < m) & (m < b[n0 : n0 + n.size, None]))
     return a, b
 
 
-def rule_of(config: SimulationConfig) -> tuple[float, float, float, float]:
-    """The (yes, no, lo, hi) that simulate._count_bounds and _bounds take."""
-    _, steps, _, thresholds, _ = simulate._stop_rule(config)
-    return (*steps, *thresholds)
+def rule_of(config: SimulationConfig) -> tuple:
+    """The (yes, no, lo, hi, falsifier, max_trials) that
+    simulate._count_bounds and _bounds take."""
+    return simulate._stop_rule(config)[1]
 
 
 class TestCountBounds:
@@ -761,9 +770,13 @@ class TestCountBounds:
             HypothesisPair(0.999, 1.0),  # falls, its "no" step zeroed
         ],
     )
-    def test_matches_the_scan(self, scenario):
-        # the rule is the same whichever theory is true
-        self.assert_scanned(rule_of(SimulationConfig(scenario)))
+    @pytest.mark.parametrize("truth", [QM, LR])
+    @pytest.mark.parametrize("max_trials", [30, 2_001, 100_000])
+    def test_matches_the_scan(self, scenario, truth, max_trials):
+        # the falsifier, if any, is the outcome the false theory forbids, so
+        # the rule depends on which theory is true; horizons inside the scan
+        # and past it
+        self.assert_scanned(rule_of(SimulationConfig(scenario, truth, max_trials=max_trials)))
 
     @pytest.mark.parametrize("seed", range(24))
     def test_a_threshold_at_a_reached_log_d_of_a_random_pair(self, seed):
@@ -772,10 +785,10 @@ class TestCountBounds:
         # count on either side of the bound, and only the fix-up finds it
         rng = np.random.default_rng(seed)
         q, r = rng.random(2)
-        yes, no, lo, hi = rule_of(SimulationConfig(HypothesisPair(q, r)))
+        yes, no, lo, hi, *rest = rule_of(SimulationConfig(HypothesisPair(q, r)))
         n = int(rng.integers(10, 3_000))
         x = simulate._log_d(int(rng.integers(0, n + 1)), n, yes, no)
-        self.assert_scanned((yes, no, lo, x) if x >= 0 else (yes, no, x, hi))
+        self.assert_scanned((yes, no, lo, x, *rest) if x >= 0 else (yes, no, x, hi, *rest))
 
     def test_equal_steps_have_no_bounds(self):
         # q = r: log D is 0 at every count, inside the thresholds
@@ -851,11 +864,16 @@ class TestBoundCache:
         assert list(simulate._BOUNDS) == [rule_of(cfg) for cfg in configs[3:]]
         assert all(bounds.size == 100 and bounds.dtype == np.int32 for ab in simulate._BOUNDS.values() for bounds in ab)
 
-    def test_cached_windows_are_the_builder_s(self, monkeypatch):
+    @pytest.mark.parametrize("max_trials", [2_001, 70_000])
+    def test_cached_windows_are_the_builder_s(self, max_trials, monkeypatch):
+        # hardy-naive, QM true: its "yes" falsifies LR; the horizon at 2001
+        # is folded into the cached bounds, the one at 70000 past _BOUND_CAP
+        # into those the uncached windows build
         monkeypatch.setattr(simulate, "_BOUNDS", {})
-        rule = rule_of(walk_config("hardy-naive", QM))
-        built = simulate._count_bounds(*rule, np.arange(20_000.0))
-        for start, stop in ((1, 100), (50, 7_000), (6_000, 20_000), (1, 20_000)):
+        rule = rule_of(walk_config("hardy-naive", QM, max_trials=max_trials))
+        assert 2_001 < simulate._BOUND_CAP < 70_000
+        built = simulate._count_bounds(*rule, np.arange(80_000.0))
+        for start, stop in ((1, 100), (50, 7_000), (6_000, 20_000), (1, 20_000), (60_000, 80_000), (69_990, 70_010)):
             window = simulate._bounds(rule, start, stop)
             assert all(np.array_equal(w, x[start:stop]) for w, x in zip(window, built, strict=True)), (start, stop)
 
@@ -961,6 +979,24 @@ def share_fills(monkeypatch, on: bool) -> None:
     monkeypatch.setattr(simulate, "_CPUS", 2)
 
 
+@pytest.fixture
+def own_jobs(monkeypatch):
+    """Swaps simulate._JOBS for an empty dict, so the test's first shared
+    block starts a fill thread of its own; on teardown each queue the dict
+    holds gets the None job that ends its thread, and the threads started
+    meanwhile are joined."""
+    before = set(threading.enumerate())
+    jobs = {}
+    monkeypatch.setattr(simulate, "_JOBS", jobs)
+    yield
+    for job_queue in jobs.values():
+        job_queue.put(None)
+    for thread in set(threading.enumerate()) - before:
+        if thread.name == "bellodds-fill":
+            thread.join(60)
+            assert not thread.is_alive(), "a fill thread did not stop"
+
+
 def filling_threads(monkeypatch) -> list[int]:
     """Wraps simulate._fill; the returned list gets the thread id of each
     call."""
@@ -1048,6 +1084,7 @@ class TestDrawsPerReplication:
         replication_summaries(walk_config("chained-k2", QM, replications=300))
         assert built == [(SEED,)]
 
+    @pytest.mark.usefixtures("own_jobs")
     def test_a_wide_walk_builds_one_philox(self, monkeypatch):
         # LR-true walks whose blocks share their rows with the fill thread:
         # each walk builds Philox(master_seed), and the thread's generator,
@@ -1060,7 +1097,6 @@ class TestDrawsPerReplication:
             return philox(*args, **kwargs)
 
         share_fills(monkeypatch, True)
-        monkeypatch.setattr(simulate, "_JOBS", {})
         monkeypatch.setattr(np.random, "Philox", counting)
         for _ in range(2):
             replication_summaries(WIDE)
@@ -1302,6 +1338,7 @@ class TestSharedFill:
         assert reply.get(timeout=60) is None
         assert len(set(idents)) == 2
 
+    @pytest.mark.usefixtures("own_jobs")
     def test_racing_walks_publish_one_fill_thread(self, monkeypatch):
         # four user threads, released at once, may each start a fill thread
         # for their first shared block; one queue is published, and the
@@ -1309,7 +1346,6 @@ class TestSharedFill:
         share_fills(monkeypatch, False)
         serial = columns(WIDE)
         share_fills(monkeypatch, True)
-        monkeypatch.setattr(simulate, "_JOBS", {})
         start, results = threading.Barrier(4), [None] * 4
 
         def work(i):
@@ -1332,11 +1368,11 @@ class TestSharedFill:
         assert threading.active_count() == before + 1
         assert list(simulate._JOBS) == [os.getpid()]
 
+    @pytest.mark.usefixtures("own_jobs")
     def test_a_failed_thread_start_publishes_no_queue(self, monkeypatch):
         share_fills(monkeypatch, False)
         serial = columns(WIDE)
         share_fills(monkeypatch, True)
-        monkeypatch.setattr(simulate, "_JOBS", {})
         start = threading.Thread.start
 
         def failing(self):
@@ -1388,19 +1424,19 @@ class TestSharedFill:
         ],
         ids=["few-draws", "one-cpu", "one-row", "narrow"],
     )
+    @pytest.mark.usefixtures("own_jobs")
     def test_a_walk_the_gate_keeps_alone_starts_no_thread(self, gate, config, monkeypatch):
         share_fills(monkeypatch, True)
         for name, value in gate.items():
             monkeypatch.setattr(simulate, name, value)
-        monkeypatch.setattr(simulate, "_JOBS", {})
         threads = threading.active_count()
         replication_summaries(config)
         assert threading.active_count() == threads
         assert simulate._JOBS == {}
 
+    @pytest.mark.usefixtures("own_jobs")
     def test_the_first_shared_block_starts_the_helper(self, monkeypatch):
         share_fills(monkeypatch, True)
-        monkeypatch.setattr(simulate, "_JOBS", {})
         threads = threading.active_count()
         for _ in range(2):
             replication_summaries(WIDE)
