@@ -10,6 +10,7 @@ of the configuration no matter how replications are scheduled.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import queue
@@ -170,15 +171,6 @@ _RAW_WIDTH = 1024
 _SPLIT_DRAWS = 2**15
 #: CPUs the process may run on; on one, _draw fills every row itself.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-#: Trial counts below which _bounds caches a stop rule's count bounds; a
-#: block reaching past it builds its own, uncached.
-_BOUND_CAP = 2**16
-#: Most stop rules whose count bounds _bounds keeps, the least recently used
-#: going first.
-_BOUND_RULES = 8
-#: Count bounds per stop rule (_stop_rule's, all three stops): int32 arrays
-#: a and b over the trial counts 0, 1, ..., each below _BOUND_CAP.
-_BOUNDS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _sized_block(distance: float, drift: float) -> int:
@@ -243,22 +235,28 @@ def _count_bounds(yes: float, no: float, lo: float, hi: float, falsifier: bool |
     return np.where(n >= max_trials, n, a), b
 
 
+# 20 windows: the 17 of a walk to the default max_trials, and headroom; 1.97 MB at most
+@functools.lru_cache(maxsize=20)
+def _bound_window(rule: tuple, start: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """_count_bounds of rule for the trial counts start..start + size - 1,
+    read-only, as every caller shares them."""
+    bounds = _count_bounds(*rule, np.arange(start, start + size, dtype=np.float64))
+    for bound in bounds:
+        bound.flags.writeable = False
+    return bounds
+
+
 def _bounds(rule: tuple, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """_count_bounds of rule, all of a walk's stops (_stop_rule), for the
-    trial counts start..stop - 1, from _BOUNDS, which grows in windows of at
-    most _MAX_BLOCK trial counts up to _BOUND_CAP; past it they are built
-    for the caller alone.  The bounds are a pure function of the rule, so
-    what the cache holds never changes a walk."""
-    if stop > _BOUND_CAP:
-        return _count_bounds(*rule, np.arange(start, stop, dtype=np.float64))
-    a, b = _BOUNDS.pop(rule, None) or (np.empty(0, dtype=np.int32),) * 2
-    while a.size < stop:
-        n = np.arange(a.size, min(a.size + _MAX_BLOCK, _BOUND_CAP), dtype=np.float64)
-        a, b = (np.concatenate((old, new.astype(np.int32))) for old, new in zip((a, b), _count_bounds(*rule, n)))
-    _BOUNDS[rule] = a, b
-    while len(_BOUNDS) > _BOUND_RULES:
-        del _BOUNDS[next(iter(_BOUNDS))]
-    return a[start:stop], b[start:stop]
+    trial counts start..stop - 1, at most _MAX_BLOCK of them: slices of the
+    _MAX_BLOCK-aligned window that holds start (_bound_window), joined to
+    the next window when they straddle the two.  The bounds are a pure
+    function of the rule, so what the cache holds never changes a walk."""
+    first = start - start % _MAX_BLOCK
+    a, b = _bound_window(rule, first, _MAX_BLOCK)
+    if stop > first + _MAX_BLOCK:
+        a, b = (np.concatenate(pair) for pair in zip((a, b), _bound_window(rule, first + _MAX_BLOCK, _MAX_BLOCK)))
+    return a[start - first : stop - first], b[start - first : stop - first]
 
 
 def _fill(gen: np.random.Generator, key: list[int], indices: list[int], step: int, rows: np.ndarray,
@@ -396,17 +394,18 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
     A walk stops at its first trial that reaches a threshold, draws the one
     outcome able to falsify a theory (_stop_rule) or is trial max_trials: its
     "yes" count m after n trials has m <= a(n) or m >= b(n), the count bounds
-    of all three stops, built once per n (_count_bounds) and cached per stop
-    rule (_bounds).  At the thresholds they decide as a compare of the float
-    log D, (n - m) ln((1-q)/(1-r)) + m ln(q/r) (_log_d), with ln(prior/upper)
-    and ln(prior/lower) would; log D is a function of the counts alone, not
-    of the block or chunk layout, formed only for a walk's final and to size
-    the next block.  The counts (_yes_counts) are float64, exact up to 2**53,
-    which bounds max_trials.  A walk that stops at m >= 1 while "yes"
-    falsifies, or at m < n while "no" does, drew the falsifier: its final is
-    that outcome's +-inf step, the drift.  The final decides the walk: at or
-    past ln(prior/lower) is LR_REJECTED, at or past ln(prior/upper)
-    QM_REJECTED, otherwise INCONCLUSIVE.
+    of all three stops, built once per n (_count_bounds) in windows of
+    _MAX_BLOCK trial counts, the 20 last used of which are cached (_bounds).
+    At the thresholds they decide as a compare of the float log D,
+    (n - m) ln((1-q)/(1-r)) + m ln(q/r) (_log_d), with ln(prior/upper) and
+    ln(prior/lower) would; log D is a function of the counts alone, not of
+    the block or chunk layout, formed only for a walk's final and to size
+    the next block.  The counts (_yes_counts) and their bounds are float64,
+    exact up to 2**53, which bounds max_trials.  A walk that stops at m >= 1
+    while "yes" falsifies, or at m < n while "no" does, drew the falsifier:
+    its final is that outcome's +-inf step, the drift.  The final decides the
+    walk: at or past ln(prior/lower) is LR_REJECTED, at or past
+    ln(prior/upper) QM_REJECTED, otherwise INCONCLUSIVE.
     """
     p_true, bounds, drift = rule = rule or _stop_rule(config)
     yes, no, lo, hi, falsifier, max_trials = bounds

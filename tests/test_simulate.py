@@ -825,57 +825,109 @@ def walk_columns_equal(x: tuple[np.ndarray, ...], y: tuple[np.ndarray, ...]) -> 
     return all(np.array_equal(a, b) for a, b in zip(x, y, strict=True))
 
 
+def counted_bound_builds(monkeypatch) -> list[tuple]:
+    """Wraps simulate._count_bounds; the returned list gets, per call, the
+    rule, the first trial count and how many it built."""
+    builds = []
+    count_bounds = simulate._count_bounds
+
+    def counting(*args):
+        *rule, n = args
+        builds.append((tuple(rule), int(n[0]), n.size))
+        return count_bounds(*args)
+
+    monkeypatch.setattr(simulate, "_count_bounds", counting)
+    return builds
+
+
 class TestBoundCache:
-    """simulate._bounds caches each stop rule's count bounds; what the cache
+    """simulate._bounds reads count bounds from windows of _MAX_BLOCK trial
+    counts that simulate._bound_window builds and caches; what the cache
     holds never changes a walk."""
 
+    @pytest.fixture(autouse=True)
+    def cold_windows(self):
+        simulate._bound_window.cache_clear()
+        yield
+        simulate._bound_window.cache_clear()
+
     def test_cold_and_warm(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_BOUNDS", {})
+        builds = counted_bound_builds(monkeypatch)
         cfg = walk_config("chained-k2", LR, upper_threshold=1e100, max_trials=10_000, replications=12)
         cold = replication_summaries(cfg)
-        assert list(simulate._BOUNDS) == [rule_of(cfg)]
+        size = simulate._MAX_BLOCK
+        # cfg's windows alone, each built once, from trial count 0 on
+        assert builds == [(rule_of(cfg), start, size) for start in range(0, len(builds) * size, size)]
+        assert simulate._bound_window.cache_info().currsize == len(builds) >= 1
+        builds.clear()
         assert walk_columns_equal(replication_summaries(cfg), cold)
+        assert builds == []
 
     def test_after_other_rules_fill_and_evict_the_cache(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_BOUNDS", {})
+        # walks below one window: one window per rule
+        builds = counted_bound_builds(monkeypatch)
+        maxsize = simulate._bound_window.cache_info().maxsize
         cfg = walk_config("hardy-paper", QM, max_trials=2_001, replications=40)
-        others = [replace(cfg, upper_threshold=1e6 * (i + 2)) for i in range(simulate._BOUND_RULES)]
+        others = [replace(cfg, upper_threshold=1e6 * (i + 2)) for i in range(maxsize)]
         cold = replication_summaries(cfg)
-        for other in others[1:]:  # the cache fills; cfg's rule is the oldest
+        for other in others[1:]:  # the cache fills; cfg's window is the oldest
             replication_summaries(other)
-        assert len(simulate._BOUNDS) == simulate._BOUND_RULES and rule_of(cfg) in simulate._BOUNDS
+        assert simulate._bound_window.cache_info().currsize == maxsize
+        builds.clear()
         assert walk_columns_equal(replication_summaries(cfg), cold)
-        for other in others:  # cfg's rule goes
+        assert builds == []
+        for other in others:  # cfg's window goes
             replication_summaries(other)
-        assert rule_of(cfg) not in simulate._BOUNDS
+        builds.clear()
         assert walk_columns_equal(replication_summaries(cfg), cold)
+        assert builds == [(rule_of(cfg), 0, simulate._MAX_BLOCK)]
 
-    def test_bounded_in_rules_and_in_trials(self, monkeypatch):
-        # zero drift: blocks of 64, 128, ... trials, against a cap of 100,
-        # and walks that run to max_trials
-        monkeypatch.setattr(simulate, "_BOUNDS", {})
-        monkeypatch.setattr(simulate, "_BOUND_CAP", 100)
-        configs = [
-            walk_config("q=r", LR, upper_threshold=1e6 * (i + 2), max_trials=2_001, replications=5)
-            for i in range(simulate._BOUND_RULES + 3)
-        ]
-        for cfg in configs:
-            assert replication_summaries(cfg)[0].tolist() == [2_001] * 5
-        assert list(simulate._BOUNDS) == [rule_of(cfg) for cfg in configs[3:]]
-        assert all(bounds.size == 100 and bounds.dtype == np.int32 for ab in simulate._BOUNDS.values() for bounds in ab)
+    def test_bounded_in_windows(self, monkeypatch):
+        # zero drift: blocks of 64, 128, ... up to _MAX_BLOCK trials, and
+        # walks that run to max_trials, past more windows than the cache holds
+        builds = counted_bound_builds(monkeypatch)
+        maxsize, size = simulate._bound_window.cache_info().maxsize, simulate._MAX_BLOCK
+        cfg = walk_config("q=r", LR, max_trials=(maxsize + 3) * size, replications=5)
+        assert replication_summaries(cfg)[0].tolist() == [cfg.max_trials] * 5
+        assert builds == [(rule_of(cfg), start, size) for start in range(0, (maxsize + 4) * size, size)]
+        assert simulate._bound_window.cache_info().currsize == maxsize
 
-    @pytest.mark.parametrize("max_trials", [2_001, 70_000])
-    def test_cached_windows_are_the_builder_s(self, max_trials, monkeypatch):
-        # hardy-naive, QM true: its "yes" falsifies LR; the horizon at 2001
-        # is folded into the cached bounds, the one at 70000 past _BOUND_CAP
-        # into those the uncached windows build
-        monkeypatch.setattr(simulate, "_BOUNDS", {})
-        rule = rule_of(walk_config("hardy-naive", QM, max_trials=max_trials))
-        assert 2_001 < simulate._BOUND_CAP < 70_000
-        built = simulate._count_bounds(*rule, np.arange(80_000.0))
-        for start, stop in ((1, 100), (50, 7_000), (6_000, 20_000), (1, 20_000), (60_000, 80_000), (69_990, 70_010)):
-            window = simulate._bounds(rule, start, stop)
-            assert all(np.array_equal(w, x[start:stop]) for w, x in zip(window, built, strict=True)), (start, stop)
+    def test_a_walk_to_the_default_horizon_is_built_once(self, monkeypatch):
+        # q = r: 300 walks that all reach the default max_trials (100000),
+        # through 17 windows, which the cache holds; a second run builds none
+        cfg = SimulationConfig(HypothesisPair(0.5, 0.5), master_seed=SEED, replications=300)
+        builds = counted_bound_builds(monkeypatch)
+        cold = replication_summaries(cfg)
+        assert cold[0].tolist() == [100_000] * 300 and len(builds) == 17
+        builds.clear()
+        assert walk_columns_equal(replication_summaries(cfg), cold)
+        assert builds == []
+
+    @pytest.mark.parametrize(
+        "name, truth, max_trials, start, stop, windows",
+        [
+            ("hardy-naive", QM, 100_000, 1, 100, 1),  # inside a window; "yes" falsifies LR
+            ("hardy-naive", QM, 100_000, 50, 6_144, 1),
+            ("chained-k2", LR, 100_000, 6_000, 7_000, 2),  # straddling two windows
+            ("chained-k2", LR, 100_000, 6_100, 12_244, 2),  # _MAX_BLOCK wide
+            ("chained-k2", QM, 100_000, 65_530, 65_540, 1),  # past 2**16
+            ("hardy-naive", QM, 100_000, 70_000, 76_144, 2),
+            ("hardy-naive", QM, 2_001, 1, 6_000, 1),  # the horizon inside a window
+            ("chained-k2", LR, 70_000, 69_990, 70_010, 1),
+            # straddling 2**31, 2048 counts into a window: b(n) = n + 1 for q = r
+            ("q=r", LR, 100_000, 2**31 - 2_200, 2**31 + 100, 2),
+            ("q=r", LR, 2**31, 2**31 - 100, 2**31 + 100, 1),  # a(n) = n from the horizon at 2**31
+            ("chained-k2", LR, 2**40, 2**31 - 2_200, 2**31 + 100, 2),
+        ],
+    )
+    def test_windows_are_the_builder_s(self, name, truth, max_trials, start, stop, windows):
+        rule = rule_of(walk_config(name, truth, max_trials=max_trials))
+        built = simulate._count_bounds(*rule, np.arange(start, stop, dtype=np.float64))
+        bounds = simulate._bounds(rule, start, stop)
+        assert all(np.array_equal(w, x) for w, x in zip(bounds, built, strict=True))
+        assert simulate._bound_window.cache_info().misses == windows
+        # the cached windows are shared: no caller can write to them
+        assert not any(bound.flags.writeable for bound in simulate._bound_window(rule, 0, simulate._MAX_BLOCK))
 
 
 def stops_and_decisions(config: SimulationConfig) -> list[tuple[int, str]]:
@@ -943,11 +995,12 @@ def assert_layout_free(config: SimulationConfig, monkeypatch) -> None:
     monkeypatch.setattr(simulate, "_MAX_BLOCK", 48)
     monkeypatch.setattr(simulate, "_BLOCK_FLOATS", 7 * 8 * 2)
     monkeypatch.setattr(simulate, "_RAW_WIDTH", 24)  # blocks of 8-16 trials draw floats, 24-48 raw words
-    # an empty bound cache, grown in windows of 48 trial counts up to 64;
-    # blocks reaching past trial 64 build their count bounds uncached
-    monkeypatch.setattr(simulate, "_BOUNDS", {})
-    monkeypatch.setattr(simulate, "_BOUND_CAP", 64)
-    assert all(np.array_equal(a, b) for a, b in zip(replication_summaries(config), default, strict=True))
+    # windows of 48 trial counts, built cold; more than the cache holds for
+    # walks past 960 trials
+    simulate._bound_window.cache_clear()
+    layout = replication_summaries(config)
+    simulate._bound_window.cache_clear()
+    assert all(np.array_equal(a, b) for a, b in zip(layout, default, strict=True))
 
 
 def counted_draws(monkeypatch) -> dict:
@@ -1152,15 +1205,15 @@ class TestMemory:
 
     def test_a_long_lr_true_walk(self):
         # lr-long's shape: 10 walks of 3.5k-9k trials in blocks of up to
-        # 6144, with the rule's count bounds cached by the warm-up (0.93 MB)
+        # 6144, with the rule's count bounds cached by the warm-up (1.06 MB)
         cfg = walk_config("chained-k2", LR, upper_threshold=1e100, replications=10)
         assert traced_peak(run_replications, cfg) <= 3_000_000
 
-    def test_a_walk_past_the_bound_cap(self):
-        # every block past trial 2**16 builds its count bounds, at most
-        # _MAX_BLOCK of them, for itself (0.69 MB)
+    def test_a_walk_past_the_window_cache(self):
+        # 49 windows of count bounds, more than the cache holds, so each run
+        # builds them again, evicting its oldest (2.76 MB)
         cfg = SimulationConfig(HypothesisPair(0.5, 0.5), max_trials=300_000, master_seed=SEED, replications=3)
-        assert cfg.max_trials > simulate._BOUND_CAP
+        assert cfg.max_trials > simulate._bound_window.cache_info().maxsize * simulate._MAX_BLOCK
         assert traced_peak(run_replications, cfg) <= 3_000_000
 
     def test_columns_at_many_replications(self):
