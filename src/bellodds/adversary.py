@@ -103,7 +103,7 @@ def minimax_lr_ghz(grid_steps: int = 200) -> tuple[GhzAssignment, float]:
     bit what the enumeration of all triples, kept as a test oracle, returns.
     """
     grid_steps = _check_int("grid_steps", grid_steps, 10)
-    g = np.linspace(-1.0, 1.0, grid_steps + 1)
+    g = _grid(-1.0, 1.0, grid_steps)
     e4 = np.minimum(np.maximum(2.0 - g - g - g, -1.0), 1.0)
     with np.errstate(divide="ignore"):
         rate = -np.log((1.0 + g) / 2.0)
@@ -138,7 +138,7 @@ def minimax_lr_chained(k: int = 2, grid_steps: int = 100) -> tuple[ChainAssignme
     # a 1-cell grid has only the corners, where every KL is infinite
     grid_steps = _check_int("grid_steps", grid_steps, 2)
     n_left = 2 * k - 1
-    g = np.linspace(0.0, 1.0, grid_steps + 1)
+    g = _grid(0.0, 1.0, grid_steps)
     kl_left, kl_last = _kl_tables((pair.q, 1.0 - pair.q), g)
 
     reach = np.minimum.accumulate(kl_last)[np.minimum(n_left * np.arange(grid_steps + 1), grid_steps)]
@@ -154,11 +154,20 @@ def minimax_lr_chained(k: int = 2, grid_steps: int = 100) -> tuple[ChainAssignme
     return ChainAssignment(probs=probs), best_val
 
 
+def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    """np.linspace(lo, hi, steps + 1) by linspace's own formula, bit for bit,
+    without its argument handling: arange times the step, plus lo, the last
+    cell set to hi."""
+    g = np.arange(steps + 1, dtype=np.float64) * ((hi - lo) / steps) + lo
+    g[-1] = hi
+    return g
+
+
 def _kl_tables(ps: tuple[float, ...], g: np.ndarray) -> list[np.ndarray]:
     """_kl(p, r) over a grid g of [0, 1] for each p in (0, 1), bit for bit."""
-    inner = g[1:-1]  # each cell's logs are taken once, for every p; ln 0 = -inf makes the ends +inf
-    log_r = np.array([-math.inf, *map(math.log, inner.tolist()), 0.0])
-    log1m_r = np.array([0.0, *map(math.log1p, (-inner).tolist()), -math.inf])
+    inner = g[1:-1].tolist()  # each cell's logs are taken once, for every p; ln 0 = -inf makes the ends +inf
+    log_r = np.array([-math.inf, *map(math.log, inner), 0.0])
+    log1m_r = np.array([0.0, *(math.log1p(-r) for r in inner), -math.inf])
     return [np.where(kl > 0.0, kl, 0.0) for kl in (_kl_logs(p, math.log(p), math.log1p(-p), log_r, log1m_r) for p in ps)]
 
 

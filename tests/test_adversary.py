@@ -128,6 +128,20 @@ def peak_traced_bytes(fn) -> int:
         tracemalloc.stop()
 
 
+class TestGrid:
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0)])
+    def test_is_linspace_bit_for_bit(self, lo, hi):
+        # every steps value up to 3000, the searches' default grids and the
+        # largest grid the tables test takes; both CI jobs run it, on numpy 2
+        # and on the numpy 1.24 floor
+        mismatched = [
+            steps
+            for steps in [*range(1, 3001), 200, 100, 10007]
+            if adversary._grid(lo, hi, steps).tobytes() != np.linspace(lo, hi, steps + 1).tobytes()
+        ]
+        assert mismatched == []
+
+
 class TestGhzMinimax:
     def test_symmetric_optimum_at_200_steps(self):
         assignment, value = minimax_lr_ghz(200)

@@ -186,6 +186,30 @@ class TestHardyOptimization:
 
         assert solver_gap(1e-12) > 0.0 > solver_gap(q - 1e-12)
 
+    @pytest.mark.parametrize("mode", ["paper", "literal"])
+    def test_few_gap_evaluations(self, monkeypatch, mode):
+        # the plain bisection evaluates the gap at all 37 midpoints
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _kl_logs(*args)
+
+        monkeypatch.setattr(scenarios, "_kl_logs", counted)
+        hardy_optimize_r(mode)
+        assert 0 < len(calls) <= 8
+
+    @pytest.mark.parametrize("share", [1.0, 1.0 / 3.0])
+    def test_gap_sign_is_sure_outside_the_margin(self, share):
+        """What hardy_optimize_r's replay of the bisection rests on: its
+        own gap, at the ends of the margin around the Newton root, has the
+        sign of the root's side, with a size far above its rounding error."""
+        gap, root = scenarios._hardy_gap(share)
+        margin = scenarios._HARDY_MARGIN
+        assert 0.0 < root < hardy_q()
+        assert gap(root - margin) >= margin / 4.0
+        assert gap(root + margin) <= -margin / 4.0
+
     def test_target_dependence_only_in_trials(self):
         lo = hardy_optimize_r("paper", 1e2)
         hi = hardy_optimize_r("paper", 1e8)
