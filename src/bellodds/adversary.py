@@ -8,11 +8,15 @@ assignment, so the assignment's value is that maximum and the searches are
 minimax.  None of them presume the symmetric answer; the grids (dis)confirm
 it.
 
-The GHZ and chained searches return the exact optimum of their grids
-without enumerating them, ties broken toward the lexicographically smallest
+The GHZ and chained searches return the exact optimum of their grids without
+enumerating them, ties broken toward the lexicographically smallest
 assignment as an enumeration in index order breaks them; the tests keep
-those enumerations as oracles.  The Hardy search bisects its one-dimensional
-r1 grid for the first cell where setup 1's rate drops to the
+those enumerations as oracles.  The chained search builds no KL table either:
+it gallops and bisects for the cell where the leading setups' rate crosses
+the best rate the last setup can reach, and scores only the cells that
+decide the optimum and its ties, about a dozen; the tests keep the search
+over both full tables as its oracle.  The Hardy search bisects its
+one-dimensional r1 grid for the first cell where setup 1's rate drops to the
 zero-coincidence family's and scores only that cell and the one before it;
 the tests keep the scan of every cell as its oracle.
 """
@@ -21,11 +25,12 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import _check_int, _kl, _kl_logs
+from .bayes import _check_int, _kl
 from .scenarios import _HARDY_Q, HARDY_MODE_PAPER, HARDY_MODES, chained_pair
 
 __all__ = [
@@ -119,39 +124,130 @@ def minimax_lr_chained(k: int = 2, grid_steps: int = 100) -> tuple[ChainAssignme
     QM predicts q = (1 - cos(pi/2k))/2 for the first 2k - 1 setups and 1 - q
     for the last.  All 2k axes are gridded over [0, 1]; points where the
     leading probabilities sum to less than the last are infeasible.  The
-    (grid_steps + 1)^2k points are never enumerated: the search takes
-    O(grid_steps) array work at any k.
+    (grid_steps + 1)^2k points are never enumerated, nor are the two KL
+    tables built: the search scores O(log grid_steps) cells (6 for k = 2 and
+    12 for k = 12 at 100 cells), and its slot loop takes O(k) steps.
 
     A point's value is the largest of its per-axis KL values.  Feasibility
     is decided in whole cells (leading indices summing to at least the
     last), as the float sums with their 1e-12 slack decide it while the cell
     is far above 1e-12.  Put every leading slot at cell i: the last slot may
     then take any cell up to min((2k - 1) i, grid_steps), so the point
-    scores max(KL(q, g_i), reach_i), reach_i the smallest KL(1 - q, g_j)
-    over those cells, and the optimum is the smallest such score.  No
+    scores val_i = max(KL(q, g_i), reach_i), reach_i the smallest KL(1 - q,
+    g_j) over those cells, and the optimum is the smallest val_i.  No
     feasible point beats it: with i its largest leading index, KL(q, g_i)
-    and reach_i are both at most its value.  The lexicographically smallest
-    point attaining the optimum follows slot by slot: bit for bit what the
-    enumeration of all points, kept as a test oracle, returns.
+    and reach_i are both at most its value.
+
+    Not every val_i is scored.  reach_i never rises with i.  Let c be the
+    first cell i >= 1 where KL(q, g_i) >= reach_i, the crossing (cell
+    grid_steps has KL = +inf).  Left of c, val_i = reach_i >= reach_(c-1) =
+    val_(c-1); from c on, KL(q, g_i) never falls, so val_i >= val_c.  The
+    optimum is thus the smaller of val_(c-1) and val_c.  The crossing test
+    is false on cells 1 .. c-1 and true from c on, so a gallop out from the
+    continuous optimum's cell grid_steps/2k and a bisection find c.  They
+    also find the cells that break ties: the leading cells with KL <= the
+    optimum form an interval [lo, hi] around q's cell, and the last slot's
+    first such cell lies between the cells holding reach_(hi-1) and
+    reach_hi.  Slot by slot, the lexicographically smallest point attaining
+    the optimum takes the smallest cell of [lo, hi] that still lets the
+    remaining slots reach the last one, so lo is sought only when a slot's
+    need falls below it: bit for bit what the enumeration of all points,
+    kept as a test oracle, returns.
+
+    The argument rests on each float KL table falling strictly to its first
+    minimum and never falling after it, the last slot's bottoming out at
+    1 - q's cell a, rounded down, or at a + 1: reach_i is then KL(1 - q,
+    g_j) at j = min((2k - 1) i, grid_steps) while j <= a, and that minimum
+    past it.  The crossing lies at or past the leading table's minimum,
+    where KL(q, g_i) is near 0 and reach_i large.  The tests check all of
+    this cell by cell for k = 2 .. 12 up to 10007 cells, and the search
+    against the full tables up to 1e5 cells; around each minimum the premise
+    holds up to 1e8 cells.  Finer grids (1e9 cells for k = 2) can wiggle
+    within a few cells of a minimum, where neighbouring cells differ by less
+    than the logs' rounding, but the answer does not move.  Near q's cell
+    reach_i is large, so the crossing test is false whatever the wiggles,
+    and all those cells lie inside [lo, hi].  Near 1 - q's cell, reached
+    from leading cells past (1 - q)/(2k - 1) > 1/2k, reach_i is within
+    rounding of 0 while KL(q, g_i) is above its value at 1/2k, so the test
+    is true whatever the wiggles and whichever of a and a + 1 is taken as
+    the minimum.  Everything the answer depends on sits near 1/2k, near
+    1 - 1/2k and at lo, where neighbouring cells differ by about the slope
+    over grid_steps, far above the rounding.
     """
-    pair = chained_pair(k)  # validates k: an integer >= 2
+    k = _check_int("k", k, 2)  # as chained_pair checks it, but a Python int for the cell arithmetic
+    pair = chained_pair(k)
     # a 1-cell grid has only the corners, where every KL is infinite
     grid_steps = _check_int("grid_steps", grid_steps, 2)
     n_left = 2 * k - 1
-    g = _grid(0.0, 1.0, grid_steps)
-    kl_left, kl_last = _kl_tables((pair.q, 1.0 - pair.q), g)
+    kl_left, kl_last = _KlCells(pair.q, grid_steps), _KlCells(1.0 - pair.q, grid_steps)
+    # 1 - q's cell, rounded down: the last slot's table bottoms out there or one cell on
+    a = min(int((1.0 - pair.q) * grid_steps), grid_steps - 1)
 
-    reach = np.minimum.accumulate(kl_last)[np.minimum(n_left * np.arange(grid_steps + 1), grid_steps)]
-    best_val = float(np.maximum(kl_left, reach).min())
-    left = (kl_left <= best_val).nonzero()[0]
-    last = int((kl_last <= best_val).argmax())
+    def reach_cell(i: int) -> int:  # the cell holding reach_i
+        j = min(n_left * i, grid_steps)
+        return j if j <= a else a if kl_last[a] <= kl_last[a + 1] else a + 1
+
+    start = max(1, (grid_steps + k) // (2 * k))
+    c = _first(lambda i: kl_left[i] >= kl_last[reach_cell(i)], 0, grid_steps, start)
+    best_val = min(max(kl_left[i], kl_last[reach_cell(i)]) for i in (c - 1, c))
+    hi = _first(lambda i: kl_left[i] > best_val, c - 1, grid_steps, c) - 1
+    below = reach_cell(hi - 1) if kl_last[reach_cell(hi - 1)] > best_val else 0
+    last = _first(lambda j: kl_last[j] <= best_val, below, reach_cell(hi))
+
+    # slot by slot, the smallest cell of [lo, hi] that still lets the
+    # remaining slots reach the last one: lo while the need is below it, then
+    # the need itself, after which each remaining slot needs exactly hi
+    lo = None  # sought only once a need falls outside [lo, hi]
     idx: list[int] = []
+    total = 0
     for rest in range(n_left - 1, -1, -1):
-        # smallest index that still lets the remaining slots reach the last one
-        need = last - sum(idx) - rest * int(left[-1])
-        idx.append(int(left[left.searchsorted(need)]))
-    probs = tuple(float(g[i]) for i in idx + [last])
+        need = last - total - rest * hi
+        if lo is None and need < hi and (need <= 0 or kl_left[need] > best_val):
+            lo = _first(lambda i: kl_left[i] <= best_val, max(need, 0), hi)
+        if lo is None or need >= lo:
+            idx += [need] + [hi] * rest
+            break
+        idx.append(lo)
+        total += lo
+    probs = tuple(_cell(i, grid_steps) for i in idx + [last])
     return ChainAssignment(probs=probs), best_val
+
+
+class _KlCells(dict):
+    """_kl(p, g_i) over the cells g_i of _grid(0, 1, steps), by index i, each
+    scored the first time it is read."""
+
+    def __init__(self, p: float, steps: int):
+        super().__init__()
+        self.p, self.steps = p, steps
+
+    def __missing__(self, i: int) -> float:
+        kl = self[i] = _kl(self.p, _cell(i, self.steps))
+        return kl
+
+
+def _cell(i: int, steps: int) -> float:
+    """Cell i of _grid(0, 1, steps), bit for bit: i times the step, the last one 1.0."""
+    return 1.0 if i == steps else i * (1.0 / steps)
+
+
+def _first(pred: Callable[[int], bool], lo: int, hi: int, start: int | None = None) -> int:
+    """The first index in (lo, hi] where pred holds, pred taken as false at lo
+    and true at hi and switching once between.  From start, the search
+    gallops out in steps 1, 2, 4, ... to a bracket; it then bisects."""
+    if start is not None:
+        step = 1
+        if pred(start):
+            hi = start
+            while (i := hi - step) > lo and pred(i):
+                hi, step = i, 2 * step
+            lo = max(lo, i)
+        else:
+            lo = start
+            while (i := lo + step) < hi and not pred(i):
+                lo, step = i, 2 * step
+            hi = min(hi, i)
+    return lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=pred)
 
 
 def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -161,14 +257,6 @@ def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
     g = np.arange(steps + 1, dtype=np.float64) * ((hi - lo) / steps) + lo
     g[-1] = hi
     return g
-
-
-def _kl_tables(ps: tuple[float, ...], g: np.ndarray) -> list[np.ndarray]:
-    """_kl(p, r) over a grid g of [0, 1] for each p in (0, 1), bit for bit."""
-    inner = g[1:-1].tolist()  # each cell's logs are taken once, for every p; ln 0 = -inf makes the ends +inf
-    log_r = np.array([-math.inf, *map(math.log, inner), 0.0])
-    log1m_r = np.array([0.0, *(math.log1p(-r) for r in inner), -math.inf])
-    return [np.where(kl > 0.0, kl, 0.0) for kl in (_kl_logs(p, math.log(p), math.log1p(-p), log_r, log1m_r) for p in ps)]
 
 
 def _hardy_rates(r: tuple[float, float, float, float], mode: str) -> tuple[float, float]:

@@ -4,10 +4,12 @@ The searches themselves must reproduce the symmetric optima; on top of that,
 independent full-grid enumerations written out in this file check the GHZ
 and chained searches bit for bit, and the Hardy split structure, without
 going through the module's own reductions.  A scan of every Hardy grid cell
-checks the Hardy bisection bit for bit.
+checks the Hardy bisection bit for bit, and a search over both full KL tables
+checks the chained search's gallop and bisection.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,7 +26,7 @@ from bellodds.adversary import (
     minimax_lr_ghz,
     minimax_lr_hardy,
 )
-from bellodds.bayes import HypothesisPair, _kl, kl_per_trial
+from bellodds.bayes import HypothesisPair, _kl, _kl_logs, kl_per_trial
 from bellodds.scenarios import chained_pair, hardy_q
 
 LN_4_3 = 0.28768207245178085
@@ -104,6 +106,35 @@ def enumerate_chained(
             best_idx = (i0,) + tuple(int(i) for i in np.unravel_index(flat, val.shape))
     assert best_idx is not None
     probs = tuple(float(g[i]) for i in best_idx)
+    return ChainAssignment(probs=probs), best_val
+
+
+def kl_tables(ps: tuple[float, ...], g: np.ndarray) -> list[np.ndarray]:
+    """_kl(p, r) over a grid g of [0, 1] for each p in (0, 1), bit for bit."""
+    inner = g[1:-1].tolist()  # each cell's logs are taken once, for every p; ln 0 = -inf makes the ends +inf
+    log_r = np.array([-math.inf, *map(math.log, inner), 0.0])
+    log1m_r = np.array([0.0, *(math.log1p(-r) for r in inner), -math.inf])
+    return [np.where(kl > 0.0, kl, 0.0) for kl in (_kl_logs(p, math.log(p), math.log1p(-p), log_r, log1m_r) for p in ps)]
+
+
+def table_chained(k: int = 2, grid_steps: int = 100) -> tuple[ChainAssignment, float]:
+    """Oracle for minimax_lr_chained: the same reduction to every leading slot
+    at one cell, scored over both full KL tables."""
+    pair = chained_pair(k)
+    n_left = 2 * k - 1
+    g = adversary._grid(0.0, 1.0, grid_steps)
+    kl_left, kl_last = kl_tables((pair.q, 1.0 - pair.q), g)
+
+    reach = np.minimum.accumulate(kl_last)[np.minimum(n_left * np.arange(grid_steps + 1), grid_steps)]
+    best_val = float(np.maximum(kl_left, reach).min())
+    left = (kl_left <= best_val).nonzero()[0]
+    last = int((kl_last <= best_val).argmax())
+    idx: list[int] = []
+    for rest in range(n_left - 1, -1, -1):
+        # smallest index that still lets the remaining slots reach the last one
+        need = last - sum(idx) - rest * int(left[-1])
+        idx.append(int(left[left.searchsorted(need)]))
+    probs = tuple(float(g[i]) for i in idx + [last])
     return ChainAssignment(probs=probs), best_val
 
 
@@ -237,16 +268,16 @@ class TestChainedMinimax:
 
     @pytest.mark.parametrize("k, grid_steps", [(2, 8), (2, 12), (3, 5)])
     def test_exact_for_arbitrary_tables(self, monkeypatch, k, grid_steps):
-        # the search's argument needs no convexity of the KL tables: replace
-        # both with seeded draws full of ties and +inf, in the search and in
-        # the oracle alike
+        # the table oracle's reduction needs no convexity of the KL tables:
+        # replace both with seeded draws full of ties and +inf, in the table
+        # oracle and in the enumeration alike
         q = chained_pair(k).q
         tables: dict[float, list[float]] = {}
 
         def table_kl(p: float, r: float) -> float:
             return tables[p][round(r * grid_steps)]
 
-        monkeypatch.setattr(adversary, "_kl_tables", lambda ps, g: [np.array(tables[p]) for p in ps])
+        monkeypatch.setitem(globals(), "kl_tables", lambda ps, g: [np.array(tables[p]) for p in ps])
         monkeypatch.setitem(globals(), "_kl", table_kl)
         mismatched = []
         for seed in range(10):
@@ -255,16 +286,76 @@ class TestChainedMinimax:
                 table = rng.integers(0, 5, grid_steps + 1) / 4.0
                 table[rng.random(grid_steps + 1) < 0.2] = math.inf
                 tables[p] = table.tolist()
-            if repr(minimax_lr_chained(k, grid_steps)) != repr(enumerate_chained(k, grid_steps)):
+            if repr(table_chained(k, grid_steps)) != repr(enumerate_chained(k, grid_steps)):
                 mismatched.append(seed)
         assert mismatched == []
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_matches_table_search(self, k):
+        def differs(g):
+            return repr(minimax_lr_chained(k, g)) != repr(table_chained(k, g))
+
+        assert [g for g in [*range(2, 1001), 2000, 3000, 10007, 10**5] if differs(g)] == []
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_optimum_sits_next_to_the_crossing(self, k):
+        """The search's premise, cell by cell: each KL table falls strictly
+        to its first minimum and never falls after it, the last slot's at
+        1 - q's cell, rounded down, or the next; the crossing test
+        KL(q, g_i) >= reach_i is false, then true, on cells 1 .. grid_steps,
+        the crossing c at or past the leading table's minimum; so the
+        optimum is val at c - 1 or c."""
+        q = chained_pair(k).q
+        for g in [*range(2, 301, 7), 1000, 3000, 10007]:
+            grid = adversary._grid(0.0, 1.0, g)
+            kl_left, kl_last = kl_tables((q, 1.0 - q), grid)
+            for table in (kl_left, kl_last):
+                m = int(table.argmin())
+                assert (np.diff(table[: m + 1]) < 0).all() and (np.diff(table[m:]) >= 0).all(), g
+            a = int((1.0 - q) * g)  # 1 - q's cell, rounded down
+            assert int(kl_last.argmin()) in (a, a + 1), g
+            reach = np.minimum.accumulate(kl_last)[np.minimum((2 * k - 1) * np.arange(g + 1), g)]
+            crossed = (kl_left >= reach)[1:].tolist()
+            c = crossed.index(True) + 1
+            assert crossed == [False] * (c - 1) + [True] * (g + 1 - c), g
+            assert c >= int(kl_left.argmin()), g
+            val = np.maximum(kl_left, reach)
+            assert val.min() == min(val[c - 1], val[c]), g
+
+    def test_evaluations_are_logarithmic_in_the_grid(self, monkeypatch):
+        calls = 0
+
+        def counting_kl(q, r):
+            nonlocal calls
+            calls += 1
+            return _kl(q, r)
+
+        monkeypatch.setattr(adversary, "_kl", counting_kl)
+        grid_steps = 10**7  # the two tables would take 2 * (10^7 + 1) evaluations
+        for k in (2, 12):
+            calls = 0
+            assignment, value = minimax_lr_chained(k, grid_steps)
+            assert calls <= 2 * math.log2(grid_steps) + 5, k
+            assert 0.0 <= value - kl_per_trial(chained_pair(k)) <= 1e-6, k
+            assert abs(assignment.probs[0] - 1.0 / (2 * k)) <= 1e-6, k
+
+    def test_slot_loop_is_linear_in_k(self):
+        # 2k - 1 = 39999 leading slots; summing the slots so far at each one
+        # made this call take 4.1 s on a 2-vCPU VM, against about 10 ms
+        k = 20_000
+        started = time.perf_counter()
+        assignment, value = minimax_lr_chained(k, 10 * k)
+        assert time.perf_counter() - started < 1.0
+        assert abs(value - kl_per_trial(chained_pair(k))) <= 1e-12
+        assert assignment.probs == (1.0 / (2 * k),) * (2 * k - 1) + (assignment.probs[-1],)
+        assert abs(assignment.probs[-1] - (1.0 - 1.0 / (2 * k))) <= 1e-12
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_tables_are_the_scalar_kl_of_each_cell(self, k):
         q = chained_pair(k).q
         for grid_steps in (2, 3, 10, 100, 1000, 10007):
             g = np.linspace(0.0, 1.0, grid_steps + 1)
-            tables = adversary._kl_tables((q, 1.0 - q), g)
+            tables = kl_tables((q, 1.0 - q), g)
             for p, table in zip((q, 1.0 - q), tables, strict=True):
                 want = np.array([_kl(p, r) for r in g.tolist()])
                 assert table.tobytes() == want.tobytes(), (p, grid_steps)
@@ -278,8 +369,8 @@ class TestChainedMinimax:
         assert max(abs(p - w) for p, w in zip(assignment.probs, want)) <= 1e-12
 
     def test_memory_is_linear_in_the_grid(self):
-        # the enumeration's (g+1)^3 temporaries alone would take 8 MB here
-        assert peak_traced_bytes(lambda: minimax_lr_chained(2, 100)) < 1_000_000
+        # no table is built: at 10^6 cells the two would take tens of MB
+        assert peak_traced_bytes(lambda: minimax_lr_chained(2, 10**6)) < 100_000
 
     def test_k3_coarse_grid_is_sane(self):
         assignment, value = minimax_lr_chained(3, 10)
