@@ -8,17 +8,16 @@ assignment, so the assignment's value is that maximum and the searches are
 minimax.  None of them presume the symmetric answer; the grids (dis)confirm
 it.
 
-The GHZ and chained searches return the exact optimum of their grids without
+All three searches return the exact optimum of their grids without
 enumerating them, ties broken toward the lexicographically smallest
-assignment as an enumeration in index order breaks them; the tests keep
-those enumerations as oracles.  The chained search builds no KL table either:
-it gallops and bisects for the cell where the leading setups' rate crosses
-the best rate the last setup can reach, and scores only the cells that
-decide the optimum and its ties, about a dozen; the tests keep the search
-over both full tables as its oracle.  The Hardy search bisects its
-one-dimensional r1 grid for the first cell where setup 1's rate drops to the
-zero-coincidence family's and scores only that cell and the one before it;
-the tests keep the scan of every cell as its oracle.
+assignment as an enumeration in index order breaks them.  Each reduces its
+grid to one axis where one rate falls and another rises; one helper,
+_first, gallops and bisects for the crossing cell and the tie cells, and
+only those are scored, with the scalar _kl that kl_per_trial uses, on
+_cell's cells (np.linspace's bit for bit, without numpy): 7 or 8 for GHZ,
+6 to 13 for chained k = 2..12 and 9 for Hardy at their default grids.  The
+tests keep the enumerations, a search over both full chained KL tables and
+a scan of every Hardy cell as oracles.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ import bisect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bayes import _check_int, _kl
 from .scenarios import _HARDY_Q, HARDY_MODE_PAPER, HARDY_MODES, chained_pair
@@ -95,27 +92,37 @@ def minimax_lr_ghz(grid_steps: int = 200) -> tuple[GhzAssignment, float]:
     assignment that minimizes the best setup's per-trial evidence rate.
 
     QM predicts "yes" with certainty in every setup, so setup j's rate
-    against a claimed average e_j is -ln((1 + e_j) / 2).  The first three
-    components run over a uniform grid of [-1, 1]; the fourth is set to the
-    largest value the bound allows, which lowers its own rate and leaves the
-    others untouched, so no candidate optimum is lost to the reduction.
+    against a claimed average e_j is KL(1, (1 + e_j)/2) = -ln((1 + e_j)/2).
+    The first three components run over a uniform grid of [-1, 1]; the
+    fourth is set to the largest value the bound allows, which lowers its
+    own rate and leaves the others untouched, so no candidate optimum is
+    lost to the reduction.
 
     The rate falls as e grows, and the float e4 = 2 - e1 - e2 - e3 falls as
     any of e1, e2, e3 grows, so the diagonal triple (m, m, m) scores no worse
-    than any triple whose smallest index is m.  The grid optimum is thus the
-    best diagonal value, and the lexicographically smallest triple attaining
-    it is (a, a, a), a the first index whose rate does not exceed it: bit for
-    bit what the enumeration of all triples, kept as a test oracle, returns.
+    than any triple whose smallest index is m: the grid optimum is the best
+    diagonal value.  Along the diagonal the leading rate falls and e4's
+    rises, so a gallop out from e = 1/2's cell 3 grid_steps/4 and a bisection
+    find the first cell c where the leading rate is at most e4's (false at
+    cell 0, true at the last).  The optimum is the leading rate at c - 1 or
+    e4's at c, and the lexicographically smallest triple attaining it is
+    (a, a, a), a the first cell whose leading rate does not exceed it: bit
+    for bit what the enumeration of all triples, a test oracle, returns.
     """
     grid_steps = _check_int("grid_steps", grid_steps, 10)
-    g = _grid(-1.0, 1.0, grid_steps)
-    e4 = np.minimum(np.maximum(2.0 - g - g - g, -1.0), 1.0)
-    with np.errstate(divide="ignore"):
-        rate = -np.log((1.0 + g) / 2.0)
-        rate4 = -np.log((1.0 + e4) / 2.0)
-    best_val = float(np.maximum(rate, rate4).min())
-    a = int((rate <= best_val).argmax())
-    return GhzAssignment(e=(float(g[a]),) * 3 + (float(e4[a]),)), best_val
+
+    def diagonal(i: int) -> tuple[float, float]:  # cell i's average and the e4 it leaves
+        e = _cell(i, grid_steps, -1.0)
+        return e, min(max(2.0 - e - e - e, -1.0), 1.0)
+
+    def rate(i: int, setup: int) -> float:  # setup 0: the three leading ones, 1: the fourth
+        return _kl(1.0, (1.0 + diagonal(i)[setup]) / 2.0)
+
+    c = _first(lambda i: rate(i, 0) <= rate(i, 1), 0, grid_steps, 3 * grid_steps // 4)
+    best_val = min(rate(c - 1, 0), rate(c, 1))
+    a = _first(lambda i: rate(i, 0) <= best_val, 0, c, c - 1)
+    e, e4 = diagonal(a)
+    return GhzAssignment(e=(e, e, e, e4)), best_val
 
 
 def minimax_lr_chained(k: int = 2, grid_steps: int = 100) -> tuple[ChainAssignment, float]:
@@ -209,32 +216,34 @@ def minimax_lr_chained(k: int = 2, grid_steps: int = 100) -> tuple[ChainAssignme
             break
         idx.append(lo)
         total += lo
-    probs = tuple(_cell(i, grid_steps) for i in idx + [last])
+    probs = tuple(_cell(i, grid_steps, 0.0) for i in idx + [last])
     return ChainAssignment(probs=probs), best_val
 
 
 class _KlCells(dict):
-    """_kl(p, g_i) over the cells g_i of _grid(0, 1, steps), by index i, each
-    scored the first time it is read."""
+    """_kl(p, g_i) over the cells g_i = _cell(i, steps, 0.0), by index i,
+    each scored the first time it is read."""
 
     def __init__(self, p: float, steps: int):
         super().__init__()
         self.p, self.steps = p, steps
 
     def __missing__(self, i: int) -> float:
-        kl = self[i] = _kl(self.p, _cell(i, self.steps))
+        kl = self[i] = _kl(self.p, _cell(i, self.steps, 0.0))
         return kl
 
 
-def _cell(i: int, steps: int) -> float:
-    """Cell i of _grid(0, 1, steps), bit for bit: i times the step, the last one 1.0."""
-    return 1.0 if i == steps else i * (1.0 / steps)
+def _cell(i: int, steps: int, lo: float) -> float:
+    """Cell i of np.linspace(lo, 1, steps + 1), bit for bit, by linspace's own
+    formula: i times the step, plus lo, the last cell 1.0."""
+    return 1.0 if i == steps else i * ((1.0 - lo) / steps) + lo
 
 
 def _first(pred: Callable[[int], bool], lo: int, hi: int, start: int | None = None) -> int:
     """The first index in (lo, hi] where pred holds, pred taken as false at lo
     and true at hi and switching once between.  From start, the search
-    gallops out in steps 1, 2, 4, ... to a bracket; it then bisects."""
+    gallops out in steps 1, 2, 4, ... to a bracket; it then bisects.  Every
+    crossing and tie cell of the three searches is found here."""
     if start is not None:
         step = 1
         if pred(start):
@@ -248,15 +257,6 @@ def _first(pred: Callable[[int], bool], lo: int, hi: int, start: int | None = No
                 lo, step = i, 2 * step
             hi = min(hi, i)
     return lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=pred)
-
-
-def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    """np.linspace(lo, hi, steps + 1) by linspace's own formula, bit for bit,
-    without its argument handling: arange times the step, plus lo, the last
-    cell set to hi."""
-    g = np.arange(steps + 1, dtype=np.float64) * ((hi - lo) / steps) + lo
-    g[-1] = hi
-    return g
 
 
 def _hardy_rates(r: tuple[float, float, float, float], mode: str) -> tuple[float, float]:
@@ -319,7 +319,7 @@ def minimax_lr_hardy(grid_steps: int = 1000, mode: str = HARDY_MODE_PAPER) -> tu
         return setup1 <= family
 
     top = math.ceil(_HARDY_Q / cell)  # below grid_steps: q < 0.1 and grid_steps >= 50
-    first = bisect.bisect_left(range(top + 1), True, key=crossed)
+    first = _first(crossed, 0, top)
     splits = (_balanced_split(i, cell, mode) for i in range(first - 1, first + 1))
     best_val, (r1, r2, r3, _) = min((max(*_hardy_rates(split, mode)), split) for split in splits)
     r4 = r1 - r2 - r3  # saturates the CH inequality exactly

@@ -151,7 +151,8 @@ def log_bayes_factor(pair: HypothesisPair, tally: TrialTally) -> float:
 
 
 def _kl_logs(q: float, log_q: float, log1m_q: float, log_r, log1m_r):
-    """The one KL expression, _kl before its clamp; r's logs may be arrays."""
+    """The one KL expression, _kl before its clamp; r's logs may be arrays,
+    as in the tests' oracle kl_tables, its only array caller."""
     yes = 0.0 if q == 0.0 else q * (log_q - log_r)
     no = 0.0 if q == 1.0 else (1.0 - q) * (log1m_q - log1m_r)
     return yes + no
@@ -159,10 +160,9 @@ def _kl_logs(q: float, log_q: float, log1m_q: float, log_r, log1m_r):
 
 def _kl(q: float, r: float) -> float:
     """KL(Bernoulli(q) || Bernoulli(r)) in nats; +inf where r forbids an
-    outcome q allows.  Scalar math.log/log1p on purpose (numpy's array logs
-    can differ in the last bit): tables take them once per r, numpy doing the
-    exact + - * of _kl_logs.  The result is clamped at +0.0, as rounding can
-    make it negative for r near q."""
+    outcome q allows.  Scalar math.log/log1p on purpose: numpy's array logs
+    can differ in the last bit, by CPU and numpy version.  The result is
+    clamped at +0.0, as rounding can make it negative for r near q."""
     if r == 0.0 or r == 1.0:
         return 0.0 if q == r else math.inf
     log_q, log1m_q = math.log(q) if q > 0.0 else -math.inf, math.log1p(-q) if q < 1.0 else -math.inf

@@ -9,6 +9,8 @@ checks the chained search's gallop and bisection.
 """
 
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -21,6 +23,7 @@ from bellodds.adversary import (
     GhzAssignment,
     HardyAssignment,
     _balanced_split,
+    _cell,
     _hardy_rates,
     minimax_lr_chained,
     minimax_lr_ghz,
@@ -42,21 +45,28 @@ HARDY_GRID_TRIALS_PAPER = 266.260644310105
 HARDY_GRID_VALUE_LITERAL = 0.01612938192988363
 
 
+def ghz_rates(e: np.ndarray) -> np.ndarray:
+    """-ln((1 + e)/2) per cell, +inf at e = -1, with the scalar math.log that
+    _kl takes, not numpy's array log, whose last bit depends on the CPU and
+    the numpy version."""
+    values, inverse = np.unique(e, return_inverse=True)
+    rates = np.array([-math.log((1.0 + x) / 2.0) if x > -1.0 else math.inf for x in values.tolist()])
+    return rates[inverse.reshape(-1)].reshape(e.shape)
+
+
 def enumerate_ghz(grid_steps: int = 200) -> tuple[GhzAssignment, float]:
     """Oracle for minimax_lr_ghz: every grid triple, scored in index order."""
     if grid_steps < 10:
         raise ValueError(f"grid_steps must be >= 10, got {grid_steps}")
     g = np.linspace(-1.0, 1.0, grid_steps + 1)
-    with np.errstate(divide="ignore"):
-        rate = -np.log((1.0 + g) / 2.0)
+    rate = ghz_rates(g)
     r2 = rate[:, None]
     r3 = rate[None, :]
     best_val = math.inf
     best: tuple[float, float, float, float] | None = None
     for i1, e1 in enumerate(g):
         e4 = np.clip(2.0 - e1 - g[:, None] - g[None, :], -1.0, 1.0)
-        with np.errstate(divide="ignore"):
-            rate4 = -np.log((1.0 + e4) / 2.0)
+        rate4 = ghz_rates(e4)
         val = np.maximum(np.maximum(rate[i1], np.maximum(r2, r3)), rate4)
         flat = int(np.argmin(val))
         v = float(val.flat[flat])
@@ -122,7 +132,7 @@ def table_chained(k: int = 2, grid_steps: int = 100) -> tuple[ChainAssignment, f
     at one cell, scored over both full KL tables."""
     pair = chained_pair(k)
     n_left = 2 * k - 1
-    g = adversary._grid(0.0, 1.0, grid_steps)
+    g = np.linspace(0.0, 1.0, grid_steps + 1)
     kl_left, kl_last = kl_tables((pair.q, 1.0 - pair.q), g)
 
     reach = np.minimum.accumulate(kl_last)[np.minimum(n_left * np.arange(grid_steps + 1), grid_steps)]
@@ -165,10 +175,13 @@ class TestGrid:
         # every steps value up to 3000, the searches' default grids and the
         # largest grid the tables test takes; both CI jobs run it, on numpy 2
         # and on the numpy 1.24 floor
+        def cells(steps):
+            return np.array([_cell(i, steps, lo) for i in range(steps + 1)])
+
         mismatched = [
             steps
             for steps in [*range(1, 3001), 200, 100, 10007]
-            if adversary._grid(lo, hi, steps).tobytes() != np.linspace(lo, hi, steps + 1).tobytes()
+            if cells(steps).tobytes() != np.linspace(lo, hi, steps + 1).tobytes()
         ]
         assert mismatched == []
 
@@ -208,8 +221,38 @@ class TestGhzMinimax:
         assert [g for g in grids if repr(minimax_lr_ghz(g)) != repr(enumerate_ghz(g))] == []
 
     def test_memory_is_linear_in_the_grid(self):
-        # the enumeration's (g+1)^2 temporaries alone would take 320 KB here
-        assert peak_traced_bytes(lambda: minimax_lr_ghz(200)) < 1_000_000
+        # no grid is built: at 10^6 cells the grid and its rates would take tens of MB
+        assert peak_traced_bytes(lambda: minimax_lr_ghz(10**6)) < 100_000
+
+    def test_optimum_sits_next_to_the_crossing(self):
+        """The search's premise, cell by cell along the diagonal: the leading
+        rate never rises, the saturating fourth setup's never falls, and the
+        crossing test leading <= fourth is false, then true, so the optimum
+        is the leading rate at the crossing cell c - 1 or the fourth's at c."""
+        for g in [*range(10, 3001, 7), 10007]:
+            grid = np.linspace(-1.0, 1.0, g + 1).tolist()
+            leading = [_kl(1.0, (1.0 + e) / 2.0) for e in grid]
+            fourth = [_kl(1.0, (1.0 + min(max(2.0 - e - e - e, -1.0), 1.0)) / 2.0) for e in grid]
+            assert all(a >= b for a, b in zip(leading, leading[1:])), g
+            assert all(a <= b for a, b in zip(fourth, fourth[1:])), g
+            crossed = [a <= b for a, b in zip(leading, fourth)]
+            c = crossed.index(True)
+            assert c > 0 and crossed == [False] * c + [True] * (g + 1 - c), g
+            assert min(map(max, leading, fourth)) == min(leading[c - 1], fourth[c]), g
+
+    def test_evaluations_are_logarithmic_in_the_grid(self, monkeypatch):
+        calls = 0
+
+        def counting_kl(q, r):
+            nonlocal calls
+            calls += 1
+            return _kl(q, r)
+
+        monkeypatch.setattr(adversary, "_kl", counting_kl)
+        grid_steps = 10**7  # the grid's two rate arrays would take 2 * (10^7 + 1) logs
+        _, value = minimax_lr_ghz(grid_steps)
+        assert calls <= 2 * math.log2(grid_steps) + 5
+        assert 0.0 <= value - LN_4_3 <= 1e-6
 
     def test_assignment_validation(self):
         with pytest.raises(ValueError):
@@ -307,7 +350,7 @@ class TestChainedMinimax:
         optimum is val at c - 1 or c."""
         q = chained_pair(k).q
         for g in [*range(2, 301, 7), 1000, 3000, 10007]:
-            grid = adversary._grid(0.0, 1.0, g)
+            grid = np.linspace(0.0, 1.0, g + 1)
             kl_left, kl_last = kl_tables((q, 1.0 - q), grid)
             for table in (kl_left, kl_last):
                 m = int(table.argmin())
@@ -545,3 +588,16 @@ class TestHardyMinimax:
     def test_assignment_rejects_non_probabilities(self, r):
         with pytest.raises(ValueError, match=r"need four probabilities in \[0, 1\]"):
             HardyAssignment(r)
+
+
+def test_searches_leave_numpy_unloaded():
+    # the cells come from _cell and the rates from the scalar _kl, so all
+    # three searches run in a process that never imports numpy
+    probe = (
+        "import sys\n"
+        "from bellodds.adversary import minimax_lr_chained, minimax_lr_ghz, minimax_lr_hardy\n"
+        "minimax_lr_ghz(), minimax_lr_chained(), minimax_lr_hardy(mode='paper'), minimax_lr_hardy(mode='literal')\n"
+        "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "[]")
