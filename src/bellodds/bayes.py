@@ -47,8 +47,11 @@ class IndistinguishableError(ValueError):
 
 
 def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
-    """value as an int in [lo, hi], hi None for no upper bound; Python and numpy ints pass, floats and strings do not."""
+    """value as an int in [lo, hi], hi None for no upper bound; Python and numpy ints pass, bools, floats and strings do not."""
     try:
+        # operator.index takes True as 1, and numpy 1.x takes np.True_ too (with a DeprecationWarning)
+        if isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", None) == "b":
+            raise TypeError
         index = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .bayes import HypothesisPair, _check_int, _kl_logs, required_trials
@@ -50,7 +49,6 @@ HARDY_MODE_LITERAL = "literal"
 HARDY_MODES = (HARDY_MODE_PAPER, HARDY_MODE_LITERAL)
 
 _HARDY_Q = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5  # hardy_q()
-_HARDY_MARGIN = 1e-13  # hardy_optimize_r evaluates its gap only this close to the Newton root
 
 
 @dataclass(frozen=True)
@@ -137,23 +135,23 @@ def hardy_q() -> float:
     return _HARDY_Q
 
 
-def _hardy_gap(share: float) -> tuple[Callable[[float], float], float]:
-    """hardy_optimize_r's gap KL(q, r) + ln(1 - r * share), in its own
-    arithmetic, and the gap's root by Newton's method from q/2.  On (0, q)
-    the gap falls and is convex (curvature above 1/q - 1/(1 - q)**2 > 9), so
-    from the first step on the iterates rise to the root; a step of at most
-    1e-12 leaves an error far below a float's spacing there."""
+def _hardy_root(share: float) -> float:
+    """The root in (0, q) of hardy_optimize_r's gap KL(q, r) + ln(1 - r * share),
+    by Newton's method from q/2.  On (0, q) the gap falls and is convex
+    (curvature above 1/q - 1/(1 - q)**2 > 9), so from the first step on the
+    iterates rise to the root; a step of at most 1e-12 leaves an error far
+    below a float's spacing there."""
     q = _HARDY_Q
     log_q, log1m_q = math.log(q), math.log1p(-q)
 
-    def gap(r: float) -> float:  # _kl's +0.0 clamp cannot change its sign: the family term is negative
+    def gap(r: float) -> float:
         return _kl_logs(q, log_q, log1m_q, math.log(r), math.log1p(-r)) + math.log1p(-r * share)
 
     root, step = 0.5 * q, 1.0
     while abs(step) > 1e-12:
         step = gap(root) / ((root - q) / (root * (1.0 - root)) - share / (1.0 - root * share))
         root -= step
-    return gap, root
+    return root
 
 
 def hardy_optimize_r(mode: str = HARDY_MODE_PAPER, target_d: float = 1e4) -> HardySolution:
@@ -162,36 +160,15 @@ def hardy_optimize_r(mode: str = HARDY_MODE_PAPER, target_d: float = 1e4) -> Har
     Setup 1 yields KL(q, r1) per trial; the three setups where QM predicts no
     coincidences yield -ln(1 - r1) per trial in "paper" mode, or
     -ln(1 - r1/3) in "literal" mode.  Both sides are strictly monotone in r1,
-    so bisection of their gap on (0, q) cannot miss: bracket
-    (1e-12, q - 1e-12), where KL(q, r1) is finite, absolute tolerance 1e-12.
-
-    The bisection's 37 midpoints are decided without evaluating the gap at
-    most of them.  A few Newton steps first find the gap's root (_hardy_gap).
-    The gap's slope (r - q)/(r(1 - r)) - share/(1 - r * share) stays below
-    -share <= -1/3 on (0, q), so more than _HARDY_MARGIN = 1e-13 from the
-    root |gap| >= 1e-13/3, about 3e-14, while the gap's own float error is
-    about 2e-16: there a midpoint's side of the root is the gap's sign, and
-    only midpoints within the margin evaluate the gap.  Every midpoint goes
-    the way the plain bisection sends it, so r1 is that bisection's result
-    bit for bit, from 5 gap evaluations ("paper") or 4 ("literal") in place
-    of 37.
+    so their gap has one root on (0, q), which _hardy_root finds by Newton's
+    method from 4 or 5 gap evaluations.
     """
     if mode not in HARDY_MODES:
         raise ValueError(f"mode must be one of {HARDY_MODES}, got {mode!r}")
     if not (math.isfinite(target_d) and target_d > 1.0):
         raise ValueError(f"target_d must be finite and > 1, got {target_d!r}")
-    q = _HARDY_Q
-    gap, root = _hardy_gap(1.0 if mode == HARDY_MODE_PAPER else 1.0 / 3.0)
-    left, right = root - _HARDY_MARGIN, root + _HARDY_MARGIN
-    lo, hi = 1e-12, q - 1e-12  # gap(lo) > 0 > gap(hi) in both modes
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if mid < left or mid <= right and gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    r1 = 0.5 * (lo + hi)
-    return HardySolution(r_opt=r1, n_real=required_trials(HypothesisPair(q, r1), target_d))
+    r1 = _hardy_root(1.0 if mode == HARDY_MODE_PAPER else 1.0 / 3.0)
+    return HardySolution(r_opt=r1, n_real=required_trials(HypothesisPair(_HARDY_Q, r1), target_d))
 
 
 def hardy_naive_trials(survival_threshold: float) -> int:

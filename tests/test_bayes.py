@@ -25,6 +25,8 @@ from bellodds.bayes import (
     log_bayes_factor,
     required_trials,
 )
+from bellodds.scenarios import ScenarioSpec, chained_pair
+from bellodds.simulate import SimulationConfig, trial_stream
 
 LN_4_3 = 0.28768207245178085
 GHZ_TRIALS = 32.01569111860437
@@ -99,6 +101,39 @@ class TestBinomialLogLikelihood:
             TrialTally(count, 1)
         with pytest.raises(ValueError, match="m must be an integer"):
             TrialTally(3, count)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("n", lambda flag: TrialTally(flag, 0)),
+            ("m", lambda flag: TrialTally(1, flag)),
+            ("k", lambda flag: ScenarioSpec("chained", k=flag)),
+            ("k", chained_pair),
+            ("max_trials", lambda flag: SimulationConfig(ScenarioSpec("ghz"), max_trials=flag)),
+            ("replications", lambda flag: SimulationConfig(ScenarioSpec("ghz"), replications=flag)),
+            ("master_seed", lambda flag: SimulationConfig(ScenarioSpec("ghz"), master_seed=flag)),
+            ("master_seed", lambda flag: trial_stream(flag, 0)),
+            ("replication_index", lambda flag: trial_stream(0, flag)),
+        ],
+    )
+    def test_bools_are_not_integers(self, name, make, flag):
+        # operator.index takes True as 1; numpy 1.x takes np.True_ as 1 too, with a DeprecationWarning
+        for value in (flag, np.bool_(flag), np.array(flag)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                make(value)
+
+    def test_numpy_1_bools_are_not_integers(self):
+        """A stand-in for numpy 1.x's np.True_: a bool dtype whose __index__ still answers 1."""
+
+        class OldNumpyTrue:
+            dtype = np.dtype(bool)
+
+            def __index__(self):
+                return 1
+
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            TrialTally(OldNumpyTrue(), 0)
 
     def test_numpy_integer_counts_accepted(self):
         got = binomial_log_likelihood(0.5, TrialTally(np.int64(2), np.int64(1)))

@@ -445,19 +445,19 @@ class TestExitCodes:
 # library and the CLI still shows here.
 GOLDEN = {
     ("compare",): (
-        "scenario     q                    r                   n_real              n_kind\n"
-        "ghz          1.0                  0.75                32.01569111860438   trials_for_target_d\n"
-        "chained-k2   0.1464466094067262   0.25                287.15383057830115  trials_for_target_d\n"
-        "chained-k4   0.03806023374435663  0.125               200.82073520208976  trials_for_target_d\n"
-        "hardy-paper  0.09016994374947428  0.0335836813641357  269.6190803330111   trials_for_target_d\n"
-        "hardy-naive  0.09016994374947428  0.0                 8.0                 trials_to_half_survival\n"
+        "scenario     q                    r                    n_real              n_kind\n"
+        "ghz          1.0                  0.75                 32.01569111860438   trials_for_target_d\n"
+        "chained-k2   0.1464466094067262   0.25                 287.15383057830115  trials_for_target_d\n"
+        "chained-k4   0.03806023374435663  0.125                200.82073520208976  trials_for_target_d\n"
+        "hardy-paper  0.09016994374947428  0.03358368136411277  269.61908033269566  trials_for_target_d\n"
+        "hardy-naive  0.09016994374947428  0.0                  8.0                 trials_to_half_survival\n"
     ),
     ("compare", "--format", "csv"): (
         "scenario,q,r,n_real,n_kind\n"
         "ghz,1.0,0.75,32.01569111860438,trials_for_target_d\n"
         "chained-k2,0.1464466094067262,0.25,287.15383057830115,trials_for_target_d\n"
         "chained-k4,0.03806023374435663,0.125,200.82073520208976,trials_for_target_d\n"
-        "hardy-paper,0.09016994374947428,0.0335836813641357,269.6190803330111,trials_for_target_d\n"
+        "hardy-paper,0.09016994374947428,0.03358368136411277,269.61908033269566,trials_for_target_d\n"
         "hardy-naive,0.09016994374947428,0.0,8.0,trials_to_half_survival\n"
     ),
     ("sweep", "--scenario", "chained", "--k-min", "2", "--k-max", "12"): (
@@ -484,16 +484,16 @@ GOLDEN = {
         '{"scenario": "chained", "q": 0.03806023374435663, "r": 0.125, "kl_nats": 0.0458634929441307, "target_d": 10000.0, "n_real": 200.82073520208976, "n_ceil": 201, "extras": {"k": 4, "theta": 0.39269908169872414}}\n'
     ),
     ("analyze", "--scenario", "hardy", "--hardy-mode", "paper"): (
-        '{"scenario": "hardy", "q": 0.09016994374947428, "r": 0.0335836813641357, "kl_nats": 0.034160565938435576, "target_d": 10000.0, "n_real": 269.6190803330111, "n_ceil": 270, "extras": {"mode": "paper", "r_opt": 0.0335836813641357}}\n'
+        '{"scenario": "hardy", "q": 0.09016994374947428, "r": 0.03358368136411277, "kl_nats": 0.03416056593847554, "target_d": 10000.0, "n_real": 269.61908033269566, "n_ceil": 270, "extras": {"mode": "paper", "r_opt": 0.03358368136411277}}\n'
     ),
     ("analyze", "--scenario", "hardy", "--hardy-mode", "literal"): (
-        '{"scenario": "hardy", "q": 0.09016994374947428, "r": 0.04760651934561896, "kl_nats": 0.015996097908218418, "target_d": 10000.0, "n_real": 575.7866965320416, "n_ceil": 576, "extras": {"mode": "literal", "r_opt": 0.04760651934561896}}\n'
+        '{"scenario": "hardy", "q": 0.09016994374947428, "r": 0.04760651934579552, "kl_nats": 0.01599609790805269, "target_d": 10000.0, "n_real": 575.786696538007, "n_ceil": 576, "extras": {"mode": "literal", "r_opt": 0.04760651934579552}}\n'
     ),
     ("analyze", "--scenario", "chained", "--k", "7", "--target-d", "1e8"): (
         '{"scenario": "chained", "q": 0.01253604390908819, "r": 0.07142857142857142, "kl_nats": 0.038907970154060154, "target_d": 100000000.0, "n_real": 473.44234795631246, "n_ceil": 474, "extras": {"k": 7, "theta": 0.2243994752564138}}\n'
     ),
     ("analyze", "--scenario", "hardy", "--hardy-mode", "literal", "--target-d", "1e8"): (
-        '{"scenario": "hardy", "q": 0.09016994374947428, "r": 0.04760651934561896, "kl_nats": 0.015996097908218418, "target_d": 100000000.0, "n_real": 1151.5733930640831, "n_ceil": 1152, "extras": {"mode": "literal", "r_opt": 0.04760651934561896}}\n'
+        '{"scenario": "hardy", "q": 0.09016994374947428, "r": 0.04760651934579552, "kl_nats": 0.01599609790805269, "target_d": 100000000.0, "n_real": 1151.573393076014, "n_ceil": 1152, "extras": {"mode": "literal", "r_opt": 0.04760651934579552}}\n'
     ),
     ("analyze", "--scenario", "hardy-naive"): (
         '{"scenario": "hardy-naive", "q": 0.09016994374947428, "r": 0.0, "kl_nats": null, "target_d": 10000.0, "n_real": null, "n_ceil": null, "extras": {"naive_trials": 8, "survival_threshold": 0.5, "mean_trials_to_first_coincidence": 11.09016994374947}}\n'

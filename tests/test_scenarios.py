@@ -6,6 +6,7 @@ dense scan of the equalization objective.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ class TestHardyOptimization:
     def test_paper_mode_residual(self):
         sol = hardy_optimize_r("paper", 1e4)
         residual = kl_per_trial(HypothesisPair(hardy_q(), sol.r_opt)) + math.log1p(-sol.r_opt)
-        assert abs(residual) < 1e-10
+        assert abs(residual) < 1e-15
 
     def test_published_root_nearly_balances(self):
         residual = kl_per_trial(HypothesisPair(hardy_q(), 0.03358)) + math.log1p(-0.03358)
@@ -168,13 +169,29 @@ class TestHardyOptimization:
                 lo = mid
             else:
                 hi = mid
-        assert repr(hardy_optimize_r(mode).r_opt) == repr(0.5 * (lo + hi))
+        assert lo <= hardy_optimize_r(mode).r_opt <= hi
+
+    @pytest.mark.parametrize("mode, share", [("paper", 1.0), ("literal", 1.0 / 3.0)])
+    def test_root_is_the_exact_equal_rate_point(self, mode, share):
+        """Oracle: bisect the same gap in 60-digit decimal arithmetic, with q
+        and share taken as their doubles, to far below a float's spacing."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            q, share_d, one = Decimal(hardy_q()), Decimal(share), Decimal(1)
+            lo, hi = Decimal(0), q
+            while hi - lo > Decimal("1e-40"):
+                mid = (lo + hi) / 2
+                if q * (q / mid).ln() + (one - q) * ((one - q) / (one - mid)).ln() + (one - mid * share_d).ln() > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            r_opt = hardy_optimize_r(mode).r_opt
+            assert abs(Decimal(r_opt) - lo) <= 4 * Decimal(math.ulp(r_opt))
 
     @pytest.mark.parametrize("share", [1.0, 1.0 / 3.0])
     def test_gap_strictly_decreasing(self, share):
-        """In both modes.  hardy_optimize_r bisects without a run-time sign
-        check, so its gap, in its own arithmetic, must also change sign
-        between the exact ends of its bracket."""
+        """In both modes, so the gap has one root on (0, q), and the
+        solver's gap, in its own arithmetic, changes sign across it."""
         q = hardy_q()
         rs = np.linspace(1e-6, q - 1e-6, 200)
         gap = q * np.log(q / rs) + (1 - q) * np.log((1 - q) / (1 - rs)) + np.log1p(-rs * share)
@@ -188,7 +205,7 @@ class TestHardyOptimization:
 
     @pytest.mark.parametrize("mode", ["paper", "literal"])
     def test_few_gap_evaluations(self, monkeypatch, mode):
-        # the plain bisection evaluates the gap at all 37 midpoints
+        # Newton from q/2 takes 5 ("paper") or 4 ("literal") steps
         calls = []
 
         def counted(*args):
@@ -197,18 +214,7 @@ class TestHardyOptimization:
 
         monkeypatch.setattr(scenarios, "_kl_logs", counted)
         hardy_optimize_r(mode)
-        assert 0 < len(calls) <= 8
-
-    @pytest.mark.parametrize("share", [1.0, 1.0 / 3.0])
-    def test_gap_sign_is_sure_outside_the_margin(self, share):
-        """What hardy_optimize_r's replay of the bisection rests on: its
-        own gap, at the ends of the margin around the Newton root, has the
-        sign of the root's side, with a size far above its rounding error."""
-        gap, root = scenarios._hardy_gap(share)
-        margin = scenarios._HARDY_MARGIN
-        assert 0.0 < root < hardy_q()
-        assert gap(root - margin) >= margin / 4.0
-        assert gap(root + margin) <= -margin / 4.0
+        assert 0 < len(calls) <= 6
 
     def test_target_dependence_only_in_trials(self):
         lo = hardy_optimize_r("paper", 1e2)

@@ -1229,7 +1229,7 @@ class TestPinnedColumns:
     after every trial; its count bounds must decide and end every walk as
     that compare did, bit for bit."""
 
-    DIGEST = "3b1f3f2aa78f0da17b8c02c39e16bfd271f5c38459bfe378c80f9f8c6160011d"
+    DIGEST = "b4f2b94bfa322a06b43578b94ed7fc963b08e683c354e27df3eca52cd6bba0ae"
     SCENARIOS = [
         ScenarioSpec("ghz"),
         ScenarioSpec("chained", k=2),
