@@ -1,16 +1,14 @@
 """Monte Carlo sequential experiments: per-trial odds updates to a stopping
 decision, replicated over independent random substreams.
 
-The stopping protocol generalizes the running example of a local realist who
-starts at 100:1 odds in their favor and concedes at 0.01: the experiment
-stops as soon as the LR:QM odds reach either threshold.  Each replication
-draws from its own counter-based substream, so results are a pure function
-of the configuration no matter how replications are scheduled.
+The stopping rule (bellodds.law) generalizes the running example of a local
+realist who starts at 100:1 odds in their favor and concedes at 0.01.  Each
+replication draws from its own counter-based substream, so results are a
+pure function of the configuration no matter how replications are scheduled.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import queue
@@ -19,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import LR, QM, HypothesisPair, TrialTally, _check_int, _kl, log_bayes_factor
+from .bayes import LR, QM, HypothesisPair, _check_int
+from .law import _WINDOW, _bounds, _codes, _final, _log_d, _stop_rule
 from .scenarios import ScenarioSpec, scenario_pair
 
 __all__ = [
@@ -49,14 +48,10 @@ GENERATOR = "numpy.random.Philox(master_seed).jumped(replication_index)"
 class SimulationConfig:
     """Everything a sequential experiment needs, thresholds included.
 
-    The experiment stops once the LR:QM odds are <= lower_threshold (LR
-    rejected) or >= upper_threshold (QM rejected), checked after each trial's
-    update in float64 logs (log D from the counts against ln(prior/threshold)),
-    so a tie can round either way: for the pair (1, 0.1) the decimal odds hit
-    0.01 at trial 4, but 4 * (ln 1 - ln 0.1) = 9.210340371976182 is below
-    ln(1e4) = 9.210340371976184, and the walk stops at trial 5.  scenario is a
-    ScenarioSpec, whose pair scenario_pair resolves, or a HypothesisPair,
-    simulated as given.  replications is at most 2**32.
+    The experiment stops by the rule of bellodds.law: once the LR:QM odds are
+    <= lower_threshold or >= upper_threshold, an outcome falsifies a theory,
+    or at max_trials.  scenario is a ScenarioSpec, whose pair scenario_pair
+    resolves, or a HypothesisPair, simulated as given.  replications is at most 2**32.
     """
 
     scenario: ScenarioSpec | HypothesisPair
@@ -153,10 +148,10 @@ _DECISIONS = (INCONCLUSIVE, LR_REJECTED, QM_REJECTED)
 #: First block of trials of a walk that is not sized from the drift; later
 #: blocks double.
 _FIRST_BLOCK = 64
-#: Widest block (a multiple of 8, below 2**16).  _BLOCK_FLOATS cuts blocks
-#: narrower once more than 21 rows live, so this cap binds only with at most
-#: 21; it bounds the draws past a stop of the walks not sized from the drift.
-_MAX_BLOCK = 6144
+#: Widest block: law's window (a multiple of 8, below 2**16).  _BLOCK_FLOATS
+#: cuts blocks narrower once more than 21 rows live, so this cap binds only
+#: with at most 21; it bounds the draws past a stop of the walks not sized from the drift.
+_MAX_BLOCK = _WINDOW
 #: Replications walked side by side.
 _CHUNK_ROWS = 128
 #: Most floats a block holds, rows x width: it bounds the walk's buffer at
@@ -177,86 +172,6 @@ def _sized_block(distance: float, drift: float) -> int:
     """1.25 x the trials the drift takes to cover distance, rounded up to a
     multiple of 8 and capped at _MAX_BLOCK."""
     return 8 * max(1, math.ceil(min(1.25 * distance / abs(drift), _MAX_BLOCK) / 8))
-
-
-def _stop_rule(config: SimulationConfig) -> tuple:
-    """The walk's view of the pair and thresholds: the true theory's "yes"
-    probability; the stop rule, all three of the walk's stops, that
-    _count_bounds takes: the "yes" and "no" log D steps of the count formula,
-    with 0 for an infinite one, whose outcome is counted 0 times until it
-    ends the walk (so 0 * inf never forms), ln(prior/upper), ln(prior/lower),
-    the one outcome that can falsify a theory in the walk (True for "yes",
-    False for "no", None if none), the one the false theory forbids, as the
-    true theory's own is never drawn, and max_trials; and the drift, the mean
-    log D step under the true theory: KL(q||r) if QM is true, else -KL(r||q),
-    and with a falsifier +-inf, its step (the false theory's p is 0 or 1)."""
-    pair = config.resolved_pair()
-    p_true, p_false, sign = (pair.q, pair.r, 1.0) if config.true_theory == QM else (pair.r, pair.q, -1.0)
-    steps = (log_bayes_factor(pair, TrialTally(1, yes)) for yes in (1, 0))
-    yes, no = (step if math.isfinite(step) else 0.0 for step in steps)
-    falsifier = None if 0.0 < p_false < 1.0 else p_false == 0.0
-    lo = math.log(config.prior_odds / config.upper_threshold)
-    hi = math.log(config.prior_odds / config.lower_threshold)
-    return p_true, (yes, no, lo, hi, falsifier, config.max_trials), sign * _kl(p_true, p_false)
-
-
-def _log_d(m, n, yes: float, no: float):
-    """The walk's float log D after n trials with m "yes" outcomes:
-    fl(fl(m * yes) + fl((n - m) * no)), n - m exact below 2**53."""
-    return m * yes + (n - m) * no
-
-
-def _count_bounds(yes: float, no: float, lo: float, hi: float, falsifier: bool | None, max_trials: int,
-                  n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each trial count in n (float64), the "yes" counts a and b (float64)
-    such that a walk with m "yes" outcomes in n trials goes on exactly when
-    a < m < b: while lo < _log_d(m, n, yes, no) < hi, m = 0 if "yes" is the
-    falsifier (b <= 1), m = n if "no" is (a >= n - 1), and n < max_trials.
-    Rounding is monotone, so float log D is monotone in m for a fixed n (yes
-    and no are of opposite signs or 0): a threshold's bound is the real-valued
-    crossing, fixed up by steps of one count until the float log D agrees."""
-    if yes < no:  # log D falls in m: negating it (exact) and the thresholds makes it rise
-        yes, no, lo, hi = -yes, -no, -hi, -lo
-
-    def last_below(t: float, below) -> np.ndarray:
-        """The largest m in [0, n] with below(log D, t), or -1."""
-        if yes == no:  # both steps 0: log D is 0 for every m
-            m = np.where(below(0.0, t), n, -1.0)
-        else:
-            m = np.clip(np.floor((t - n * no) / (yes - no)), -1.0, n)
-        while (up := (m < n) & below(_log_d(m + 1, n, yes, no), t)).any():
-            m += up
-        while (down := (m >= 0) & ~below(_log_d(m, n, yes, no), t)).any():
-            m -= down
-        return m
-
-    a = np.maximum(last_below(lo, np.less_equal), n - 1 if falsifier is False else -1.0)
-    b = np.minimum(last_below(hi, np.less) + 1, 1.0 if falsifier else n + 1)
-    return np.where(n >= max_trials, n, a), b
-
-
-# 20 windows: the 17 of a walk to the default max_trials, and headroom; 1.97 MB at most
-@functools.lru_cache(maxsize=20)
-def _bound_window(rule: tuple, start: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """_count_bounds of rule for the trial counts start..start + size - 1,
-    read-only, as every caller shares them."""
-    bounds = _count_bounds(*rule, np.arange(start, start + size, dtype=np.float64))
-    for bound in bounds:
-        bound.flags.writeable = False
-    return bounds
-
-
-def _bounds(rule: tuple, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """_count_bounds of rule, all of a walk's stops (_stop_rule), for the
-    trial counts start..stop - 1, at most _MAX_BLOCK of them: slices of the
-    _MAX_BLOCK-aligned window that holds start (_bound_window), joined to
-    the next window when they straddle the two.  The bounds are a pure
-    function of the rule, so what the cache holds never changes a walk."""
-    first = start - start % _MAX_BLOCK
-    a, b = _bound_window(rule, first, _MAX_BLOCK)
-    if stop > first + _MAX_BLOCK:
-        a, b = (np.concatenate(pair) for pair in zip((a, b), _bound_window(rule, first + _MAX_BLOCK, _MAX_BLOCK)))
-    return a[start - first : stop - first], b[start - first : stop - first]
 
 
 def _fill(gen: np.random.Generator, key: list[int], indices: list[int], step: int, rows: np.ndarray,
@@ -370,7 +285,7 @@ def _yes_counts(is_yes: np.ndarray, count: np.ndarray, m: np.ndarray, scratch: n
 
 
 def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = None) -> tuple[np.ndarray, ...]:
-    """Walk replications [start, stop) side by side by rule, _stop_rule(config).
+    """Walk replications [start, stop) side by side by rule, law._stop_rule(config).
 
     Returns their stopping trials, int8 decision codes (indices into
     _DECISIONS) and final log Bayes factors.  Replications go in chunks of
@@ -383,7 +298,7 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
     1) makes no draws, and every row walks as the first does.
 
     Blocks are sized from the drift, the mean log D step under the true
-    theory (_stop_rule).  Where it is finite and non-zero (no outcome of
+    theory.  Where it is finite and non-zero (no outcome of
     positive probability falsifies a theory), a block is 1.25 x the trials
     the drift takes to cover the farthest live row's distance to the
     threshold it drifts to, which for the first block is the whole distance
@@ -391,24 +306,12 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
     later one doubles.  Every block is capped at _MAX_BLOCK trials and at
     _BLOCK_FLOATS draws, the tighter cap once more than 21 rows are live.
 
-    A walk stops at its first trial that reaches a threshold, draws the one
-    outcome able to falsify a theory (_stop_rule) or is trial max_trials: its
-    "yes" count m after n trials has m <= a(n) or m >= b(n), the count bounds
-    of all three stops, built once per n (_count_bounds) in windows of
-    _MAX_BLOCK trial counts, the 20 last used of which are cached (_bounds).
-    At the thresholds they decide as a compare of the float log D,
-    (n - m) ln((1-q)/(1-r)) + m ln(q/r) (_log_d), with ln(prior/upper) and
-    ln(prior/lower) would; log D is a function of the counts alone, not of
-    the block or chunk layout, formed only for a walk's final and to size
-    the next block.  The counts (_yes_counts) and their bounds are float64,
-    exact up to 2**53, which bounds max_trials.  A walk that stops at m >= 1
-    while "yes" falsifies, or at m < n while "no" does, drew the falsifier:
-    its final is that outcome's +-inf step, the drift.  The final decides the
-    walk: at or past ln(prior/lower) is LR_REJECTED, at or past
-    ln(prior/upper) QM_REJECTED, otherwise INCONCLUSIVE.
+    Rows stop by the rule of bellodds.law: at the first trial whose "yes"
+    count (_yes_counts) leaves its count bounds (law._bounds).  Their finals
+    (law._final) and codes (law._codes) depend on the counts alone.
     """
     p_true, bounds, drift = rule = rule or _stop_rule(config)
-    yes, no, lo, hi, falsifier, max_trials = bounds
+    yes, no, lo, hi, _, max_trials = bounds
     certain = p_true in (0.0, 1.0)
     if certain and stop - start > 1:  # every row walks the same outcomes
         return tuple(np.full(stop - start, column[0]) for column in _walk(config, start, start + 1, rule))
@@ -450,31 +353,23 @@ def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = 
                 at = live[ended] + (base - start)
                 n = first + (done + 1)
                 stops[at] = n
-                final = _log_d(m_stop := m[rows, first], n, yes, no)
-                if falsifier is not None:
-                    final[m_stop >= 1 if falsifier else m_stop < n] = drift
-                finals[at] = final
+                finals[at] = _final(bounds, drift, m[rows, first], n)
                 live, count = live[~ended], count[~ended]
             done += width
             if not sized:
                 block = min(2 * block, _MAX_BLOCK)
             elif live.size:
                 block = _sized_block(np.abs(target - _log_d(count, done, yes, no)).max(), drift)
-    codes = np.zeros(stop - start, dtype=np.int8)
-    codes[finals >= hi] = 1
-    codes[finals <= lo] = 2
-    return stops, codes, finals
+    return stops, _codes(bounds, finals), finals
 
 
 def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajectory:
     """Simulate one sequential experiment under the configured true theory.
 
-    Each trial is "yes" with probability q (true_theory "qm") or r ("lr");
-    the cumulative log Bayes factor moves by ln(q/r) on "yes" and
-    ln((1-q)/(1-r)) on "no".  The walk stops the first time the implied odds
-    reach a threshold; an outcome one theory declared impossible settles the
-    experiment on the spot.  The batch walker decides the stop; the outcomes
-    are then redrawn from trial_stream and log D rebuilt from their counts.
+    Each trial is "yes" with probability q (true_theory "qm") or r ("lr"),
+    and the walk stops by the rule bellodds.law states.  The batch walker
+    decides the stop; the outcomes are then redrawn from trial_stream and
+    log D rebuilt from their counts.
     """
     index = _check_int("replication_index", replication_index, 0, config.replications - 1)
     p_true, (yes, no, *_), _ = rule = _stop_rule(config)
@@ -487,9 +382,8 @@ def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajecto
 
 def replication_summaries(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every replication's stopping trial, decision code (an int8 index into
-    _DECISIONS) and final log Bayes factor: the walker's columns.  A walk
-    stops at a threshold, at the one outcome that can falsify a theory
-    (final +-inf) or at max_trials."""
+    _DECISIONS) and final log Bayes factor: the walker's columns, stopped by
+    the rule bellodds.law states."""
     return _walk(config, 0, config.replications)
 
 

@@ -17,7 +17,7 @@ import pytest
 
 import bellodds
 
-MODULES = ("bayes", "scenarios", "adversary", "simulate", "cli")
+MODULES = ("bayes", "law", "scenarios", "adversary", "simulate", "cli")
 
 
 @pytest.mark.parametrize("name", MODULES)
