@@ -12,9 +12,14 @@ either way: for the pair (1, 0.1) the decimal odds hit 0.01 at trial 4, but
 4 * (ln 1 - ln 0.1) = 9.210340371976182 is below ln(1e4) = 9.210340371976184,
 and the walk stops at trial 5.
 
-Float log D is monotone in m for each n, so the three stops fold into count
-bounds a(n) < m < b(n) between which the walk goes on (_count_bounds),
-exact in float64 up to 2**53.  This module imports only bayes and numpy.
+Float log D is monotone in m for each n, so short of max_trials the stops
+fold into count bounds a(n) < m < b(n) between which the walk goes on.
+Neither bound ever decreases, and neither steps by more than one per trial,
+so a walk that counts its rarer outcome c needs only two numbers per count
+(_count_tables): R[c], the first trial at which a run of the other outcome
+holding c rare ones leaves the bounds, and E[c], the last trial at which a
+rare outcome that brings the count to c leaves them.  Both are exact in
+float64 up to 2**53.  This module imports only bayes and numpy.
 """
 
 from __future__ import annotations
@@ -28,13 +33,13 @@ from .bayes import QM, TrialTally, _kl, log_bayes_factor
 
 __all__: list[str] = []
 
-#: Trial counts per window of count bounds; _bounds serves at most this many.
-_WINDOW = 6144
+#: Most counts _cached_tables holds per rule; walks past them build the counts they reach.
+_TABLE_COUNTS = 2**14
 
 
 def _stop_rule(config) -> tuple:
     """The rule of a simulate.SimulationConfig: the true theory's "yes"
-    probability; the rule _count_bounds takes: the "yes" and "no" log D steps
+    probability; the rule _count_tables takes: the "yes" and "no" log D steps
     (0 for an infinite one, whose outcome is counted 0 times until it ends the
     walk, so 0 * inf never forms), ln(prior/upper), ln(prior/lower), the
     falsifier (True for "yes", False for "no", None) and max_trials; and the
@@ -56,57 +61,61 @@ def _log_d(m, n, yes: float, no: float):
     return m * yes + (n - m) * no
 
 
-def _count_bounds(yes: float, no: float, lo: float, hi: float, falsifier: bool | None, max_trials: int,
-                  n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each trial count in n (float64), the "yes" counts a and b (float64)
-    such that a walk with m "yes" outcomes in n trials goes on exactly when
-    a < m < b: while lo < _log_d(m, n, yes, no) < hi, m = 0 if "yes" is the
-    falsifier (b <= 1), m = n if "no" is (a >= n - 1), and n < max_trials.
-    Rounding is monotone, so float log D is monotone in m for a fixed n (yes
-    and no are of opposite signs or 0): a threshold's bound is the real-valued
-    crossing, fixed up by steps of one count until the float log D agrees."""
-    if yes < no:  # log D falls in m: negating it (exact) and the thresholds makes it rise
+def _count_tables(rule: tuple, rare_yes: bool, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """R[c] and E[c] of rule for the rare-outcome counts c = start..stop - 1
+    (the rare outcome "yes" if rare_yes, else "no"), int64 and at most
+    max_trials, where the horizon stops every walk.  R[c] is the first trial
+    n >= c at which a run of the other outcome after c rare ones leaves the
+    count bounds; E[c] is the last trial n >= c at which a rare outcome that
+    brings the count to c leaves them, or c - 1 if there is none.
+
+    Counting the rare outcome, and with log D negated (exact) where it falls
+    in that count, log D after n trials with c rare ones is
+    f(n) = fl(fl(c * u) + fl((n - c) * v)), u >= 0 >= v, which never rises in
+    n.  So R[c] is the first n with f(n) <= lo, or with n > c where the other
+    outcome falsifies; E[c] the last with f(n) >= hi, or every n >= c where
+    the rare one does.  Each is the real-valued crossing, fixed up by steps
+    of one trial until the float f agrees."""
+    yes, no, lo, hi, falsifier, max_trials = rule
+    if not rare_yes:  # count the "no" outcomes: f is the same sum, its terms swapped
+        yes, no, falsifier = no, yes, None if falsifier is None else not falsifier
+    if yes < no:  # f falls in the count: negating it and the thresholds makes it rise
         yes, no, lo, hi = -yes, -no, -hi, -lo
+    c = np.arange(start, stop, dtype=np.float64)
+    top = float(max_trials)
 
-    def last_below(t: float, below) -> np.ndarray:
-        """The largest m in [0, n] with below(log D, t), or -1."""
-        if yes == no:  # both steps 0: log D is 0 for every m
-            m = np.where(below(0.0, t), n, -1.0)
-        else:
-            m = np.clip(np.floor((t - n * no) / (yes - no)), -1.0, n)
-        while (up := (m < n) & below(_log_d(m + 1, n, yes, no), t)).any():
-            m += up
-        while (down := (m >= 0) & ~below(_log_d(m, n, yes, no), t)).any():
-            m -= down
-        return m
+    def f(n: np.ndarray) -> np.ndarray:
+        return _log_d(c, n, yes, no)
 
-    a = np.maximum(last_below(lo, np.less_equal), n - 1 if falsifier is False else -1.0)
-    b = np.minimum(last_below(hi, np.less) + 1, 1.0 if falsifier else n + 1)
-    return np.where(n >= max_trials, n, a), b
-
-
-# 20 windows: the 17 of a walk to the default max_trials, and headroom; 1.97 MB at most
-@functools.lru_cache(maxsize=20)
-def _bound_window(rule: tuple, start: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """_count_bounds of rule for the trial counts start..start + size - 1,
-    read-only, as every caller shares them."""
-    bounds = _count_bounds(*rule, np.arange(start, start + size, dtype=np.float64))
-    for bound in bounds:
-        bound.flags.writeable = False
-    return bounds
+    if no == 0.0:  # f = c * yes >= 0 > lo at every n
+        r = np.full(c.size, top)
+        e = np.where(f(c) >= hi, top, c - 1.0)
+    else:
+        r = np.clip(np.ceil(c + (lo - c * yes) / no), c, top)
+        while (down := (r > c) & (f(r - 1.0) <= lo)).any():
+            r -= down
+        while (up := (r < top) & (f(r) > lo)).any():
+            r += up
+        e = np.clip(np.floor(c + (hi - c * yes) / no), c - 1.0, top)
+        while (up := (e < top) & (f(e + 1.0) >= hi)).any():
+            e += up
+        while (down := (e >= c) & (f(e) < hi)).any():
+            e -= down
+    if falsifier is False:  # the other outcome ends the walk at its first draw
+        r = np.minimum(r, c + 1.0)
+    elif falsifier:  # a rare outcome ends it
+        e[c >= 1.0] = top
+    return r.astype(np.int64), np.minimum(e, top).astype(np.int64)
 
 
-def _bounds(rule: tuple, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """_count_bounds of rule for the trial counts start..stop - 1, at most
-    _WINDOW of them: slices of the _WINDOW-aligned window that holds start
-    (_bound_window), joined to the next window when they straddle the two.
-    The bounds are a pure function of the rule, so what the cache holds
-    never changes a walk."""
-    first = start - start % _WINDOW
-    a, b = _bound_window(rule, first, _WINDOW)
-    if stop > first + _WINDOW:
-        a, b = (np.concatenate(pair) for pair in zip((a, b), _bound_window(rule, first + _WINDOW, _WINDOW)))
-    return a[start - first : stop - first], b[start - first : stop - first]
+@functools.lru_cache(maxsize=32)
+def _cached_tables(rule: tuple, rare_yes: bool, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """_count_tables of rule for the counts 0..size - 1, read-only, as every
+    caller shares them."""
+    tables = _count_tables(rule, rare_yes, 0, size)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _final(rule: tuple, drift: float, m: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -5,20 +5,23 @@ The stopping rule (bellodds.law) generalizes the running example of a local
 realist who starts at 100:1 odds in their favor and concedes at 0.01.  Each
 replication draws from its own counter-based substream, so results are a
 pure function of the configuration no matter how replications are scheduled.
+A replication spends one draw per outcome of the rarer kind: each double u
+is a gap, the trials of the other outcome before the next rare one, G =
+#{1 <= t <= L : u < T_t} with T_t = (1 - p)**t by repeated float
+multiplication (_gap_table, _gaps); a gap of L trials has no rare outcome
+after it, and the next draw goes on.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bayes import LR, QM, HypothesisPair, _check_int
-from .law import _WINDOW, _bounds, _codes, _final, _log_d, _stop_rule
+from .law import _TABLE_COUNTS, _cached_tables, _codes, _count_tables, _final, _log_d, _stop_rule
 from .scenarios import ScenarioSpec, scenario_pair
 
 __all__ = [
@@ -41,7 +44,7 @@ QM_REJECTED = "qm_rejected"
 INCONCLUSIVE = "inconclusive"
 
 #: Identification of the random stream construction, echoed in CLI output.
-GENERATOR = "numpy.random.Philox(master_seed).jumped(replication_index)"
+GENERATOR = "numpy.random.Philox(master_seed).jumped(replication_index), a double per gap to the rarer outcome"
 
 
 @dataclass(frozen=True)
@@ -132,12 +135,8 @@ def trial_stream(master_seed: int, replication_index: int) -> np.random.Generato
     it is Philox(master_seed).jumped(index), here jumped in place by
     advancing index * 2**128 counter steps; at 4 draws per step, neighbours
     lie 2**130 draws apart.  Any replication can be generated on any worker,
-    in any order, with identical results.  The batch walker (_draw) sets the
-    same key and counter, and in blocks of _RAW_WIDTH trials or more decides
-    "yes" on the raw words these doubles are made from, some of whose rows
-    the process's fill thread may draw, in whatever order its job queue
-    runs them: a row's words depend on its key and counter alone, not on the
-    thread that draws them or when."""
+    in any order, with identical results.  The batch walker (_fill) sets the
+    same key and counter, so a row's doubles are these, block by block."""
     index = _check_int("replication_index", replication_index, 0, 2**32 - 1)
     seed = _check_int("master_seed", master_seed, 0, 2**64 - 1)  # the seeds Philox takes
     return np.random.Generator(np.random.Philox(seed).advance(index << 128))
@@ -145,43 +144,33 @@ def trial_stream(master_seed: int, replication_index: int) -> np.random.Generato
 
 #: Decision codes of the batch walker, indexed by code.
 _DECISIONS = (INCONCLUSIVE, LR_REJECTED, QM_REJECTED)
-#: First block of trials of a walk that is not sized from the drift; later
-#: blocks double.
-_FIRST_BLOCK = 64
-#: Widest block: law's window (a multiple of 8, below 2**16).  _BLOCK_FLOATS
-#: cuts blocks narrower once more than 21 rows live, so this cap binds only
-#: with at most 21; it bounds the draws past a stop of the walks not sized from the drift.
-_MAX_BLOCK = _WINDOW
+#: Most terms of a gap table (_gap_table).
+_GAP_CAP = 4096
+#: First block of draws per row of a walk that is not sized from the drift;
+#: later blocks double.
+_FIRST_BLOCK = 8
+#: Most draws per row in a block.
+_MAX_BLOCK = 4096
 #: Replications walked side by side.
 _CHUNK_ROWS = 128
-#: Most floats a block holds, rows x width: it bounds the walk's buffer at
-#: 2 x 1 MB, so memory stays flat in the number of replications.  At least
-#: 8 x _CHUNK_ROWS, so a block is never narrower than 8 trials.
-_BLOCK_FLOATS = 128 * 1024
-#: Narrowest block whose "yes" flags _draw takes from raw words; below it, their extra call per row costs more.
-_RAW_WIDTH = 1024
-#: Fewest draws (rows x width) of a raw-word block whose rows _draw shares
-#: with the fill thread (_fill_jobs); below it the hand-off costs more than
-#: the half fill it saves.
-_SPLIT_DRAWS = 2**15
-#: CPUs the process may run on; on one, _draw fills every row itself.
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+#: Most draws a block holds, rows x width, so memory stays flat in the
+#: number of replications.  At least 4 x _CHUNK_ROWS.
+_BLOCK_FLOATS = 2**14
 
 
-def _sized_block(distance: float, drift: float) -> int:
-    """1.25 x the trials the drift takes to cover distance, rounded up to a
-    multiple of 8 and capped at _MAX_BLOCK."""
-    return 8 * max(1, math.ceil(min(1.25 * distance / abs(drift), _MAX_BLOCK) / 8))
+def _sized_block(distance: float, drift: float, p_rare: float) -> int:
+    """1.5 x the rare outcomes of probability p_rare expected in the trials
+    the drift takes to cover distance, rounded up to a multiple of 4 and
+    capped at _MAX_BLOCK."""
+    return 4 * max(1, math.ceil(min(1.5 * p_rare * distance / abs(drift), _MAX_BLOCK) / 4))
 
 
-def _fill(gen: np.random.Generator, key: list[int], indices: list[int], step: int, rows: np.ndarray,
-          cut: np.uint64) -> None:
-    """Fills row i of rows from the substream of replication indices[i] under
-    the run's key, from Philox counter step on, with gen set to each counter
-    in turn: a float64 row with its doubles, a bool row with its raw words'
-    "yes" flags, word < cut.  A row's draws depend on its key and counter
-    alone, not on gen's own seed."""
-    bit_generator, inner, raw = gen.bit_generator, {"counter": None, "key": key}, rows.dtype == bool
+def _fill(gen: np.random.Generator, key: list[int], indices: list[int], step: int, rows: np.ndarray) -> None:
+    """Fills row i of rows with the doubles of the substream of replication
+    indices[i] under the run's key, from Philox counter step on (4 doubles a
+    step), with gen set to each counter in turn.  A row's draws depend on its
+    key and counter alone, not on gen's own seed."""
+    bit_generator, inner = gen.bit_generator, {"counter": None, "key": key}
     state = {
         "bit_generator": "Philox",
         "state": inner,
@@ -193,174 +182,161 @@ def _fill(gen: np.random.Generator, key: list[int], indices: list[int], step: in
     for row, index in zip(rows, indices):
         inner["counter"] = [step, 0, index, 0]
         bit_generator.state = state
-        if raw:
-            np.less(bit_generator.random_raw(row.size), cut, out=row)
-        else:
-            gen.random(out=row)
+        gen.random(out=row)
 
 
-def _fill_jobs(jobs: queue.SimpleQueue, gen: np.random.Generator) -> None:
-    """The fill thread: runs _fill on gen for each job, (_fill's other
-    arguments, a reply queue), in the order posted, and puts None or the
-    error it raised on the job's reply queue; a None job ends it.  Philox's C
-    loop runs without the GIL, so a job overlaps the poster's own fill."""
-    while (job := jobs.get()) is not None:
-        try:
-            _fill(gen, *job[0])
-        except BaseException as error:  # handed to the posting thread, which raises it
-            job[1].put(error)
-        else:
-            job[1].put(None)
+@functools.lru_cache(maxsize=16)
+def _gap_table(p_rare: float) -> tuple[np.ndarray, float]:
+    """The gap table of an outcome of probability p_rare in (0, 1/2]: inf,
+    then T_t = (1 - p_rare)**t by repeated float multiplication for t = 1..L,
+    then 0, read-only; L is the first t with T_t <= 2**-53, the least
+    positive draw, or _GAP_CAP.  With it, 1 / ln(1 - p_rare), the scale of
+    _gaps' guess."""
+    powers = np.multiply.accumulate(np.full(_GAP_CAP, 1.0 - p_rare))
+    size = min(np.count_nonzero(powers > 2.0**-53) + 1, _GAP_CAP)
+    table = np.concatenate(([math.inf], powers[:size], [0.0]))
+    table.flags.writeable = False
+    return table, 1.0 / math.log1p(-p_rare)
 
 
-#: The job queue of each process's fill thread (_fill_jobs), by pid: a
-#: forked child has no thread behind its parent's queue.
-_JOBS: dict[int, queue.SimpleQueue] = {}
-
-
-def _draw(gen: np.random.Generator, key: list[int], indices: list[int], done: int, draws: np.ndarray, p_true: float,
-          cut: np.uint64) -> np.ndarray:
-    """Row i's "yes" flags for draws done + 1, done + 2, ... of the substream
-    of replication indices[i] under the run's key (_fill; done a multiple of
-    4: Philox makes 4 draws per counter step).  Rows narrower than
-    _RAW_WIDTH compare doubles with p_true; wider ones skip the float fill
-    and compare the raw words with cut, ceil(p_true * 2**53) << 11, which
-    decides alike: a double is (word >> 11) * 2**-53, and p_true * 2**53 is
-    exact.  A block of raw words with two rows or more and _SPLIT_DRAWS
-    draws or more, in a process that may run on more than one CPU, posts
-    its second half of rows, ceil(rows / 2) on, to the process's fill thread
-    (_fill_jobs, started on the first such block, again in a forked child),
-    fills the first half itself and waits for the thread's reply, raising
-    the error it sends back.  A block posted while another walk's job runs
-    waits its turn; the flags are the same whichever thread draws a row."""
-    step = done // 4
-    if draws.shape[1] < _RAW_WIDTH:
-        _fill(gen, key, indices, step, draws, cut)
-        return draws < p_true
-    flags = np.empty(draws.shape, dtype=bool)
-    if len(indices) < 2 or flags.size < _SPLIT_DRAWS or _CPUS < 2:
-        _fill(gen, key, indices, step, flags, cut)
-        return flags
-    if (jobs := _JOBS.get(pid := os.getpid())) is None:
-        # started before it is published, so a failed start leaves no queue that a later block waits on forever
-        jobs = queue.SimpleQueue()
-        thread = threading.Thread(target=_fill_jobs, args=(jobs, np.random.Generator(np.random.Philox(0))),
-                                  name="bellodds-fill", daemon=True)
-        thread.start()
-        if _JOBS.setdefault(pid, jobs) is not jobs:  # another walk published first
-            jobs.put(None)
-            thread.join()
-            jobs = _JOBS[pid]
-    h, reply = (len(indices) + 1) // 2, queue.SimpleQueue()
-    jobs.put(((key, indices[h:], step, flags[h:], cut), reply))
-    try:
-        _fill(gen, key, indices[:h], step, flags[:h], cut)
-    finally:
-        error = reply.get()  # the thread's rows are written, or it failed
-    if error is not None:
-        raise error
-    return flags
-
-
-def _yes_counts(is_yes: np.ndarray, count: np.ndarray, m: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Fills m with np.cumsum(is_yes, axis=1, dtype=np.float64) + count[:, None],
-    exact below 2**53, eight trials to a word: a little-endian word of bool
-    lanes times 0x0101010101010101 holds in byte j the count of lanes 0..j,
-    in byte 7 its total.  The totals' running sum is each word's carry within
-    the block (at most _MAX_BLOCK < 2**16), spread over 16-bit lanes, one
-    per trial.  The words go in scratch, flat float64 of at least 3/8 of m's
-    size."""
-    rows, width = is_yes.shape
-    words, flat = is_yes.view("<u8"), scratch.view("<u8")
-    prefix = np.multiply(words, 0x0101010101010101, out=flat[: words.size].reshape(words.shape))
-    totals = prefix >> 56
-    carry = np.add.accumulate(totals, axis=1) - totals
-    spread = flat[words.size : 3 * words.size].reshape(rows, -1, 2)
-    np.multiply(carry, 0x0001000100010001, out=spread[:, :, 0])  # four 16-bit lanes of carry
-    spread[:, :, 1] = spread[:, :, 0]
-    in_block = spread.view("<u2").reshape(rows, width)
-    in_block += prefix.view(np.uint8).reshape(rows, width)
-    np.copyto(m, in_block)
-    return np.add(m, count[:, None], out=m)
+def _gaps(table: np.ndarray, scale: float, draws: np.ndarray) -> np.ndarray:
+    """Each draw u's gap, G = #{1 <= t <= L : u < T_t} of the gap table
+    (_gap_table): the trials of the majority outcome before the next rare
+    one, or, at G = L, a run of L with no rare one after it.  A guess from
+    ln u is fixed up until T_G > u >= T_{G+1}, so comparisons with the table
+    decide G, not np.log's last bits."""
+    with np.errstate(divide="ignore"):  # ln 0 = -inf, whose gap is L
+        guess = np.log(draws)
+    guess *= scale
+    g = np.empty(draws.shape, dtype=np.int64)
+    np.minimum(guess, table.size - 2, out=g, casting="unsafe")
+    while (up := table[1:].take(g) > draws).any():
+        g += up
+    while (down := table.take(g) <= draws).any():
+        g -= down
+    return g
 
 
 def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = None) -> tuple[np.ndarray, ...]:
     """Walk replications [start, stop) side by side by rule, law._stop_rule(config).
 
     Returns their stopping trials, int8 decision codes (indices into
-    _DECISIONS) and final log Bayes factors.  Replications go in chunks of
-    _CHUNK_ROWS, each drawn in blocks of a multiple of 8 trials (_draw) under
-    the run's one key, so every row gets exactly the draws of its trial_stream
-    (raw words in blocks of _RAW_WIDTH or more, half of whose rows the fill
-    thread may draw, with the same words); the last block may draw up to 7
-    trials past max_trials, which no walk reaches.  The walk itself runs on
-    the caller's thread.  A walk whose outcomes are certain (p_true is 0 or
-    1) makes no draws, and every row walks as the first does.
-
-    Blocks are sized from the drift, the mean log D step under the true
-    theory.  Where it is finite and non-zero (no outcome of
-    positive probability falsifies a theory), a block is 1.25 x the trials
-    the drift takes to cover the farthest live row's distance to the
-    threshold it drifts to, which for the first block is the whole distance
-    from log D = 0.  Otherwise the first block is _FIRST_BLOCK and each
-    later one doubles.  Every block is capped at _MAX_BLOCK trials and at
-    _BLOCK_FLOATS draws, the tighter cap once more than 21 rows are live.
-
-    Rows stop by the rule of bellodds.law: at the first trial whose "yes"
-    count (_yes_counts) leaves its count bounds (law._bounds).  Their finals
-    (law._final) and codes (law._codes) depend on the counts alone.
+    _DECISIONS) and final log Bayes factors.  Each row draws one double of
+    its trial_stream per gap of the rarer outcome, "yes" at p_true = 1/2
+    (_gap_walk).  A walk whose outcomes are certain (p_true is 0 or 1) makes
+    no draws: every row stops where a run of the other outcome from count 0
+    leaves the bounds (R[0] of law._count_tables).  The finals (law._final)
+    and codes (law._codes) depend on the counts alone.
     """
     p_true, bounds, drift = rule = rule or _stop_rule(config)
+    rare_yes = p_true <= 0.5
+    p_rare = p_true if rare_yes else 1.0 - p_true
+    if p_rare:
+        stops, counts = _gap_walk(config.master_seed, bounds, drift, rare_yes, p_rare, start, stop)
+    else:
+        stops, counts = _cached_tables(bounds, rare_yes, 1)[0][:1], np.zeros(1, dtype=np.int64)
+    finals = _final(bounds, drift, counts if rare_yes else stops - counts, stops)
+    columns = stops, _codes(bounds, finals), finals
+    return columns if p_rare else tuple(np.full(stop - start, column[0]) for column in columns)
+
+
+def _gap_walk(seed: int, bounds: tuple, drift: float, rare_yes: bool, p_rare: float, start: int,
+              stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stopping trials of replications [start, stop) under bounds, the
+    rule law._count_tables takes, and the rarer outcome's count at each.
+
+    Replications go in chunks of _CHUNK_ROWS, each drawn in blocks of a
+    multiple of 4 draws per row (_fill) under the one key of Philox(seed),
+    and each draw is a gap (_gaps).  Blocks are sized from the drift, the
+    mean log D step under the true theory.  Where it is finite and non-zero
+    (no outcome of positive probability falsifies a theory), a block holds
+    1.5 x the rare outcomes of the trials the drift takes to cover the
+    farthest live row's distance to the threshold it drifts to, which for
+    the first block is the whole distance from log D = 0.  Otherwise the
+    first block is _FIRST_BLOCK and each later one doubles.  Every block is
+    capped at _MAX_BLOCK draws per row, at _BLOCK_FLOATS draws and at the
+    draws the horizon leaves.
+
+    A row with c rare outcomes stops in a gap's run of the other outcome if
+    the run reaches R[c], at a rare outcome on a trial at most E[c + 1], and
+    at max_trials.
+    """
     yes, no, lo, hi, _, max_trials = bounds
-    certain = p_true in (0.0, 1.0)
-    if certain and stop - start > 1:  # every row walks the same outcomes
-        return tuple(np.full(stop - start, column[0]) for column in _walk(config, start, start + 1, rule))
+    stops = np.empty(stop - start, dtype=np.int64)
+    counts = np.empty(stop - start, dtype=np.int64)
+    gen = np.random.Generator(np.random.Philox(seed))  # its key every replication shares
+    key = gen.bit_generator.state["state"]["key"].tolist()
+    table, scale = _gap_table(p_rare)
     sized = math.isfinite(drift) and drift != 0.0
     target = hi if drift > 0.0 else lo
-
-    if not certain:  # one Philox, whose key every replication shares
-        gen = np.random.Generator(np.random.Philox(config.master_seed))
-        key = gen.bit_generator.state["state"]["key"].tolist()
-        cut = np.uint64(math.ceil(p_true * 2.0**53) << 11)  # below 2**64, as p_true < 1
-    stops = np.empty(stop - start, dtype=np.int64)
-    finals = np.empty(stop - start)
-    # one buffer for the walk, so the blocks do not grow and shrink the heap
-    # (which costs page faults): per block, its head takes the doubles of a
-    # block narrower than _RAW_WIDTH and then the "yes" counts m, its tail
-    # (3/8 of the head) the counts' words
-    floats = min(min(_CHUNK_ROWS, stop - start) * min(_MAX_BLOCK, max_trials + 7), _BLOCK_FLOATS)
-    buffer = np.empty(floats + (3 * floats + 7) // 8)
     for base in range(start, stop, _CHUNK_ROWS):
         live = np.arange(min(_CHUNK_ROWS, stop - base))  # chunk rows still walking
-        count = np.zeros(live.size)  # "yes" outcomes so far
-        done, block = 0, _sized_block(abs(target), drift) if sized else _FIRST_BLOCK
+        n = np.zeros(live.size, dtype=np.int64)  # trials so far
+        c = np.zeros(live.size, dtype=np.int64)  # rare outcomes among them
+        done, block = 0, _sized_block(abs(target), drift, p_rare) if sized else _FIRST_BLOCK
         while live.size:
-            width = min(block, _BLOCK_FLOATS // live.size // 8 * 8, (max_trials - done + 7) & -8)
-            draws = buffer[: live.size * width].reshape(live.size, width)
-            if certain:  # draws < p_true has one value for every draw in [0, 1)
-                is_yes = np.full(draws.shape, p_true == 1.0)
+            width = min(block, _BLOCK_FLOATS // live.size // 4 * 4, (max_trials - int(n.min()) + 3) & -4)
+            draws = np.empty((live.size, width))
+            _fill(gen, key, (live + base).tolist(), done // 4, draws)
+            g = _gaps(table, scale, draws)
+            rare = g < table.size - 2
+            g += rare
+            ends = np.cumsum(g, axis=1)  # trials after each gap and its rare outcome
+            ends += n[:, None]
+            # the counts this block reaches, from 0 while the cached tables hold them
+            low, top = 0, int(c.max()) + width + 1
+            if top > _TABLE_COUNTS:
+                low = int(c.min())
+                r, e = _count_tables(bounds, rare_yes, low, top)
             else:
-                is_yes = _draw(gen, key, (live + base).tolist(), done, draws, p_true, cut)
-            m = _yes_counts(is_yes, count, draws, buffer[floats:])
-            count = m[:, -1].copy()
-            a, b = _bounds(bounds, done + 1, done + width + 1)
-            stopped = m <= a
-            stopped |= m >= b
+                r, e = _cached_tables(bounds, rare_yes, 1 << (top - 1).bit_length())
+            after = np.cumsum(rare, axis=1)  # rare outcomes up to each gap's end, less low
+            after += (c - low)[:, None]
+            before = after - rare
+            run = r.take(before)
+            # a run that leaves the bounds on its last trial before no rare
+            # outcome is found in the next gap, whose count and run are the same
+            by_run = run < ends
+            stopped = by_run | (ends >= max_trials)
+            # E of a count is below every trial after the rare outcome that reached it
+            stopped |= ends <= e.take(after)
             first = stopped.argmax(axis=1)
             ended = stopped[np.arange(live.size), first]
+            n, c = ends[:, -1], after[:, -1] + low
             if ended.any():
                 rows, first = ended.nonzero()[0], first[ended]
                 at = live[ended] + (base - start)
-                n = first + (done + 1)
-                stops[at] = n
-                finals[at] = _final(bounds, drift, m[rows, first], n)
-                live, count = live[~ended], count[~ended]
+                on_run = by_run[rows, first]
+                stops[at] = np.where(on_run, run[rows, first], ends[rows, first])
+                counts[at] = np.where(on_run, before[rows, first], after[rows, first]) + low
+                live, n, c = live[~ended], n[~ended], c[~ended]
             done += width
             if not sized:
                 block = min(2 * block, _MAX_BLOCK)
             elif live.size:
-                block = _sized_block(np.abs(target - _log_d(count, done, yes, no)).max(), drift)
-    return stops, _codes(bounds, finals), finals
+                m = c if rare_yes else n - c
+                block = _sized_block(np.abs(target - _log_d(m, n, yes, no)).max(), drift, p_rare)
+    return stops, counts
+
+
+def _outcomes(gen: np.random.Generator, p_true: float, trials: int) -> np.ndarray:
+    """The first trials outcomes ("yes" True) that gen's doubles expand to,
+    as the walker reads them: each draw's gap (_gaps) of the majority
+    outcome and, unless the gap is L, one rare outcome after it."""
+    rare_yes = p_true <= 0.5
+    outcomes = np.full(trials, not rare_yes)
+    p_rare = p_true if rare_yes else 1.0 - p_true
+    if not p_rare:  # certain outcomes, drawn from no double
+        return outcomes
+    table, scale = _gap_table(p_rare)
+    n = 0
+    while n < trials:
+        g = _gaps(table, scale, gen.random(math.ceil((trials - n) * p_rare) + 4))
+        rare = g < table.size - 2
+        ends = n + np.cumsum(g + rare)
+        outcomes[ends[rare & (ends <= trials)] - 1] = rare_yes
+        n = int(ends[-1])
+    return outcomes
 
 
 def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajectory:
@@ -368,13 +344,13 @@ def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajecto
 
     Each trial is "yes" with probability q (true_theory "qm") or r ("lr"),
     and the walk stops by the rule bellodds.law states.  The batch walker
-    decides the stop; the outcomes are then redrawn from trial_stream and
-    log D rebuilt from their counts.
+    decides the stop; the outcomes are then expanded from the same doubles
+    of trial_stream (_outcomes) and log D rebuilt from their counts.
     """
     index = _check_int("replication_index", replication_index, 0, config.replications - 1)
     p_true, (yes, no, *_), _ = rule = _stop_rule(config)
     (stop,), (code,), (final,) = (column.tolist() for column in _walk(config, index, index + 1, rule))
-    outcomes = trial_stream(config.master_seed, index).random(stop) < p_true
+    outcomes = _outcomes(trial_stream(config.master_seed, index), p_true, stop)
     cumulative = _log_d(np.cumsum(outcomes), np.arange(1, stop + 1), yes, no)
     cumulative[-1] = final  # +-inf if the last outcome falsified a theory
     return Trajectory(outcomes, cumulative, _DECISIONS[code], stop)

@@ -499,13 +499,13 @@ GOLDEN = {
         '{"scenario": "hardy-naive", "q": 0.09016994374947428, "r": 0.0, "kl_nats": null, "target_d": 10000.0, "n_real": null, "n_ceil": null, "extras": {"naive_trials": 8, "survival_threshold": 0.5, "mean_trials_to_first_coincidence": 11.09016994374947}}\n'
     ),
     ("simulate", "--scenario", "ghz", "--reps", "200", "--seed", "0"): (
-        '{"config": {"scenario": "ghz", "q": 1.0, "r": 0.75, "true_theory": "qm", "prior_ratio": 100.0, "lower": 0.01, "upper": 1000000.0, "max_trials": 100000, "replications": 200, "master_seed": 0}, "generator": "numpy.random.Philox(master_seed).jumped(replication_index)", "mean_stop": 33.0, "stddev_stop": 0.0, "quantiles": {"p05": 33.0, "p50": 33.0, "p95": 33.0}, "decision_counts": {"lr_rejected": 200, "qm_rejected": 0, "inconclusive": 0}, "mean_log_d_per_trial": 0.28768207245178096}\n'
+        '{"config": {"scenario": "ghz", "q": 1.0, "r": 0.75, "true_theory": "qm", "prior_ratio": 100.0, "lower": 0.01, "upper": 1000000.0, "max_trials": 100000, "replications": 200, "master_seed": 0}, "generator": "numpy.random.Philox(master_seed).jumped(replication_index), a double per gap to the rarer outcome", "mean_stop": 33.0, "stddev_stop": 0.0, "quantiles": {"p05": 33.0, "p50": 33.0, "p95": 33.0}, "decision_counts": {"lr_rejected": 200, "qm_rejected": 0, "inconclusive": 0}, "mean_log_d_per_trial": 0.28768207245178096}\n'
     ),
     ("simulate", "--scenario", "chained", "--k", "2", "--reps", "200", "--seed", "0"): (
-        '{"config": {"scenario": "chained-k2", "q": 0.1464466094067262, "r": 0.25, "true_theory": "qm", "prior_ratio": 100.0, "lower": 0.01, "upper": 1000000.0, "max_trials": 100000, "replications": 200, "master_seed": 0}, "generator": "numpy.random.Philox(master_seed).jumped(replication_index)", "mean_stop": 296.935, "stddev_stop": 139.19542956959947, "quantiles": {"p05": 137.75, "p50": 269.5, "p95": 524.9999999999997}, "decision_counts": {"lr_rejected": 200, "qm_rejected": 0, "inconclusive": 0}, "mean_log_d_per_trial": 0.03122494286281049}\n'
+        '{"config": {"scenario": "chained-k2", "q": 0.1464466094067262, "r": 0.25, "true_theory": "qm", "prior_ratio": 100.0, "lower": 0.01, "upper": 1000000.0, "max_trials": 100000, "replications": 200, "master_seed": 0}, "generator": "numpy.random.Philox(master_seed).jumped(replication_index), a double per gap to the rarer outcome", "mean_stop": 278.465, "stddev_stop": 118.71505844037863, "quantiles": {"p05": 138.0, "p50": 248.5, "p95": 508.2499999999999}, "decision_counts": {"lr_rejected": 200, "qm_rejected": 0, "inconclusive": 0}, "mean_log_d_per_trial": 0.033279612354975924}\n'
     ),
     ("simulate", "--scenario", "chained", "--k", "2", "--true-theory", "lr", "--reps", "200", "--seed", "0"): (
-        '{"config": {"scenario": "chained-k2", "q": 0.1464466094067262, "r": 0.25, "true_theory": "lr", "prior_ratio": 100.0, "lower": 0.01, "upper": 1000000.0, "max_trials": 100000, "replications": 200, "master_seed": 0}, "generator": "numpy.random.Philox(master_seed).jumped(replication_index)", "mean_stop": 249.95, "stddev_stop": 116.53488489282908, "quantiles": {"p05": 102.0, "p50": 225.0, "p95": 457.2499999999999}, "decision_counts": {"lr_rejected": 0, "qm_rejected": 200, "inconclusive": 0}, "mean_log_d_per_trial": -0.037675306287548796}\n'
+        '{"config": {"scenario": "chained-k2", "q": 0.1464466094067262, "r": 0.25, "true_theory": "lr", "prior_ratio": 100.0, "lower": 0.01, "upper": 1000000.0, "max_trials": 100000, "replications": 200, "master_seed": 0}, "generator": "numpy.random.Philox(master_seed).jumped(replication_index), a double per gap to the rarer outcome", "mean_stop": 256.66, "stddev_stop": 124.01031080490705, "quantiles": {"p05": 107.75, "p50": 230.0, "p95": 508.04999999999995}, "decision_counts": {"lr_rejected": 0, "qm_rejected": 200, "inconclusive": 0}, "mean_log_d_per_trial": -0.036711770739963075}\n'
     ),
 }
 

@@ -1,15 +1,13 @@
-"""The stopping rule (bellodds.law): count bounds against a scan of every
-count, the window cache that serves them to the walker, and the module's
-imports."""
+"""The stopping rule (bellodds.law): its count tables against the count
+bounds, and those against a scan of every count, and the module's imports."""
 
 import math
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_simulate import SEED, threshold_at, walk_config
+from test_simulate import threshold_at
 
 from bellodds import law
 from bellodds.bayes import LR, QM, HypothesisPair
@@ -19,7 +17,7 @@ from bellodds.simulate import SimulationConfig, replication_summaries
 
 def test_import_loads_the_rule_without_the_sampler():
     # law imports bayes and numpy only, so the rule can be computed without
-    # loading the walker, its fill thread's queue or the scenarios
+    # loading the walker or the scenarios
     probe = (
         "import sys, bellodds.law\n"
         "print(sorted(m for m in sys.modules if m.startswith('bellodds.')), 'queue' in sys.modules)\n"
@@ -56,18 +54,48 @@ def scanned_bounds(
     return a, b
 
 
+def count_bounds(yes: float, no: float, lo: float, hi: float, falsifier: bool | None, max_trials: int,
+                 n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each trial count in n (float64), the "yes" counts a and b (float64)
+    such that a walk with m "yes" outcomes in n trials goes on exactly when
+    a < m < b: while lo < law._log_d(m, n, yes, no) < hi, m = 0 if "yes" is
+    the falsifier (b <= 1), m = n if "no" is (a >= n - 1), and n < max_trials.
+    Rounding is monotone, so float log D is monotone in m for a fixed n (yes
+    and no are of opposite signs or 0): a threshold's bound is the real-valued
+    crossing, fixed up by steps of one count until the float log D agrees."""
+    if yes < no:  # log D falls in m: negating it (exact) and the thresholds makes it rise
+        yes, no, lo, hi = -yes, -no, -hi, -lo
+
+    def last_below(t: float, below) -> np.ndarray:
+        """The largest m in [0, n] with below(log D, t), or -1."""
+        if yes == no:  # both steps 0: log D is 0 for every m
+            m = np.where(below(0.0, t), n, -1.0)
+        else:
+            m = np.clip(np.floor((t - n * no) / (yes - no)), -1.0, n)
+        while (up := (m < n) & below(law._log_d(m + 1, n, yes, no), t)).any():
+            m += up
+        while (down := (m >= 0) & ~below(law._log_d(m, n, yes, no), t)).any():
+            m -= down
+        return m
+
+    a = np.maximum(last_below(lo, np.less_equal), n - 1 if falsifier is False else -1.0)
+    b = np.minimum(last_below(hi, np.less) + 1, 1.0 if falsifier else n + 1)
+    return np.where(n >= max_trials, n, a), b
+
+
 def rule_of(config: SimulationConfig) -> tuple:
-    """The (yes, no, lo, hi, falsifier, max_trials) that
-    law._count_bounds and _bounds take."""
+    """The (yes, no, lo, hi, falsifier, max_trials) that count_bounds and
+    law._count_tables take."""
     return law._stop_rule(config)[1]
 
 
 class TestCountBounds:
-    """law._count_bounds against a scan of every count, for n <= 3000."""
+    """count_bounds, the oracle of the count tables, against a scan of every
+    count, for n <= 3000."""
 
     @staticmethod
     def assert_scanned(rule: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-        a, b = law._count_bounds(*rule, np.arange(3_001, dtype=np.float64))
+        a, b = count_bounds(*rule, np.arange(3_001, dtype=np.float64))
         expected = scanned_bounds(*rule, 3_000)
         assert np.array_equal(a, expected[0]) and np.array_equal(b, expected[1]), rule
         return a, b
@@ -134,110 +162,82 @@ class TestCountBounds:
         assert replication_summaries(cfg)[0].tolist() == [5, 5, 5]
 
 
-def walk_columns_equal(x: tuple[np.ndarray, ...], y: tuple[np.ndarray, ...]) -> bool:
-    return all(np.array_equal(a, b) for a, b in zip(x, y, strict=True))
+def searched_tables(rule: tuple, rare_yes: bool, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """R and E for the counts c = 0..n_max, searched in the count bounds of
+    n = 0..n_max without the horizon.  The rarer outcome's count goes on
+    exactly when low(n) < c < high(n): a and b if it is "yes", n - b and
+    n - a if it is "no".  R[c] is the first n with low(n) >= c (n_max + 1 if
+    none is), E[c] the last n with high(n) <= c, both at most max_trials;
+    both are exact as low and high never fall and step by at most one."""
+    *steps, max_trials = rule
+    n = np.arange(n_max + 1, dtype=np.float64)
+    a, b = count_bounds(*steps, math.inf, n)
+    low, high = (a, b) if rare_yes else (n - b, n - a)
+    for bound in (low, high):
+        assert set(np.diff(bound).tolist()) <= {0.0, 1.0}
+    c = np.arange(n_max + 1, dtype=np.float64)
+    r = np.searchsorted(low, c, side="left")
+    e = np.searchsorted(high, c, side="right") - 1
+    return np.minimum(r, max_trials), np.minimum(e, max_trials)
 
 
-def counted_bound_builds(monkeypatch) -> list[tuple]:
-    """Wraps law._count_bounds; the returned list gets, per call, the
-    rule, the first trial count and how many it built."""
-    builds = []
-    count_bounds = law._count_bounds
+#: Both orientations of the rarer outcome, both falsifier kinds, a pair at
+#: p = 1/2, a close pair and a rare outcome far past the gap table's cap
+TABLE_SWEEP = [
+    (HypothesisPair(0.7, 0.4), QM),
+    (HypothesisPair(0.3, 0.6), LR),
+    (ScenarioSpec("hardy-naive"), QM),
+    (HypothesisPair(1.0, 0.75), LR),
+    (HypothesisPair(0.5, 0.8), QM),
+    (HypothesisPair(0.45, 0.5), QM),
+    (HypothesisPair(0.45, 0.5), LR),
+    (HypothesisPair(1e-6, 2e-6), QM),
+    (ScenarioSpec("chained", k=2), QM),
+    (ScenarioSpec("chained", k=2), LR),
+    (ScenarioSpec("ghz"), LR),
+    (HypothesisPair(0.3, 0.3), QM),
+    (HypothesisPair(0.999, 1.0), QM),
+]
 
-    def counting(*args):
-        *rule, n = args
-        builds.append((tuple(rule), int(n[0]), n.size))
-        return count_bounds(*args)
 
-    monkeypatch.setattr(law, "_count_bounds", counting)
-    return builds
+class TestCountTables:
+    """law._count_tables against a search of the count bounds, for every
+    count up to 3000, with "yes" and with "no" as the counted outcome."""
 
+    N_MAX = 3_000
 
-class TestBoundCache:
-    """law._bounds reads count bounds from windows of _WINDOW trial
-    counts that law._bound_window builds and caches; what the cache
-    holds never changes a walk."""
+    @pytest.mark.parametrize("rare_yes", [True, False])
+    @pytest.mark.parametrize("max_trials", [40, 2_001, 10**7])
+    @pytest.mark.parametrize("scenario, truth", TABLE_SWEEP, ids=repr)
+    def test_match_the_searched_bounds(self, scenario, truth, max_trials, rare_yes):
+        rule = rule_of(SimulationConfig(scenario, truth, max_trials=max_trials))
+        r, e = law._count_tables(rule, rare_yes, 0, self.N_MAX + 1)
+        expected_r, expected_e = searched_tables(rule, rare_yes, self.N_MAX)
+        # past n_max the search sees nothing: R as n_max + 1, E as n_max
+        assert np.array_equal(np.minimum(r, self.N_MAX + 1), expected_r)
+        assert np.array_equal(np.minimum(e, self.N_MAX), np.minimum(expected_e, self.N_MAX))
+        assert r.dtype == e.dtype == np.int64 and (r <= max_trials).all() and (e <= max_trials).all()
 
-    @pytest.fixture(autouse=True)
-    def cold_windows(self):
-        law._bound_window.cache_clear()
-        yield
-        law._bound_window.cache_clear()
+    @pytest.mark.parametrize("scenario, truth", TABLE_SWEEP[:4], ids=repr)
+    @pytest.mark.parametrize("max_trials", [2_001, 10**6])
+    def test_a_range_of_counts_is_a_slice(self, scenario, truth, max_trials):
+        # the walker builds the counts it reaches past the cached ones
+        rule = rule_of(SimulationConfig(scenario, truth, max_trials=max_trials))
+        for rare_yes in (True, False):
+            whole = law._count_tables(rule, rare_yes, 0, 5_000)
+            part = law._count_tables(rule, rare_yes, 1_234, 4_321)
+            assert all(np.array_equal(w[1_234:4_321], p) for w, p in zip(whole, part, strict=True))
 
-    def test_cold_and_warm(self, monkeypatch):
-        builds = counted_bound_builds(monkeypatch)
-        cfg = walk_config("chained-k2", LR, upper_threshold=1e100, max_trials=10_000, replications=12)
-        cold = replication_summaries(cfg)
-        size = law._WINDOW
-        # cfg's windows alone, each built once, from trial count 0 on
-        assert builds == [(rule_of(cfg), start, size) for start in range(0, len(builds) * size, size)]
-        assert law._bound_window.cache_info().currsize == len(builds) >= 1
-        builds.clear()
-        assert walk_columns_equal(replication_summaries(cfg), cold)
-        assert builds == []
+    def test_cached_tables_are_shared_and_read_only(self):
+        rule = rule_of(SimulationConfig(ScenarioSpec("chained", k=2)))
+        tables = law._cached_tables(rule, True, 64)
+        assert law._cached_tables(rule, True, 64) is tables
+        assert not any(table.flags.writeable for table in tables)
+        assert all(np.array_equal(x, y) for x, y in zip(tables, law._count_tables(rule, True, 0, 64), strict=True))
 
-    def test_after_other_rules_fill_and_evict_the_cache(self, monkeypatch):
-        # walks below one window: one window per rule
-        builds = counted_bound_builds(monkeypatch)
-        maxsize = law._bound_window.cache_info().maxsize
-        cfg = walk_config("hardy-paper", QM, max_trials=2_001, replications=40)
-        others = [replace(cfg, upper_threshold=1e6 * (i + 2)) for i in range(maxsize)]
-        cold = replication_summaries(cfg)
-        for other in others[1:]:  # the cache fills; cfg's window is the oldest
-            replication_summaries(other)
-        assert law._bound_window.cache_info().currsize == maxsize
-        builds.clear()
-        assert walk_columns_equal(replication_summaries(cfg), cold)
-        assert builds == []
-        for other in others:  # cfg's window goes
-            replication_summaries(other)
-        builds.clear()
-        assert walk_columns_equal(replication_summaries(cfg), cold)
-        assert builds == [(rule_of(cfg), 0, law._WINDOW)]
-
-    def test_bounded_in_windows(self, monkeypatch):
-        # zero drift: blocks of 64, 128, ... up to simulate._MAX_BLOCK trials, and
-        # walks that run to max_trials, past more windows than the cache holds
-        builds = counted_bound_builds(monkeypatch)
-        maxsize, size = law._bound_window.cache_info().maxsize, law._WINDOW
-        cfg = walk_config("q=r", LR, max_trials=(maxsize + 3) * size, replications=5)
-        assert replication_summaries(cfg)[0].tolist() == [cfg.max_trials] * 5
-        assert builds == [(rule_of(cfg), start, size) for start in range(0, (maxsize + 4) * size, size)]
-        assert law._bound_window.cache_info().currsize == maxsize
-
-    def test_a_walk_to_the_default_horizon_is_built_once(self, monkeypatch):
-        # q = r: 300 walks that all reach the default max_trials (100000),
-        # through 17 windows, which the cache holds; a second run builds none
-        cfg = SimulationConfig(HypothesisPair(0.5, 0.5), master_seed=SEED, replications=300)
-        builds = counted_bound_builds(monkeypatch)
-        cold = replication_summaries(cfg)
-        assert cold[0].tolist() == [100_000] * 300 and len(builds) == 17
-        builds.clear()
-        assert walk_columns_equal(replication_summaries(cfg), cold)
-        assert builds == []
-
-    @pytest.mark.parametrize(
-        "name, truth, max_trials, start, stop, windows",
-        [
-            ("hardy-naive", QM, 100_000, 1, 100, 1),  # inside a window; "yes" falsifies LR
-            ("hardy-naive", QM, 100_000, 50, 6_144, 1),
-            ("chained-k2", LR, 100_000, 6_000, 7_000, 2),  # straddling two windows
-            ("chained-k2", LR, 100_000, 6_100, 12_244, 2),  # _WINDOW wide
-            ("chained-k2", QM, 100_000, 65_530, 65_540, 1),  # past 2**16
-            ("hardy-naive", QM, 100_000, 70_000, 76_144, 2),
-            ("hardy-naive", QM, 2_001, 1, 6_000, 1),  # the horizon inside a window
-            ("chained-k2", LR, 70_000, 69_990, 70_010, 1),
-            # straddling 2**31, 2048 counts into a window: b(n) = n + 1 for q = r
-            ("q=r", LR, 100_000, 2**31 - 2_200, 2**31 + 100, 2),
-            ("q=r", LR, 2**31, 2**31 - 100, 2**31 + 100, 1),  # a(n) = n from the horizon at 2**31
-            ("chained-k2", LR, 2**40, 2**31 - 2_200, 2**31 + 100, 2),
-        ],
-    )
-    def test_windows_are_the_builder_s(self, name, truth, max_trials, start, stop, windows):
-        rule = rule_of(walk_config(name, truth, max_trials=max_trials))
-        built = law._count_bounds(*rule, np.arange(start, stop, dtype=np.float64))
-        bounds = law._bounds(rule, start, stop)
-        assert all(np.array_equal(w, x) for w, x in zip(bounds, built, strict=True))
-        assert law._bound_window.cache_info().misses == windows
-        # the cached windows are shared: no caller can write to them
-        assert not any(bound.flags.writeable for bound in law._bound_window(rule, 0, law._WINDOW))
+    def test_a_tie_rounds_below_the_threshold(self):
+        # (1, 0.1) at 100/0.01: the rarer outcome is "no", which falsifies
+        # QM; a run of "yes" from count 0 crosses ln(1e4) at trial 5, not 4
+        rule = rule_of(SimulationConfig(HypothesisPair(1.0, 0.1)))
+        r, _ = law._count_tables(rule, False, 0, 2)
+        assert r[0] == 5

@@ -1,18 +1,13 @@
 """Sequential-experiment simulations: deterministic walks, statistical
 convergence against closed-form oracles, and the determinism contract."""
 
+import bisect
 import hashlib
+import itertools
 import math
-import os
-import queue
-import signal
-import sys
-import threading
-import time
 import tracemalloc
 import warnings
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -402,20 +397,68 @@ class TestSingleReplicationReport:
         )
 
 
-def reference_walk(config: SimulationConfig, index: int) -> tuple[int, str]:
-    """One trial at a time with a running float sum: the per-trial walk the
-    batch walker replaces, kept as its oracle for stopping trials and
-    decisions."""
+def gap_table(p_rare: float) -> list[float]:
+    """T_1..T_L: (1 - p_rare)**t by repeated float multiplication, up to the
+    first t with T_t <= 2**-53 (the least positive draw) or
+    simulate._GAP_CAP terms."""
+    factor, power, table = 1.0 - p_rare, 1.0, []
+    while len(table) < simulate._GAP_CAP and power > 2.0**-53:
+        power *= factor
+        table.append(power)
+    return table
+
+
+def stream_draws(seed: int, index: int):
+    """The doubles of replication index's trial_stream, one at a time."""
+    rng = trial_stream(seed, index)
+    while True:
+        yield from rng.random(64).tolist()
+
+
+def expand_gaps(draws, p_true: float, trials: int) -> np.ndarray:
+    """The first trials outcomes ("yes" True) of a row whose doubles are
+    draws: per draw u, G = #{t : u < T_t} outcomes of the majority, then one
+    of the rarer outcome unless G is the table's length L.  The rarer
+    outcome is "yes" at p_true <= 1/2; at p_true 0 or 1 nothing is drawn."""
+    rare = p_true <= 0.5
+    outcomes = np.full(trials, not rare)
+    if p_true in (0.0, 1.0):
+        return outcomes
+    table = gap_table(p_true if rare else 1.0 - p_true)
+    rising = [-power for power in table]
+    n = 0
+    for u in draws:  # up to the draw whose gap reaches the last trial
+        g = bisect.bisect_left(rising, -u)  # the t with -T_t < -u
+        n += g
+        if g < len(table):
+            if n < trials:
+                outcomes[n] = rare
+            n += 1
+        if n >= trials:
+            break
+    return outcomes
+
+
+def row_outcomes(config: SimulationConfig, index: int, trials: int | None = None) -> np.ndarray:
+    """Replication index's first trials outcomes (all max_trials by
+    default), expanded from its trial_stream."""
     pair = config.resolved_pair()
     p_true = pair.q if config.true_theory == QM else pair.r
+    return expand_gaps(stream_draws(config.master_seed, index), p_true, trials or config.max_trials)
+
+
+def reference_walk(config: SimulationConfig, index: int) -> tuple[int, str]:
+    """One trial at a time with a running float sum over the row's expanded
+    gaps: the per-trial walk the batch walker replaces, kept as its oracle
+    for stopping trials and decisions."""
+    pair = config.resolved_pair()
     step_yes = log_bayes_factor(pair, TrialTally(1, 1))
     step_no = log_bayes_factor(pair, TrialTally(1, 0))
     hi = math.log(config.prior_odds / config.lower_threshold)
     lo = math.log(config.prior_odds / config.upper_threshold)
-    rng = trial_stream(config.master_seed, index)
     cum = 0.0
-    for trial in range(1, config.max_trials + 1):
-        step = step_yes if rng.random() < p_true else step_no
+    for trial, is_yes in enumerate(row_outcomes(config, index).tolist(), 1):
+        step = step_yes if is_yes else step_no
         if math.isinf(step):
             return trial, LR_REJECTED if step > 0 else QM_REJECTED
         cum += step
@@ -477,83 +520,102 @@ class TestSubstreams:
             assert np.array_equal(trial_stream(seed, index).random(16), jumped.random(16)), (seed, index)
 
 
-CUT_POINT_PS = [
-    2.0**-1074,
-    2.0**-53,
-    0.1,
-    0.25,
+GAP_PS = [
     0.5,
-    1.0 - 2.0**-53,
+    0.45,
+    0.25,
     hardy_q(),
     chained_pair(2).q,
-    chained_pair(2).r,
     chained_pair(4).q,
-    chained_pair(4).r,
     hardy_optimize_r().r_opt,
+    1e-3,
+    1e-6,
+    2.0**-60,  # 1 - p rounds to 1: every draw is a run of L
 ]
 
 
-def word_cut(p: float) -> int:
-    """The smallest raw Philox word whose double is not below p:
-    ceil(p * 2**53) << 11, from the exact rational p."""
-    return math.ceil(Fraction(p) * 2**53) << 11
+class TestGaps:
+    """simulate._gap_table and _gaps against the repeated product and a
+    bisection of it."""
+
+    @pytest.mark.parametrize("p", GAP_PS)
+    def test_table_is_the_repeated_product(self, p):
+        table, scale = simulate._gap_table(p)
+        assert table[0] == math.inf and table[-1] == 0.0 and not table.flags.writeable
+        assert table[1:-1].tolist() == gap_table(p)
+        assert scale == 1.0 / math.log1p(-p)
+
+    @pytest.mark.parametrize("p", GAP_PS)
+    def test_gaps_count_the_terms_above_the_draw(self, p):
+        # random draws, 0.0, and every term of the table with its neighbours
+        table, scale = simulate._gap_table(p)
+        terms = table[1:-1]
+        draws = np.concatenate((
+            np.random.default_rng(7).random(2_000),
+            [0.0, 2.0**-53, 0.5, math.nextafter(1.0, 0.0)],
+            terms[:500], np.nextafter(terms[:500], 0.0), np.nextafter(terms[:500], 1.0),
+        ))
+        draws = draws[draws < 1.0]
+        rising = [-term for term in terms.tolist()]
+        expected = [bisect.bisect_left(rising, -u) for u in draws.tolist()]
+        assert simulate._gaps(table, scale, draws).tolist() == expected
+        assert simulate._gaps(table, scale, draws.reshape(1, -1))[0].tolist() == expected
+
+    def test_a_draw_of_zero_is_a_run_of_the_whole_table(self):
+        for p in GAP_PS:
+            table, scale = simulate._gap_table(p)
+            assert simulate._gaps(table, scale, np.zeros(4)).tolist() == [table.size - 2] * 4
+
+    @pytest.mark.parametrize("rare_yes", [True, False])
+    @pytest.mark.parametrize("p", GAP_PS[:-1])
+    def test_outcomes_expand_the_gaps(self, p, rare_yes):
+        # run_trajectory's outcomes, with "yes" the rarer outcome or "no"
+        p_true = p if rare_yes else 1.0 - p
+        trials = 5_000
+        got = simulate._outcomes(trial_stream(SEED, 3), p_true, trials)
+        assert np.array_equal(got, expand_gaps(stream_draws(SEED, 3), p_true, trials))
+
+    def test_table_length(self):
+        # the first power at or below 2**-53: t = 53 at p = 1/2, and the cap
+        # at p = 1e-6, whose powers stay near 1
+        assert simulate._gap_table(0.5)[0].size - 2 == 53
+        assert simulate._gap_table(1e-6)[0].size - 2 == simulate._GAP_CAP
 
 
-class TestWordCutPoint:
-    """Wide blocks decide "yes" on Philox's raw words (simulate._draw):
-    numpy's double is (word >> 11) * 2**-53, so draw < p exactly when
-    word < ceil(p * 2**53) << 11."""
-
-    @pytest.mark.parametrize("p", CUT_POINT_PS)
-    def test_words_beside_the_cut(self, p):
-        t = word_cut(p)
-        words = [0, t - 2049, t - 2048, t - 1, t, t + 1, t + 2047, 2**64 - 1]
-        for w in (w for w in words if 0 <= w < 2**64):
-            assert ((w >> 11) * 2.0**-53 < p) == (w < t), (p, w)
-
-    @pytest.mark.parametrize("p", CUT_POINT_PS)
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-    def test_word_flags_are_the_float_flags(self, p, seed):
-        # 4096 trials: _draw takes the word path
-        assert 4096 >= simulate._RAW_WIDTH
-        cut = np.uint64(word_cut(p))
-        gen = np.random.Generator(np.random.Philox(seed))
-        key = gen.bit_generator.state["state"]["key"].tolist()
-        for index in (0, 2**32 - 1):
-            expected = trial_stream(seed, index).random(4096) < p
-            raw = np.random.Philox(seed).advance(index << 128).random_raw(4096)
-            assert np.array_equal(raw < cut, expected), (seed, index)
-            flags = simulate._draw(gen, key, [index], 0, np.empty((1, 4096)), p, cut)
-            assert np.array_equal(flags[0], expected), (seed, index)
-
-
-def count_formula_walk(config: SimulationConfig, index: int) -> tuple[int, str, str]:
-    """One trial at a time, log D from the counts: m * step_yes + (n - m) *
-    step_no after n trials with m "yes", in Python floats, against the
-    thresholds after every trial.  Returns the stop, the decision and the
-    final log D in hex, to be matched bit for bit."""
+def count_formula_walk(config: SimulationConfig, outcomes: np.ndarray) -> tuple[int, str, str]:
+    """Trial by trial over a row's outcomes (its first max_trials), log D
+    from the counts: m * step_yes + (n - m) * step_no after n trials with m
+    "yes", in float64, against the thresholds after every trial.  Returns
+    the stop, the decision and the final log D in hex, to be matched bit for
+    bit.  The trials go in slices, so walks of 10**7 trials fit in memory."""
     pair = config.resolved_pair()
-    p_true = pair.q if config.true_theory == QM else pair.r
     step_yes = log_bayes_factor(pair, TrialTally(1, 1))
     step_no = log_bayes_factor(pair, TrialTally(1, 0))
     # an infinite step's outcome ends the walk, so until then its count is 0
     yes, no = (step if math.isfinite(step) else 0.0 for step in (step_yes, step_no))
     hi = math.log(config.prior_odds / config.lower_threshold)
     lo = math.log(config.prior_odds / config.upper_threshold)
-    rng = trial_stream(config.master_seed, index)
-    m = 0
-    for n in range(1, config.max_trials + 1):
-        is_yes = rng.random() < p_true
-        step = step_yes if is_yes else step_no
-        if math.isinf(step):
-            return n, LR_REJECTED if step > 0 else QM_REJECTED, step.hex()
-        m += is_yes
+    count = 0.0
+    for first in range(0, config.max_trials, 2**16):
+        chunk = outcomes[first : first + 2**16]
+        m = count + np.cumsum(chunk, dtype=np.float64)
+        n = np.arange(first + 1, first + 1 + chunk.size, dtype=np.float64)
         log_d = m * yes + (n - m) * no
-        if log_d >= hi:
-            return n, LR_REJECTED, log_d.hex()
-        if log_d <= lo:
-            return n, QM_REJECTED, log_d.hex()
-    return config.max_trials, INCONCLUSIVE, log_d.hex()
+        falsified = (chunk & math.isinf(step_yes)) | (~chunk & math.isinf(step_no))
+        stop = falsified | (log_d >= hi) | (log_d <= lo)
+        if stop.any():
+            j = int(stop.argmax())
+            if falsified[j]:
+                step = step_yes if chunk[j] else step_no
+                return first + j + 1, LR_REJECTED if step > 0 else QM_REJECTED, step.hex()
+            return first + j + 1, LR_REJECTED if log_d[j] >= hi else QM_REJECTED, float(log_d[j]).hex()
+        count = m[-1]
+    return config.max_trials, INCONCLUSIVE, float(log_d[-1]).hex()
+
+
+def gap_walk(config: SimulationConfig, index: int) -> tuple[int, str, str]:
+    """count_formula_walk of replication index's expanded gaps."""
+    return count_formula_walk(config, row_outcomes(config, index))
 
 
 def batch_walk(config: SimulationConfig) -> list[tuple[int, str, str]]:
@@ -576,62 +638,89 @@ def threshold_at(prior: float, target: float) -> float:
     return t
 
 
+#: Both orientations of the rarer outcome, both falsifier kinds, a pair
+#: at p = 1/2 and a close pair
+GAP_SWEEP = {
+    "qm-0.7-0.4": (HypothesisPair(0.7, 0.4), QM),  # "no" is rarer
+    "lr-0.3-0.6": (HypothesisPair(0.3, 0.6), LR),  # "yes" is rarer
+    "qm-hardy-naive": (ScenarioSpec("hardy-naive"), QM),  # the rarer "yes" falsifies LR
+    "lr-1-0.75": (HypothesisPair(1.0, 0.75), LR),  # the rarer "no" falsifies QM
+    "qm-0.5-0.8": (HypothesisPair(0.5, 0.8), QM),  # "yes" is taken as the rarer at 1/2
+    "qm-0.45-0.5": (HypothesisPair(0.45, 0.5), QM),
+    "lr-0.45-0.5": (HypothesisPair(0.45, 0.5), LR),
+}
+
+
 class TestCountFormulaWalk:
     @pytest.mark.parametrize("truth", [QM, LR])
     @pytest.mark.parametrize("name", list(SCENARIOS) + list(OVERRIDES))
     @pytest.mark.parametrize("max_trials", [30, 2_001])
     def test_matches_the_walker_bitwise(self, name, truth, max_trials):
         cfg = walk_config(name, truth, max_trials=max_trials, replications=20)
-        assert batch_walk(cfg) == [count_formula_walk(cfg, i) for i in range(20)]
+        assert batch_walk(cfg) == [gap_walk(cfg, i) for i in range(20)]
+
+    @pytest.mark.parametrize("name", list(GAP_SWEEP))
+    @pytest.mark.parametrize("max_trials", [40, 2_001])
+    def test_the_gap_sweep(self, name, max_trials):
+        scenario, truth = GAP_SWEEP[name]
+        cfg = SimulationConfig(scenario, truth, max_trials=max_trials, master_seed=SEED, replications=40)
+        assert batch_walk(cfg) == [gap_walk(cfg, i) for i in range(40)]
 
     @pytest.mark.parametrize("truth", [QM, LR])
-    @pytest.mark.parametrize("p", [0.5, 0.75])
-    def test_a_word_path_block_with_the_cut_at_or_past_2_63(self, p, truth):
-        # zero drift, so blocks double from 64 to 512 and then one block of
-        # 1024 trials decides "yes" on raw words, against a cut of 2**63 at
-        # p = 1/2 (and 3 * 2**62 at 3/4): numpy must compare the uint64 words
-        # with a uint64 cut, not with a float
-        assert simulate._RAW_WIDTH <= 1024
-        cfg = SimulationConfig(HypothesisPair(p, p), truth, max_trials=2_001, master_seed=SEED, replications=20)
-        assert batch_walk(cfg) == [count_formula_walk(cfg, i) for i in range(20)]
+    def test_a_tiny_rare_probability_past_the_table_cap(self, truth):
+        # p = 1e-6 or 2e-6: almost every draw is a run of the whole table,
+        # 4096 trials, and the walks reach the horizon at 10**7 trials
+        cfg = SimulationConfig(HypothesisPair(1e-6, 2e-6), truth, max_trials=10**7, master_seed=SEED, replications=3)
+        walks = batch_walk(cfg)
+        assert walks == [gap_walk(cfg, i) for i in range(3)]
+        assert {decision for _, decision, _ in walks} == {INCONCLUSIVE}
 
     @pytest.mark.parametrize("pair", [HypothesisPair(0.001, 0.0), HypothesisPair(0.999, 1.0)])
-    def test_a_falsifier_drawn_on_the_word_path(self, pair):
-        # QM true and an infinite drift, so blocks double from 64 trials and
-        # every trial past 960 is decided on raw words, with the cut near 0
-        # or near 2**64; the outcome LR forbids ("yes" at r = 0, "no" at
-        # r = 1) comes once in 1000 trials, so some walks end on it there
-        assert simulate._RAW_WIDTH <= 1024
+    def test_a_falsifier_drawn_late(self, pair):
+        # QM true and an infinite drift, so blocks double from _FIRST_BLOCK;
+        # the outcome LR forbids ("yes" at r = 0, "no" at r = 1) is the rarer
+        # one, once in 1000 trials, so some walks end on it after many blocks
         cfg = SimulationConfig(pair, QM, max_trials=4_001, master_seed=SEED, replications=20)
         walks = batch_walk(cfg)
-        assert walks == [count_formula_walk(cfg, i) for i in range(20)]
+        assert walks == [gap_walk(cfg, i) for i in range(20)]
         assert any(stop > 960 and decision == LR_REJECTED for stop, decision, _ in walks)
 
-    @pytest.mark.parametrize("index", range(4))
-    def test_a_first_draw_on_the_cut(self, index):
-        # p is the walk's first draw, then the next double up: trial 1 is
-        # "no", then "yes", and a cut one word group off flips it.  The drift
-        # is so small that the first block is the widest, so trial 1 is
-        # decided on raw words
-        draw = trial_stream(SEED, index).random()
-        for p in (draw, math.nextafter(draw, 1.0)):
-            pair = HypothesisPair(p, 0.99 * p)
-            assert simulate._sized_block(math.log(1e4), kl_per_trial(pair)) >= simulate._RAW_WIDTH
-            cfg = SimulationConfig(pair, QM, max_trials=10_000, master_seed=SEED, replications=index + 1)
-            assert batch_walk(cfg)[index] == count_formula_walk(cfg, index)
+    @pytest.mark.parametrize("name", ["chained-k2", "hardy-naive", "q=r", "q<r", "r=1"])
+    @pytest.mark.parametrize("truth", [QM, LR])
+    def test_draws_of_zero(self, name, truth, monkeypatch):
+        # every row's first draw and its 11th are 0.0, a run of the whole
+        # table with no rare outcome; np.log(0.0) would warn
+        fill = simulate._fill
 
-    def test_a_word_on_the_cut(self):
-        # p is the double of a drawn word whose low 11 bits are 0, so that
-        # word is the cut itself and its trial is "no" (draw < p is false),
-        # which a walk taking word <= cut would count "yes"; the first block
-        # is the widest, as above
-        words = np.random.Philox(SEED).random_raw(5_000)
-        j = int(np.flatnonzero(words % 2048 == 0)[0])
-        p = (int(words[j]) >> 11) * 2.0**-53
-        cfg = SimulationConfig(HypothesisPair(p, 0.99 * p), QM, max_trials=5_000, master_seed=SEED, replications=1)
-        walks = batch_walk(cfg)
-        assert walks == [count_formula_walk(cfg, 0)]
-        assert walks[0][0] > j
+        def zeroing(gen, key, indices, step, rows):
+            fill(gen, key, indices, step, rows)
+            for j in (0, 10):
+                if 0 <= j - 4 * step < rows.shape[1]:
+                    rows[:, j - 4 * step] = 0.0
+
+        monkeypatch.setattr(simulate, "_fill", zeroing)
+        cfg = walk_config(name, truth, max_trials=2_001, replications=20)
+        p_true = cfg.resolved_pair().q if truth == QM else cfg.resolved_pair().r
+        expected = []
+        for i in range(20):
+            draws = stream_draws(SEED, i)
+            zeroed = (0.0 if j in (0, 10) else u for j, u in enumerate(draws))
+            expected.append(count_formula_walk(cfg, expand_gaps(zeroed, p_true, cfg.max_trials)))
+        assert batch_walk(cfg) == expected
+
+    @pytest.mark.parametrize("index", [i for i in range(20) if trial_stream(SEED, i).random() >= 0.5][:4])
+    def test_a_first_draw_on_the_first_term(self, index):
+        # p = 1 - u for the walk's first draw u >= 1/2, so T_1 = u and the
+        # first gap is 0: trial 1 is "yes", the rarer outcome; with T_1 one
+        # double above u the draw is below it, and trial 1 is "no"
+        u = trial_stream(SEED, index).random()
+        firsts = []
+        for p in (1.0 - u, 1.0 - math.nextafter(u, 1.0)):
+            cfg = SimulationConfig(HypothesisPair(p, 0.99 * p), QM, max_trials=10_000, master_seed=SEED,
+                                   replications=index + 1)
+            assert batch_walk(cfg)[index] == gap_walk(cfg, index)
+            firsts.append(bool(run_trajectory(cfg, index).outcomes[0]))
+        assert firsts == [True, False]
 
     @pytest.mark.parametrize("truth", [QM, LR])
     def test_thresholds_on_and_beside_a_reached_log_d(self, truth):
@@ -645,74 +734,30 @@ class TestCountFormulaWalk:
             for target, stops_there in ((math.nextafter(x, -outward), True), (x, True), (math.nextafter(x, outward), False)):
                 cfg = replace(base, **{name: threshold_at(base.prior_odds, target)})
                 walks = batch_walk(cfg)
-                assert walks == [count_formula_walk(cfg, j) for j in range(cfg.replications)]
+                assert walks == [gap_walk(cfg, j) for j in range(cfg.replications)]
                 assert (walks[i] == base_walks[i]) == stops_there, (i, target)
 
     @pytest.mark.parametrize("truth", [QM, LR])
-    def test_trial_cap_on_a_block_edge(self, truth, monkeypatch):
-        # zero drift, so blocks of 64 and then 128 trials: the cap at 192
-        # falls on the last column of a full block, and no walk reaches a
-        # threshold before it
-        tally = counted_draws(monkeypatch)
-        cfg = walk_config("q=r", truth, max_trials=192, replications=20)
-        walks = batch_walk(cfg)
-        assert walks == [count_formula_walk(cfg, i) for i in range(20)]
-        assert {(stop, decision) for stop, decision, _ in walks} == {(192, INCONCLUSIVE)}
-        assert tally["draws"] == 192 * 20
-
-    @pytest.mark.parametrize("truth", [QM, LR])
-    def test_trial_cap_inside_a_word(self, truth, monkeypatch):
-        # blocks are whole words of 8 trials, so the last block draws trials
-        # 191 and 192 past the cap at 190, and no walk sees them
+    def test_trial_cap_inside_a_run(self, truth, monkeypatch):
+        # zero drift, so no walk reaches a threshold: each stops at the cap,
+        # most inside a gap's run; no block draws more than the trials the
+        # cap leaves its rows
         tally = counted_draws(monkeypatch)
         cfg = walk_config("q=r", truth, max_trials=190, replications=20)
         walks = batch_walk(cfg)
-        assert walks == [count_formula_walk(cfg, i) for i in range(20)]
+        assert walks == [gap_walk(cfg, i) for i in range(20)]
         assert {(stop, decision) for stop, decision, _ in walks} == {(190, INCONCLUSIVE)}
-        assert tally["draws"] == 192 * 20
+        assert all(width <= 192 for width in tally["widths"])
 
-
-class TestYesCounts:
-    """simulate._yes_counts, eight trials to a word, against np.cumsum."""
-
-    @staticmethod
-    def assert_counts(is_yes: np.ndarray, count: np.ndarray) -> None:
-        # m and scratch start as NaN, so a lane the kernel skips shows
-        m, scratch = np.full(is_yes.shape, np.nan), np.full(is_yes.size, np.nan)
-        got = simulate._yes_counts(is_yes, count, m, scratch)
-        assert got is m
-        assert np.array_equal(m, np.cumsum(is_yes, axis=1, dtype=np.float64) + count[:, None])
-
-    @pytest.mark.parametrize("rows", [1, 128])
-    @pytest.mark.parametrize("width", [8, 16, 24, 344, 2048, 6144])
-    @pytest.mark.parametrize("kind", ["all-False", "all-True", "random"])
-    def test_matches_cumsum(self, rows, width, kind):
-        rng = np.random.default_rng(width * rows)
-        is_yes = {
-            "all-False": np.zeros((rows, width), dtype=bool),
-            "all-True": np.ones((rows, width), dtype=bool),
-            "random": rng.random((rows, width)) < 0.3,
-        }[kind]
-        self.assert_counts(is_yes, rng.integers(0, 10_000, rows).astype(np.float64))
-
-    @pytest.mark.parametrize("width", [8, 2048, 6144])
-    def test_counts_near_2_53(self, width):
-        # an all-True row ends on 2**53 exactly, the largest count the walk
-        # keeps; at the widest block its 16-bit lanes carry up to 6144, and
-        # the words need whole blocks of 8 trials and carries below 2**16
-        assert simulate._MAX_BLOCK % 8 == 0 and simulate._MAX_BLOCK < 2**16
-        is_yes = np.ones((3, width), dtype=bool)
-        is_yes[1, ::3] = False
-        self.assert_counts(is_yes, np.full(3, float(2**53 - width)))
-
-    def test_lane_order(self):
-        # trial 0 is the lowest byte of its word: with the bytes read the
-        # other way round, the lone "yes" of word 0 would count from trial 7
-        is_yes = np.zeros((2, 16), dtype=bool)
-        is_yes[0, 0] = is_yes[0, 9] = is_yes[0, 10] = True
-        is_yes[1, 7] = is_yes[1, 8] = True
-        m = simulate._yes_counts(is_yes, np.array([0.0, 5.0]), np.empty((2, 16)), np.empty(32))
-        assert m.tolist() == [[1.0] * 9 + [2.0] + [3.0] * 6, [5.0] * 7 + [6.0] + [7.0] * 8]
+    @pytest.mark.parametrize("truth", [QM, LR])
+    def test_trial_cap_on_a_rare_outcome(self, truth):
+        # the cap on row 3's 20th rare outcome, which ends its walk there
+        cfg = walk_config("q=r", truth, max_trials=2_001, replications=8)
+        trial = int(np.flatnonzero(row_outcomes(cfg, 3) == (cfg.resolved_pair().q <= 0.5))[19]) + 1
+        cfg = replace(cfg, max_trials=trial)
+        walks = batch_walk(cfg)
+        assert walks == [gap_walk(cfg, i) for i in range(8)]
+        assert walks[3][:2] == (trial, INCONCLUSIVE)
 
 
 def stops_and_decisions(config: SimulationConfig) -> list[tuple[int, str]]:
@@ -750,11 +795,11 @@ class TestFinalLogD:
             assert t.cumulative_log_d[-1] == final
             assert not np.isnan(t.cumulative_log_d).any()
 
-    def test_outcomes_are_the_trial_stream(self):
-        cfg = walk_config("chained-k4", QM, max_trials=3_000, replications=3)
+    @pytest.mark.parametrize("name", ["chained-k4", "q<r", "r=1"])
+    def test_outcomes_are_the_expanded_gaps(self, name):
+        cfg = walk_config(name, QM, max_trials=3_000, replications=3)
         t = run_trajectory(cfg, 2)
-        draws = trial_stream(SEED, 2).random(t.stop_trial)
-        assert np.array_equal(t.outcomes, draws < cfg.resolved_pair().q)
+        assert np.array_equal(t.outcomes, row_outcomes(cfg, 2, t.stop_trial))
 
     @pytest.mark.parametrize("truth", [QM, LR])
     @pytest.mark.parametrize("name", ["chained-k2", "hardy-naive", "ghz", "q=r", "r=1", "q=0"])
@@ -773,87 +818,45 @@ class TestFinalLogD:
 
 def assert_layout_free(config: SimulationConfig, monkeypatch) -> None:
     """The walker's columns do not change when small caps cut the walk into
-    many more chunks and blocks."""
+    many more chunks and blocks, and count tables past 48 counts are built
+    for each block."""
     default = replication_summaries(config)
     monkeypatch.setattr(simulate, "_CHUNK_ROWS", 7)
-    monkeypatch.setattr(simulate, "_FIRST_BLOCK", 8)
-    monkeypatch.setattr(simulate, "_MAX_BLOCK", 48)
-    monkeypatch.setattr(law, "_WINDOW", 48)
-    monkeypatch.setattr(simulate, "_BLOCK_FLOATS", 7 * 8 * 2)
-    monkeypatch.setattr(simulate, "_RAW_WIDTH", 24)  # blocks of 8-16 trials draw floats, 24-48 raw words
-    # windows of 48 trial counts, built cold; more than the cache holds for
-    # walks past 960 trials
-    law._bound_window.cache_clear()
+    monkeypatch.setattr(simulate, "_FIRST_BLOCK", 4)
+    monkeypatch.setattr(simulate, "_MAX_BLOCK", 12)
+    monkeypatch.setattr(simulate, "_BLOCK_FLOATS", 7 * 4 * 2)
+    monkeypatch.setattr(simulate, "_TABLE_COUNTS", 48)
     layout = replication_summaries(config)
-    law._bound_window.cache_clear()
     assert all(np.array_equal(a, b) for a, b in zip(layout, default, strict=True))
 
 
 def counted_draws(monkeypatch) -> dict:
-    """Wraps simulate._draw; the returned tally counts the rows it filled
+    """Wraps simulate._fill; the returned tally counts the rows it filled
     (one per live replication per block) and the draws it made, and lists
-    the widths of the rows it filled from trial 1."""
-    tally = {"rows": 0, "draws": 0, "first_widths": []}
-    draw = simulate._draw
+    the widths of its blocks and of the rows it filled from the first draw."""
+    tally = {"rows": 0, "draws": 0, "widths": [], "first_widths": []}
+    fill = simulate._fill
 
-    def counting(gen, key, indices, done, draws, *cut):
+    def counting(gen, key, indices, step, rows):
         tally["rows"] += len(indices)
-        tally["draws"] += draws.size
-        if done == 0:
-            tally["first_widths"] += [draws.shape[1]] * len(indices)
-        return draw(gen, key, indices, done, draws, *cut)
+        tally["draws"] += rows.size
+        tally["widths"].append(rows.shape[1])
+        if step == 0:
+            tally["first_widths"] += [rows.shape[1]] * len(indices)
+        return fill(gen, key, indices, step, rows)
 
-    monkeypatch.setattr(simulate, "_draw", counting)
+    monkeypatch.setattr(simulate, "_fill", counting)
     return tally
 
 
-#: lr-long's shape: 10 walks of 3.5k-9k trials, in blocks of up to 6144 raw words
+#: lr-long's shape: 10 walks of 3.5k-9k trials
 WIDE = walk_config("chained-k2", LR, upper_threshold=1e100, replications=10)
-
-
-def share_fills(monkeypatch, on: bool) -> None:
-    """Every raw-word block of two rows or more shares its fill with the
-    fill thread (on), also on one CPU, or none does."""
-    monkeypatch.setattr(simulate, "_SPLIT_DRAWS", 0 if on else 2**62)
-    monkeypatch.setattr(simulate, "_CPUS", 2)
-
-
-@pytest.fixture
-def own_jobs(monkeypatch):
-    """Swaps simulate._JOBS for an empty dict, so the test's first shared
-    block starts a fill thread of its own; on teardown each queue the dict
-    holds gets the None job that ends its thread, and the threads started
-    meanwhile are joined."""
-    before = set(threading.enumerate())
-    jobs = {}
-    monkeypatch.setattr(simulate, "_JOBS", jobs)
-    yield
-    for job_queue in jobs.values():
-        job_queue.put(None)
-    for thread in set(threading.enumerate()) - before:
-        if thread.name == "bellodds-fill":
-            thread.join(60)
-            assert not thread.is_alive(), "a fill thread did not stop"
-
-
-def filling_threads(monkeypatch) -> list[int]:
-    """Wraps simulate._fill; the returned list gets the thread id of each
-    call."""
-    idents = []
-    fill = simulate._fill
-
-    def recording(*args):
-        idents.append(threading.get_ident())
-        return fill(*args)
-
-    monkeypatch.setattr(simulate, "_fill", recording)
-    return idents
 
 
 class TestDrawsPerReplication:
     def test_ghz_qm_true_stops_at_33_without_draws(self, monkeypatch):
         # QM says "yes" with certainty, so every walk stops at trial 33
-        # whatever it would draw; it drew one 44-trial block per row before
+        # whatever it would draw
         tally = counted_draws(monkeypatch)
         stops, codes, _ = replication_summaries(ghz_config(replications=100, max_trials=100_000))
         assert tally["draws"] == 0
@@ -863,8 +866,7 @@ class TestDrawsPerReplication:
     def test_certain_outcomes_make_no_draw_call(self, name, monkeypatch):
         # QM true with q = 1 or 0: every outcome is certain, so no block is
         # drawn (TestBatchWalkerMatchesPerTrialWalk checks the stops against
-        # the per-trial walk, which draws); run_trajectory still redraws its
-        # outcomes from trial_stream
+        # the per-trial walk); run_trajectory's outcomes are the certain one
         tally = counted_draws(monkeypatch)
         cfg = walk_config(name, QM, max_trials=2_001, replications=300)
         replication_summaries(cfg)
@@ -873,18 +875,19 @@ class TestDrawsPerReplication:
         assert t.outcomes.tolist() == [cfg.resolved_pair().q == 1.0] * t.stop_trial
 
     def test_certain_walk_walks_one_row(self, monkeypatch):
-        # ghz with QM true: the walk counts one row, whose columns every row
-        # takes, and needs no generator, so none is built
-        rows, yes_counts = [], simulate._yes_counts
+        # ghz with QM true: the walk reads one row's stop off the count
+        # tables, R[0], and every row takes that row's columns; it needs no
+        # generator, so none is built
+        rows, cached_tables = [], simulate._cached_tables
 
-        def counting(is_yes, *rest):
-            rows.append(len(is_yes))
-            return yes_counts(is_yes, *rest)
+        def counting(rule, rare_yes, size):
+            rows.append(size)
+            return cached_tables(rule, rare_yes, size)
 
         def no_philox(*args, **kwargs):
             raise AssertionError("a certain walk built a Philox")
 
-        monkeypatch.setattr(simulate, "_yes_counts", counting)
+        monkeypatch.setattr(simulate, "_cached_tables", counting)
         monkeypatch.setattr(np.random, "Philox", no_philox)
         cfg = ghz_config(replications=10_000, max_trials=100_000)
         one = simulate._walk(cfg, 0, 1)
@@ -895,8 +898,8 @@ class TestDrawsPerReplication:
         assert rows == [1, 1]
 
     def test_a_walk_resolves_its_stop_rule_once(self, monkeypatch):
-        # the certain walk's one-row walk and run_trajectory's outcome redraw
-        # take the rule their caller resolved
+        # the certain walk's one-row walk and run_trajectory's outcome
+        # expansion take the rule their caller resolved
         calls, stop_rule = [], simulate._stop_rule
 
         def counting(config):
@@ -923,11 +926,9 @@ class TestDrawsPerReplication:
         replication_summaries(walk_config("chained-k2", QM, replications=300))
         assert built == [(SEED,)]
 
-    @pytest.mark.usefixtures("own_jobs")
     def test_a_wide_walk_builds_one_philox(self, monkeypatch):
-        # LR-true walks whose blocks share their rows with the fill thread:
-        # each walk builds Philox(master_seed), and the thread's generator,
-        # whose seed no draw reads, is built once, on the first shared block
+        # LR-true walks of several blocks each: each walk builds
+        # Philox(master_seed), and nothing else builds one
         built = []
         philox = np.random.Philox
 
@@ -935,31 +936,37 @@ class TestDrawsPerReplication:
             built.append(args)
             return philox(*args, **kwargs)
 
-        share_fills(monkeypatch, True)
         monkeypatch.setattr(np.random, "Philox", counting)
         for _ in range(2):
             replication_summaries(WIDE)
-        assert built == [(SEED,), (0,), (SEED,)]
+        assert built == [(SEED,), (SEED,)]
 
     def test_first_block_is_sized_from_the_drift(self, monkeypatch):
-        # hardy with QM true draws; 1.25 x ln(1e4) / KL = 337.02 rounds up to 344
+        # hardy with QM true draws; 1.5 x q x ln(1e4) / KL = 36.47 rounds up to 40
         tally = counted_draws(monkeypatch)
         cfg = walk_config("hardy-paper", QM, max_trials=100_000, replications=200)
         replication_summaries(cfg)
-        width = simulate._sized_block(math.log(1e4), kl_per_trial(cfg.resolved_pair()))
+        width = simulate._sized_block(math.log(1e4), kl_per_trial(cfg.resolved_pair()), cfg.resolved_pair().q)
         assert tally["first_widths"] == [width] * 200
 
     def test_continuation_blocks_cover_the_farthest_row(self, monkeypatch):
-        # 1.53 draws per walked trial; doubling after the first block drew
-        # 1.83, and doubling from _FIRST_BLOCK 1.79
+        # 1.75 draws per draw a walk reads; doubling after the first block
+        # drew 1.97
         tally = counted_draws(monkeypatch)
-        stops, _, _ = replication_summaries(walk_config("chained-k2", QM, max_trials=100_000, replications=200))
-        assert tally["draws"] <= 1.65 * stops.sum()
+        cfg = walk_config("chained-k2", QM, max_trials=100_000, replications=200)
+        stops, _, _ = replication_summaries(cfg)
+        read = 0
+        for i, stop in enumerate(stops.tolist()):
+            draws = list(itertools.islice(stream_draws(SEED, i), stop))  # at least a trial a draw
+            unread = iter(draws)
+            expand_gaps(unread, cfg.resolved_pair().q, stop)
+            read += len(draws) - sum(1 for _ in unread)
+        assert tally["draws"] <= 1.85 * read
 
     def test_lr_true_far_threshold_takes_few_blocks(self, monkeypatch):
-        # walks of about 6k trials: with blocks sized from the drift and
-        # capped at 6144 trials each row is drawn 1.4 times (14 rows; a
-        # 2048-trial cap draws 34), doubling from _FIRST_BLOCK about 9.5
+        # walks of about 6k trials, 1.5k draws: with blocks sized from the
+        # drift and capped at 4096 draws each row is filled 1.2 times (12
+        # rows; a 512-draw cap fills 35)
         tally = counted_draws(monkeypatch)
         replication_summaries(walk_config("chained-k2", LR, upper_threshold=1e100, max_trials=100_000, replications=10))
         assert tally["rows"] <= 2 * 10
@@ -979,9 +986,10 @@ def traced_peak(run, config: SimulationConfig) -> int:
 
 class TestMemory:
     def test_peak_does_not_grow_with_replications(self):
-        # the walk's buffer is 2 x _BLOCK_FLOATS = 2 x 128 x 1024 floats
-        # (2 MB) at any rep count; 20k reps add 24 bytes of results each.  A
-        # walker that did not chunk would need 90 MB here.
+        # a block is at most _BLOCK_FLOATS = 16k draws, and each of its
+        # arrays 128 kB, at any rep count; 20k reps add 32 bytes of results
+        # each (0.88 MB in all).  A walker that did not chunk would need
+        # 90 MB here.
         assert traced_peak(run_replications, walk_config("chained-k2", QM, replications=20_000)) <= 3_000_000
 
     def test_summaries_path_stays_within_the_same_bound(self):
@@ -991,31 +999,33 @@ class TestMemory:
 
     def test_a_long_lr_true_walk(self):
         # lr-long's shape: 10 walks of 3.5k-9k trials in blocks of up to
-        # 6144, with the rule's count bounds cached by the warm-up (1.06 MB)
+        # 1636 draws a row, with the rule's count tables cached by the
+        # warm-up (0.99 MB)
         cfg = walk_config("chained-k2", LR, upper_threshold=1e100, replications=10)
         assert traced_peak(run_replications, cfg) <= 3_000_000
 
-    def test_a_walk_past_the_window_cache(self):
-        # 49 windows of count bounds, more than the cache holds, so each run
-        # builds them again, evicting its oldest (2.76 MB)
+    def test_a_walk_past_the_cached_count_tables(self):
+        # about 150k "yes" outcomes a walk, far past the counts the cached
+        # tables hold, so each block past them builds the counts it reaches
+        # (1.02 MB)
         cfg = SimulationConfig(HypothesisPair(0.5, 0.5), max_trials=300_000, master_seed=SEED, replications=3)
-        assert cfg.max_trials > law._bound_window.cache_info().maxsize * law._WINDOW
+        assert cfg.max_trials > 4 * law._TABLE_COUNTS
         assert traced_peak(run_replications, cfg) <= 3_000_000
 
     def test_columns_at_many_replications(self):
-        # ghz at 200k reps: the stops and finals take 3.2 MB, the walk's
-        # buffer 2.1 MB, the int8 codes and a mask 0.2 MB each (5.71 MB in
-        # all); int64 codes from a nested np.where reach 8.72 MB
+        # ghz at 200k reps: one row walks, and the stops and finals take
+        # 3.2 MB, the int8 codes 0.2 MB (3.40 MB in all); int64 codes from
+        # a nested np.where reached 8.72 MB
         assert traced_peak(replication_summaries, ghz_config(replications=200_000, max_trials=100_000)) <= 6_500_000
 
 
 class TestPinnedColumns:
     """The walker's columns over 468 configurations, hashed.  The digest was
-    taken from the walker that compared float log D with the thresholds
-    after every trial; its count bounds must decide and end every walk as
-    that compare did, bit for bit."""
+    taken from the gap walker, whose count tables TestCountFormulaWalk checks
+    against a per-trial walk of the same gaps; on any numpy the gaps and the
+    tables must decide and end every walk as they did, bit for bit."""
 
-    DIGEST = "b4f2b94bfa322a06b43578b94ed7fc963b08e683c354e27df3eca52cd6bba0ae"
+    DIGEST = "4b41f210b310056f978f3e17dee74c8e9941481745c0de603c2f6fb7a03dbc2e"
     SCENARIOS = [
         ScenarioSpec("ghz"),
         ScenarioSpec("chained", k=2),
@@ -1038,246 +1048,3 @@ class TestPinnedColumns:
                             for stop, code, final in zip(*(c.tolist() for c in replication_summaries(cfg))):
                                 digest.update(f"{stop} {code} {final.hex()}\n".encode())
         assert digest.hexdigest() == self.DIGEST
-
-
-def columns(config: SimulationConfig) -> list[list]:
-    """replication_summaries' stops, codes and finals, these as float.hex."""
-    stops, codes, finals = replication_summaries(config)
-    return [stops.tolist(), codes.tolist(), [final.hex() for final in finals.tolist()]]
-
-
-def bounded(run, timeout: float = 120.0):
-    """run() on a new thread, joined with a timeout, so that a deadlock fails
-    the test instead of hanging it: run's result, or its exception raised here."""
-    out = {}
-
-    def target():
-        try:
-            out["result"] = run()
-        except Exception as error:
-            out["error"] = error
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    assert not thread.is_alive(), f"no return within {timeout} s"
-    if "error" in out:
-        raise out["error"]
-    return out["result"]
-
-
-def serial_and_shared(config: SimulationConfig, monkeypatch) -> tuple[list, list, list[int]]:
-    """config's columns with no block's fill shared, then with every raw-word
-    block of two rows or more sharing it, and the threads that filled rows
-    in the second walk."""
-    share_fills(monkeypatch, False)
-    serial = columns(config)
-    share_fills(monkeypatch, True)
-    idents = filling_threads(monkeypatch)
-    return serial, columns(config), idents
-
-
-class TestSharedFill:
-    """Raw-word blocks of two rows or more may post half their rows to the
-    process's fill thread (simulate._fill_jobs), whose queue is
-    simulate._JOBS[pid].  A row's words depend on its key and counter alone,
-    so the walker's columns are the same, byte for byte, whichever thread
-    draws which row, and whenever."""
-
-    @pytest.mark.parametrize("truth", [QM, LR])
-    @pytest.mark.parametrize("scenario", TestPinnedColumns.SCENARIOS, ids=repr)
-    def test_pinned_scenarios_far_upper_threshold(self, scenario, truth, monkeypatch):
-        cfg = SimulationConfig(scenario, truth, 100.0, 0.01, 1e100, 100_000, SEED, 40)
-        serial, shared, _ = serial_and_shared(cfg, monkeypatch)
-        assert shared == serial
-
-    @pytest.mark.parametrize("replications", [2, 3, 41, 129])
-    def test_row_counts(self, replications, monkeypatch):
-        # odd halves, and at 129 a chunk of 128 rows (blocks of 1024 trials)
-        # and one of a single row, which fills alone
-        serial, shared, idents = serial_and_shared(replace(WIDE, replications=replications), monkeypatch)
-        assert shared == serial
-        assert len(set(idents)) == 2
-
-    def test_max_trials_inside_a_shared_block(self, monkeypatch):
-        # one 2504-trial block, whose walks end at trial 2500 at the latest
-        serial, shared, idents = serial_and_shared(replace(WIDE, max_trials=2_500), monkeypatch)
-        assert shared == serial
-        assert 2_500 in serial[0] and len(set(idents)) == 2
-
-    def test_an_error_on_the_helper_reaches_the_walk(self, monkeypatch):
-        share_fills(monkeypatch, False)
-        serial = columns(WIDE)
-        share_fills(monkeypatch, True)
-        fill, walkers = simulate._fill, []
-
-        def failing(gen, key, indices, *rest):
-            if threading.get_ident() not in walkers:
-                raise RuntimeError("the helper's fill failed")
-            return fill(gen, key, indices, *rest)
-
-        def walk():
-            walkers.append(threading.get_ident())
-            return columns(WIDE)
-
-        monkeypatch.setattr(simulate, "_fill", failing)
-        with pytest.raises(RuntimeError, match="the helper's fill failed"):
-            bounded(walk)
-        monkeypatch.setattr(simulate, "_fill", fill)
-        idents = filling_threads(monkeypatch)
-        assert bounded(walk) == serial
-        assert len(set(idents)) == 2
-
-    def test_walks_on_several_threads_at_once(self, monkeypatch):
-        # four user threads on the fill thread, switching every 10 us: a
-        # block posted while another walk's job runs waits its turn
-        configs = [replace(WIDE, master_seed=seed) for seed in range(4)]
-        share_fills(monkeypatch, False)
-        serial = [columns(cfg) for cfg in configs]
-        share_fills(monkeypatch, True)
-        results = [None] * len(configs)
-
-        def work(i):
-            results[i] = [columns(configs[i]) for _ in range(3)]
-
-        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(len(configs))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == [[walk] * 3 for walk in serial]
-
-    def test_a_walk_that_finds_the_fill_thread_busy_waits_its_turn(self, monkeypatch):
-        # a job of the test's own holds the fill thread until the walk has
-        # posted a block's other half behind it, then lets it go
-        serial, _, idents = serial_and_shared(WIDE, monkeypatch)
-        fill, held, release, reply = simulate._fill, threading.Event(), threading.Event(), queue.SimpleQueue()
-        jobs = simulate._JOBS[os.getpid()]
-
-        def holding(gen, key, *rest):
-            if key is None:  # the test's job, on the fill thread
-                held.set()
-                assert release.wait(60)
-                return None
-            if held.is_set() and not jobs.empty():  # the walk's job waits its turn
-                release.set()
-            return fill(gen, key, *rest)
-
-        monkeypatch.setattr(simulate, "_fill", holding)
-        jobs.put(((None,), reply))
-        assert held.wait(60)
-        idents.clear()
-        assert bounded(lambda: columns(WIDE)) == serial
-        assert reply.get(timeout=60) is None
-        assert len(set(idents)) == 2
-
-    @pytest.mark.usefixtures("own_jobs")
-    def test_racing_walks_publish_one_fill_thread(self, monkeypatch):
-        # four user threads, released at once, may each start a fill thread
-        # for their first shared block; one queue is published, and the
-        # threads that lost stop their own before the walk goes on
-        share_fills(monkeypatch, False)
-        serial = columns(WIDE)
-        share_fills(monkeypatch, True)
-        start, results = threading.Barrier(4), [None] * 4
-
-        def work(i):
-            start.wait(60)
-            results[i] = columns(WIDE)
-
-        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(4)]
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == [serial] * 4
-        assert threading.active_count() == before + 1
-        assert list(simulate._JOBS) == [os.getpid()]
-
-    @pytest.mark.usefixtures("own_jobs")
-    def test_a_failed_thread_start_publishes_no_queue(self, monkeypatch):
-        share_fills(monkeypatch, False)
-        serial = columns(WIDE)
-        share_fills(monkeypatch, True)
-        start = threading.Thread.start
-
-        def failing(self):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(threading.Thread, "start", failing)
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            replication_summaries(WIDE)
-        assert simulate._JOBS == {}
-        monkeypatch.setattr(threading.Thread, "start", start)
-        assert bounded(lambda: columns(WIDE)) == serial
-        assert list(simulate._JOBS) == [os.getpid()]
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_starts_its_own_helper(self, monkeypatch):
-        serial, shared, _ = serial_and_shared(WIDE, monkeypatch)
-        parent = simulate._JOBS[os.getpid()]
-        assert shared == serial
-        with warnings.catch_warnings():
-            # from Python 3.12 os.fork warns that the child of a process with
-            # threads may deadlock: the child gets none of them, the fill
-            # thread included, which is what this test is about
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                idents = filling_threads(monkeypatch)
-                helped = columns(WIDE) == serial and len(set(idents)) == 2
-                status = 0 if helped and simulate._JOBS[os.getpid()] is not parent else 1
-            finally:
-                os._exit(status)
-        deadline = time.monotonic() + 120
-        while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        if waited[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child's walk did not return within 120 s")
-        assert os.waitstatus_to_exitcode(waited[1]) == 0
-
-    @pytest.mark.parametrize(
-        "gate, config",
-        [
-            ({"_SPLIT_DRAWS": 2**62}, WIDE),
-            ({"_CPUS": 1}, WIDE),
-            ({}, replace(WIDE, replications=1)),
-            ({}, walk_config("chained-k2", QM, replications=100)),  # blocks below _RAW_WIDTH
-        ],
-        ids=["few-draws", "one-cpu", "one-row", "narrow"],
-    )
-    @pytest.mark.usefixtures("own_jobs")
-    def test_a_walk_the_gate_keeps_alone_starts_no_thread(self, gate, config, monkeypatch):
-        share_fills(monkeypatch, True)
-        for name, value in gate.items():
-            monkeypatch.setattr(simulate, name, value)
-        threads = threading.active_count()
-        replication_summaries(config)
-        assert threading.active_count() == threads
-        assert simulate._JOBS == {}
-
-    @pytest.mark.usefixtures("own_jobs")
-    def test_the_first_shared_block_starts_the_helper(self, monkeypatch):
-        share_fills(monkeypatch, True)
-        threads = threading.active_count()
-        for _ in range(2):
-            replication_summaries(WIDE)
-        assert threading.active_count() == threads + 1
-        assert list(simulate._JOBS) == [os.getpid()]
