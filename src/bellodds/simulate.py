@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import LR, QM, HypothesisPair, _check_int
-from .law import _TABLE_COUNTS, _cached_tables, _codes, _count_tables, _final, _log_d, _stop_rule
+from .law import _TABLE_COUNTS, _cached_tables, _count_tables, _decide, _log_d, _stop_rule
 from .scenarios import ScenarioSpec, scenario_pair
 
 __all__ = [
@@ -149,8 +149,6 @@ _GAP_CAP = 4096
 #: First block of draws per row of a walk that is not sized from the drift;
 #: later blocks double.
 _FIRST_BLOCK = 8
-#: Most draws per row in a block.
-_MAX_BLOCK = 4096
 #: Replications walked side by side.
 _CHUNK_ROWS = 128
 #: Most draws a block holds, rows x width, so memory stays flat in the
@@ -161,8 +159,8 @@ _BLOCK_FLOATS = 2**14
 def _sized_block(distance: float, drift: float, p_rare: float) -> int:
     """1.5 x the rare outcomes of probability p_rare expected in the trials
     the drift takes to cover distance, rounded up to a multiple of 4 and
-    capped at _MAX_BLOCK."""
-    return 4 * max(1, math.ceil(min(1.5 * p_rare * distance / abs(drift), _MAX_BLOCK) / 4))
+    capped at _BLOCK_FLOATS."""
+    return 4 * max(1, math.ceil(min(1.5 * p_rare * distance / abs(drift), _BLOCK_FLOATS) / 4))
 
 
 def _fill(gen: np.random.Generator, key: list[int], indices: list[int], step: int, rows: np.ndarray) -> None:
@@ -217,33 +215,32 @@ def _gaps(table: np.ndarray, scale: float, draws: np.ndarray) -> np.ndarray:
     return g
 
 
-def _walk(config: SimulationConfig, start: int, stop: int, rule: tuple | None = None) -> tuple[np.ndarray, ...]:
-    """Walk replications [start, stop) side by side by rule, law._stop_rule(config).
+def _walk(rule: tuple, seed: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """Walk replications [start, stop) side by side by rule, law._stop_rule
+    of their configuration, on the substreams of master_seed seed.
 
     Returns their stopping trials, int8 decision codes (indices into
     _DECISIONS) and final log Bayes factors.  Each row draws one double of
-    its trial_stream per gap of the rarer outcome, "yes" at p_true = 1/2
-    (_gap_walk).  A walk whose outcomes are certain (p_true is 0 or 1) makes
-    no draws: every row stops where a run of the other outcome from count 0
-    leaves the bounds (R[0] of law._count_tables).  The finals (law._final)
-    and codes (law._codes) depend on the counts alone.
+    its trial_stream per gap of the rarer outcome, the one the rule counts
+    (_gap_walk).  A walk whose outcomes are certain (p_rare is 0) makes no
+    draws: one row stops where a run of the other outcome from count 0
+    leaves the bounds (R[0] of law._count_tables), and every row takes its
+    columns.  The codes and finals (law._decide) depend on the count alone.
     """
-    p_true, bounds, drift = rule = rule or _stop_rule(config)
-    rare_yes = p_true <= 0.5
-    p_rare = p_true if rare_yes else 1.0 - p_true
+    p_rare, _, bounds, drift = rule
     if p_rare:
-        stops, counts = _gap_walk(config.master_seed, bounds, drift, rare_yes, p_rare, start, stop)
+        stops, counts = _gap_walk(seed, bounds, drift, p_rare, start, stop)
     else:
-        stops, counts = _cached_tables(bounds, rare_yes, 1)[0][:1], np.zeros(1, dtype=np.int64)
-    finals = _final(bounds, drift, counts if rare_yes else stops - counts, stops)
-    columns = stops, _codes(bounds, finals), finals
+        stops, counts = _cached_tables(bounds, 1)[0][:1], np.zeros(1, dtype=np.int64)
+    columns = stops, *_decide(bounds, drift, counts, stops)
     return columns if p_rare else tuple(np.full(stop - start, column[0]) for column in columns)
 
 
-def _gap_walk(seed: int, bounds: tuple, drift: float, rare_yes: bool, p_rare: float, start: int,
+def _gap_walk(seed: int, bounds: tuple, drift: float, p_rare: float, start: int,
               stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stopping trials of replications [start, stop) under bounds, the
-    rule law._count_tables takes, and the rarer outcome's count at each.
+    """The stopping trials of replications [start, stop) by bounds, the rule
+    law._count_tables takes, and the count at each of the outcome it counts,
+    the rarer, of probability p_rare.
 
     Replications go in chunks of _CHUNK_ROWS, each drawn in blocks of a
     multiple of 4 draws per row (_fill) under the one key of Philox(seed),
@@ -254,14 +251,13 @@ def _gap_walk(seed: int, bounds: tuple, drift: float, rare_yes: bool, p_rare: fl
     farthest live row's distance to the threshold it drifts to, which for
     the first block is the whole distance from log D = 0.  Otherwise the
     first block is _FIRST_BLOCK and each later one doubles.  Every block is
-    capped at _MAX_BLOCK draws per row, at _BLOCK_FLOATS draws and at the
-    draws the horizon leaves.
+    capped at _BLOCK_FLOATS draws and at the draws the horizon leaves.
 
     A row with c rare outcomes stops in a gap's run of the other outcome if
     the run reaches R[c], at a rare outcome on a trial at most E[c + 1], and
     at max_trials.
     """
-    yes, no, lo, hi, _, max_trials = bounds
+    step, other, lo, hi, _, max_trials = bounds
     stops = np.empty(stop - start, dtype=np.int64)
     counts = np.empty(stop - start, dtype=np.int64)
     gen = np.random.Generator(np.random.Philox(seed))  # its key every replication shares
@@ -287,9 +283,9 @@ def _gap_walk(seed: int, bounds: tuple, drift: float, rare_yes: bool, p_rare: fl
             low, top = 0, int(c.max()) + width + 1
             if top > _TABLE_COUNTS:
                 low = int(c.min())
-                r, e = _count_tables(bounds, rare_yes, low, top)
+                r, e = _count_tables(bounds, low, top)
             else:
-                r, e = _cached_tables(bounds, rare_yes, 1 << (top - 1).bit_length())
+                r, e = _cached_tables(bounds, 1 << (top - 1).bit_length())
             after = np.cumsum(rare, axis=1)  # rare outcomes up to each gap's end, less low
             after += (c - low)[:, None]
             before = after - rare
@@ -312,20 +308,18 @@ def _gap_walk(seed: int, bounds: tuple, drift: float, rare_yes: bool, p_rare: fl
                 live, n, c = live[~ended], n[~ended], c[~ended]
             done += width
             if not sized:
-                block = min(2 * block, _MAX_BLOCK)
+                block = min(2 * block, _BLOCK_FLOATS)
             elif live.size:
-                m = c if rare_yes else n - c
-                block = _sized_block(np.abs(target - _log_d(m, n, yes, no)).max(), drift, p_rare)
+                block = _sized_block(np.abs(target - _log_d(c, n, step, other)).max(), drift, p_rare)
     return stops, counts
 
 
-def _outcomes(gen: np.random.Generator, p_true: float, trials: int) -> np.ndarray:
+def _outcomes(gen: np.random.Generator, p_rare: float, counted_yes: bool, trials: int) -> np.ndarray:
     """The first trials outcomes ("yes" True) that gen's doubles expand to,
     as the walker reads them: each draw's gap (_gaps) of the majority
-    outcome and, unless the gap is L, one rare outcome after it."""
-    rare_yes = p_true <= 0.5
-    outcomes = np.full(trials, not rare_yes)
-    p_rare = p_true if rare_yes else 1.0 - p_true
+    outcome and, unless the gap is L, one rare outcome after it, of
+    probability p_rare and "yes" if counted_yes (law._stop_rule)."""
+    outcomes = np.full(trials, not counted_yes)
     if not p_rare:  # certain outcomes, drawn from no double
         return outcomes
     table, scale = _gap_table(p_rare)
@@ -334,7 +328,7 @@ def _outcomes(gen: np.random.Generator, p_true: float, trials: int) -> np.ndarra
         g = _gaps(table, scale, gen.random(math.ceil((trials - n) * p_rare) + 4))
         rare = g < table.size - 2
         ends = n + np.cumsum(g + rare)
-        outcomes[ends[rare & (ends <= trials)] - 1] = rare_yes
+        outcomes[ends[rare & (ends <= trials)] - 1] = counted_yes
         n = int(ends[-1])
     return outcomes
 
@@ -348,10 +342,10 @@ def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajecto
     of trial_stream (_outcomes) and log D rebuilt from their counts.
     """
     index = _check_int("replication_index", replication_index, 0, config.replications - 1)
-    p_true, (yes, no, *_), _ = rule = _stop_rule(config)
-    (stop,), (code,), (final,) = (column.tolist() for column in _walk(config, index, index + 1, rule))
-    outcomes = _outcomes(trial_stream(config.master_seed, index), p_true, stop)
-    cumulative = _log_d(np.cumsum(outcomes), np.arange(1, stop + 1), yes, no)
+    p_rare, counted_yes, (step, other, *_), _ = rule = _stop_rule(config)
+    (stop,), (code,), (final,) = (column.tolist() for column in _walk(rule, config.master_seed, index, index + 1))
+    outcomes = _outcomes(trial_stream(config.master_seed, index), p_rare, counted_yes, stop)
+    cumulative = _log_d(np.cumsum(outcomes == counted_yes), np.arange(1, stop + 1), step, other)
     cumulative[-1] = final  # +-inf if the last outcome falsified a theory
     return Trajectory(outcomes, cumulative, _DECISIONS[code], stop)
 
@@ -360,7 +354,7 @@ def replication_summaries(config: SimulationConfig) -> tuple[np.ndarray, np.ndar
     """Every replication's stopping trial, decision code (an int8 index into
     _DECISIONS) and final log Bayes factor: the walker's columns, stopped by
     the rule bellodds.law states."""
-    return _walk(config, 0, config.replications)
+    return _walk(_stop_rule(config), config.master_seed, 0, config.replications)
 
 
 def summarize(walk: tuple[np.ndarray, np.ndarray, np.ndarray]) -> StoppingReport:

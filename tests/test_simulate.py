@@ -508,8 +508,9 @@ class TestSubstreams:
         # LR true, so the walk stops at the first "no" (probability 1/4),
         # which QM forbids: the stop depends on the draws
         cfg = ghz_config(master_seed=seed, replications=2**32, true_theory=LR)
+        rule = law._stop_rule(cfg)
         for index in INDICES:
-            stops, codes, _ = simulate._walk(cfg, index, index + 1)
+            stops, codes, _ = simulate._walk(rule, cfg.master_seed, index, index + 1)
             got = (int(stops[0]), simulate._DECISIONS[codes[0]])
             assert got == reference_walk(cfg, index), (seed, index)
 
@@ -569,10 +570,12 @@ class TestGaps:
     @pytest.mark.parametrize("rare_yes", [True, False])
     @pytest.mark.parametrize("p", GAP_PS[:-1])
     def test_outcomes_expand_the_gaps(self, p, rare_yes):
-        # run_trajectory's outcomes, with "yes" the rarer outcome or "no"
+        # run_trajectory's outcomes, with "yes" the rarer outcome or "no",
+        # counted as law._stop_rule counts them
         p_true = p if rare_yes else 1.0 - p
+        counted_yes = p_true <= 0.5
         trials = 5_000
-        got = simulate._outcomes(trial_stream(SEED, 3), p_true, trials)
+        got = simulate._outcomes(trial_stream(SEED, 3), p_true if counted_yes else 1.0 - p_true, counted_yes, trials)
         assert np.array_equal(got, expand_gaps(stream_draws(SEED, 3), p_true, trials))
 
     def test_table_length(self):
@@ -619,7 +622,7 @@ def gap_walk(config: SimulationConfig, index: int) -> tuple[int, str, str]:
 
 
 def batch_walk(config: SimulationConfig) -> list[tuple[int, str, str]]:
-    stops, codes, finals = simulate._walk(config, 0, config.replications)
+    stops, codes, finals = simulate._walk(law._stop_rule(config), config.master_seed, 0, config.replications)
     return [
         (stop, simulate._DECISIONS[code], final.hex())
         for stop, code, final in zip(stops.tolist(), codes.tolist(), finals.tolist())
@@ -811,7 +814,7 @@ class TestFinalLogD:
     def test_independent_of_the_sized_continuation_blocks(self, monkeypatch):
         # walks of about 6k trials, so under the small caps most blocks are
         # continuations sized from the farthest live row, some cut to the
-        # float cap while many rows live and some narrower than either cap
+        # float cap while many rows live and some narrower than it
         cfg = walk_config("chained-k2", LR, upper_threshold=1e100, max_trials=10_000, replications=30)
         assert_layout_free(cfg, monkeypatch)
 
@@ -823,7 +826,6 @@ def assert_layout_free(config: SimulationConfig, monkeypatch) -> None:
     default = replication_summaries(config)
     monkeypatch.setattr(simulate, "_CHUNK_ROWS", 7)
     monkeypatch.setattr(simulate, "_FIRST_BLOCK", 4)
-    monkeypatch.setattr(simulate, "_MAX_BLOCK", 12)
     monkeypatch.setattr(simulate, "_BLOCK_FLOATS", 7 * 4 * 2)
     monkeypatch.setattr(simulate, "_TABLE_COUNTS", 48)
     layout = replication_summaries(config)
@@ -880,9 +882,9 @@ class TestDrawsPerReplication:
         # generator, so none is built
         rows, cached_tables = [], simulate._cached_tables
 
-        def counting(rule, rare_yes, size):
+        def counting(rule, size):
             rows.append(size)
-            return cached_tables(rule, rare_yes, size)
+            return cached_tables(rule, size)
 
         def no_philox(*args, **kwargs):
             raise AssertionError("a certain walk built a Philox")
@@ -890,7 +892,7 @@ class TestDrawsPerReplication:
         monkeypatch.setattr(simulate, "_cached_tables", counting)
         monkeypatch.setattr(np.random, "Philox", no_philox)
         cfg = ghz_config(replications=10_000, max_trials=100_000)
-        one = simulate._walk(cfg, 0, 1)
+        one = simulate._walk(law._stop_rule(cfg), cfg.master_seed, 0, 1)
         for column, first in zip(replication_summaries(cfg), one, strict=True):
             assert column.dtype == first.dtype
             assert np.array_equal(column, np.full(10_000, first[0]))
@@ -965,8 +967,8 @@ class TestDrawsPerReplication:
 
     def test_lr_true_far_threshold_takes_few_blocks(self, monkeypatch):
         # walks of about 6k trials, 1.5k draws: with blocks sized from the
-        # drift and capped at 4096 draws each row is filled 1.2 times (12
-        # rows; a 512-draw cap fills 35)
+        # drift each row is filled 1.2 times (12 rows; a 512-draw cap fills
+        # 35)
         tally = counted_draws(monkeypatch)
         replication_summaries(walk_config("chained-k2", LR, upper_threshold=1e100, max_trials=100_000, replications=10))
         assert tally["rows"] <= 2 * 10
