@@ -158,9 +158,8 @@ _BLOCK_FLOATS = 2**14
 
 def _sized_block(distance: float, drift: float, p_rare: float) -> int:
     """1.5 x the rare outcomes of probability p_rare expected in the trials
-    the drift takes to cover distance, rounded up to a multiple of 4 and
-    capped at _BLOCK_FLOATS."""
-    return 4 * max(1, math.ceil(min(1.5 * p_rare * distance / abs(drift), _BLOCK_FLOATS) / 4))
+    the drift takes to cover distance, rounded up to a multiple of 4."""
+    return 4 * max(1, math.ceil(1.5 * p_rare * distance / abs(drift) / 4))
 
 
 def _fill(gen: np.random.Generator, key: list[int], indices: list[int], step: int, rows: np.ndarray) -> None:
@@ -251,7 +250,9 @@ def _gap_walk(seed: int, bounds: tuple, drift: float, p_rare: float, start: int,
     farthest live row's distance to the threshold it drifts to, which for
     the first block is the whole distance from log D = 0.  Otherwise the
     first block is _FIRST_BLOCK and each later one doubles.  Every block is
-    capped at _BLOCK_FLOATS draws and at the draws the horizon leaves.
+    capped at _BLOCK_FLOATS draws, at the draws the horizon leaves and, while
+    the cached count tables (_TABLE_COUNTS) hold the counts a row reaches,
+    at the draws that keep it within them.
 
     A row with c rare outcomes stops in a gap's run of the other outcome if
     the run reaches R[c], at a rare outcome on a trial at most E[c + 1], and
@@ -272,6 +273,8 @@ def _gap_walk(seed: int, bounds: tuple, drift: float, p_rare: float, start: int,
         done, block = 0, _sized_block(abs(target), drift, p_rare) if sized else _FIRST_BLOCK
         while live.size:
             width = min(block, _BLOCK_FLOATS // live.size // 4 * 4, (max_trials - int(n.min()) + 3) & -4)
+            room = (_TABLE_COUNTS - 1 - int(c.max())) & -4  # draws the cached tables have counts for
+            width = min(width, room) if room > 0 else width
             draws = np.empty((live.size, width))
             _fill(gen, key, (live + base).tolist(), done // 4, draws)
             g = _gaps(table, scale, draws)
@@ -308,7 +311,7 @@ def _gap_walk(seed: int, bounds: tuple, drift: float, p_rare: float, start: int,
                 live, n, c = live[~ended], n[~ended], c[~ended]
             done += width
             if not sized:
-                block = min(2 * block, _BLOCK_FLOATS)
+                block *= 2
             elif live.size:
                 block = _sized_block(np.abs(target - _log_d(c, n, step, other)).max(), drift, p_rare)
     return stops, counts

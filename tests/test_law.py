@@ -112,7 +112,7 @@ class TestCountBounds:
     @pytest.mark.parametrize(
         "scenario",
         [
-            ScenarioSpec("chained", k=2),  # log D falls in m
+            ScenarioSpec("chained", k=2),  # log D falls in the "yes" count
             HypothesisPair(0.7, 0.3),  # and rises
             ScenarioSpec("ghz"),  # rises, its "no" step infinite and zeroed
             ScenarioSpec("hardy-naive"),  # rises, its "yes" step zeroed
@@ -125,8 +125,12 @@ class TestCountBounds:
     def test_matches_the_scan(self, scenario, truth, max_trials):
         # the falsifier, if any, is the outcome the false theory forbids, so
         # the rule depends on which theory is true; horizons inside the scan
-        # and past it
-        self.assert_scanned(rule_of(SimulationConfig(scenario, truth, max_trials=max_trials)))
+        # and past it.  The rule is scanned as law._stop_rule counts it and
+        # mirrored, so each pair is scanned in its "yes" count and its "no"
+        # count, with both falsifier kinds and both zeroed steps
+        counted = rule_of(SimulationConfig(scenario, truth, max_trials=max_trials))
+        for rule in (counted, mirrored(counted)):
+            self.assert_scanned(rule)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_a_threshold_at_a_reached_log_d_of_a_random_pair(self, seed):

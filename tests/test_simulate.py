@@ -973,6 +973,21 @@ class TestDrawsPerReplication:
         replication_summaries(walk_config("chained-k2", LR, upper_threshold=1e100, max_trials=100_000, replications=10))
         assert tally["rows"] <= 2 * 10
 
+    def test_one_row_builds_only_counts_past_the_cached_tables(self, monkeypatch):
+        # one row of (0.45, 0.5) under LR to 1e100 counts about 23.5k "yes"
+        # in blocks of up to 16k draws; a block stops at the last counts the
+        # cached tables hold, so the walk builds none of them again
+        starts, count_tables = [], simulate._count_tables
+
+        def counting(rule, start, stop):
+            starts.append(start)
+            return count_tables(rule, start, stop)
+
+        monkeypatch.setattr(simulate, "_count_tables", counting)
+        cfg = SimulationConfig(HypothesisPair(0.45, 0.5), LR, upper_threshold=1e100, max_trials=10**7, replications=1)
+        replication_summaries(cfg)
+        assert starts and min(starts) >= law._TABLE_COUNTS - 4
+
 
 def traced_peak(run, config: SimulationConfig) -> int:
     """Peak traced allocation of run(config), after a small warm-up run that
