@@ -3,8 +3,8 @@ decision, replicated over independent random substreams.
 
 The stopping rule (bellodds.law) generalizes the running example of a local
 realist who starts at 100:1 odds in their favor and concedes at 0.01.  Each
-replication draws from its own counter-based substream, so results are a
-pure function of the configuration no matter how replications are scheduled.
+replication reads its own counters of one Philox key (_fill), so results are
+a pure function of the configuration no matter how replications are scheduled.
 A replication spends one draw per outcome of the rarer kind: each double u
 is a gap, the trials of the other outcome before the next rare one, G =
 #{1 <= t <= L : u < T_t} with T_t = (1 - p)**t by repeated float
@@ -44,7 +44,8 @@ QM_REJECTED = "qm_rejected"
 INCONCLUSIVE = "inconclusive"
 
 #: Identification of the random stream construction, echoed in CLI output.
-GENERATOR = "numpy.random.Philox(master_seed).jumped(replication_index), a double per gap to the rarer outcome"
+GENERATOR = ("numpy.random.Philox(master_seed): doubles 0-63 of replication i from advance(2**192 + 16 * i), "
+             "the rest from jumped(i); a double per gap to the rarer outcome")
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ class StoppingReport:
 
 
 def trial_stream(master_seed: int, replication_index: int) -> np.random.Generator:
-    """Independent substream for one replication.
+    """Independent substream for one replication, read past its head (_fill).
 
     Philox is counter-based: every replication shares the key of
     Philox(master_seed) and starts from its own counter (0, 0, index, 0), so
@@ -136,7 +137,7 @@ def trial_stream(master_seed: int, replication_index: int) -> np.random.Generato
     advancing index * 2**128 counter steps; at 4 draws per step, neighbours
     lie 2**130 draws apart.  Any replication can be generated on any worker,
     in any order, with identical results.  The batch walker (_fill) sets the
-    same key and counter, so a row's doubles are these, block by block."""
+    same key and counter, so a row's doubles past its head are these."""
     index = _check_int("replication_index", replication_index, 0, 2**32 - 1)
     seed = _check_int("master_seed", master_seed, 0, 2**64 - 1)  # the seeds Philox takes
     return np.random.Generator(np.random.Philox(seed).advance(index << 128))
@@ -146,6 +147,8 @@ def trial_stream(master_seed: int, replication_index: int) -> np.random.Generato
 _DECISIONS = (INCONCLUSIVE, LR_REJECTED, QM_REJECTED)
 #: Most terms of a gap table (_gap_table).
 _GAP_CAP = 4096
+#: Doubles of each replication drawn from its head (_fill).
+_HEAD = 64
 #: First block of draws per row of a walk that is not sized from the drift;
 #: later blocks double.
 _FIRST_BLOCK = 8
@@ -162,11 +165,12 @@ def _sized_block(distance: float, drift: float, p_rare: float) -> int:
     return 4 * max(1, math.ceil(1.5 * p_rare * distance / abs(drift) / 4))
 
 
-def _fill(gen: np.random.Generator, key: list[int], indices: list[int], step: int, rows: np.ndarray) -> None:
-    """Fills row i of rows with the doubles of the substream of replication
-    indices[i] under the run's key, from Philox counter step on (4 doubles a
-    step), with gen set to each counter in turn.  A row's draws depend on its
-    key and counter alone, not on gen's own seed."""
+def _fill(gen: np.random.Generator, key: list[int], indices: list[int], start: int, width: int) -> np.ndarray:
+    """Doubles start..start + width - 1 (start a multiple of 4) of the
+    replications indices, ascending, a row each, under the run's key: the first
+    _HEAD of replication i, its head, from Philox counter (16 i, 0, 0, 1), one
+    call per run of consecutive replications, and the rest, its trial_stream,
+    from (0, 0, i, 0).  gen is set to each counter; its own seed is not read."""
     bit_generator, inner = gen.bit_generator, {"counter": None, "key": key}
     state = {
         "bit_generator": "Philox",
@@ -176,10 +180,25 @@ def _fill(gen: np.random.Generator, key: list[int], indices: list[int], step: in
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for row, index in zip(rows, indices):
-        inner["counter"] = [step, 0, index, 0]
-        bit_generator.state = state
-        gen.random(out=row)
+    draws = np.empty((len(indices), width))
+    head = min(max(_HEAD - start, 0), width)  # draws of each row from its head
+    if head:
+        heads = np.empty((len(indices), _HEAD))
+        edges = [0, len(indices)]  # of the runs of consecutive replications
+        if indices[-1] - indices[0] >= len(indices):
+            edges[1:1] = [j for j in range(1, len(indices)) if indices[j] != indices[j - 1] + 1]
+        for a, b in zip(edges, edges[1:]):
+            inner["counter"] = [16 * indices[a], 0, 0, 1]
+            bit_generator.state = state
+            gen.random(out=heads[a:b])
+        draws[:, :head] = heads[:, start : start + head]
+    if head < width:
+        step = (start + head - _HEAD) // 4  # the trial_stream's counter at the first draw past the head
+        for row, index in zip(draws[:, head:], indices):
+            inner["counter"] = [step, 0, index, 0]
+            bit_generator.state = state
+            gen.random(out=row)
+    return draws
 
 
 @functools.lru_cache(maxsize=16)
@@ -219,8 +238,8 @@ def _walk(rule: tuple, seed: int, start: int, stop: int) -> tuple[np.ndarray, ..
     of their configuration, on the substreams of master_seed seed.
 
     Returns their stopping trials, int8 decision codes (indices into
-    _DECISIONS) and final log Bayes factors.  Each row draws one double of
-    its trial_stream per gap of the rarer outcome, the one the rule counts
+    _DECISIONS) and final log Bayes factors.  Each row reads one of its
+    doubles (_fill) per gap of the rarer outcome, the one the rule counts
     (_gap_walk).  A walk whose outcomes are certain (p_rare is 0) makes no
     draws: one row stops where a run of the other outcome from count 0
     leaves the bounds (R[0] of law._count_tables), and every row takes its
@@ -275,9 +294,7 @@ def _gap_walk(seed: int, bounds: tuple, drift: float, p_rare: float, start: int,
             width = min(block, _BLOCK_FLOATS // live.size // 4 * 4, (max_trials - int(n.min()) + 3) & -4)
             room = (_TABLE_COUNTS - 1 - int(c.max())) & -4  # draws the cached tables have counts for
             width = min(width, room) if room > 0 else width
-            draws = np.empty((live.size, width))
-            _fill(gen, key, (live + base).tolist(), done // 4, draws)
-            g = _gaps(table, scale, draws)
+            g = _gaps(table, scale, _fill(gen, key, (live + base).tolist(), done, width))
             rare = g < table.size - 2
             g += rare
             ends = np.cumsum(g, axis=1)  # trials after each gap and its rare outcome
@@ -317,22 +334,25 @@ def _gap_walk(seed: int, bounds: tuple, drift: float, p_rare: float, start: int,
     return stops, counts
 
 
-def _outcomes(gen: np.random.Generator, p_rare: float, counted_yes: bool, trials: int) -> np.ndarray:
-    """The first trials outcomes ("yes" True) that gen's doubles expand to,
-    as the walker reads them: each draw's gap (_gaps) of the majority
-    outcome and, unless the gap is L, one rare outcome after it, of
+def _outcomes(seed: int, index: int, p_rare: float, counted_yes: bool, trials: int) -> np.ndarray:
+    """Replication index's first trials outcomes ("yes" True) under master_seed
+    seed, from the doubles the walker reads (_fill): each draw's gap (_gaps) of
+    the majority outcome and, unless the gap is L, one rare outcome after it, of
     probability p_rare and "yes" if counted_yes (law._stop_rule)."""
     outcomes = np.full(trials, not counted_yes)
     if not p_rare:  # certain outcomes, drawn from no double
         return outcomes
+    gen = np.random.Generator(np.random.Philox(seed))
+    key = gen.bit_generator.state["state"]["key"].tolist()
     table, scale = _gap_table(p_rare)
-    n = 0
+    n = done = 0
     while n < trials:
-        g = _gaps(table, scale, gen.random(math.ceil((trials - n) * p_rare) + 4))
+        width = (math.ceil((trials - n) * p_rare) + 7) & -4
+        g = _gaps(table, scale, _fill(gen, key, [index], done, width)[0])
         rare = g < table.size - 2
         ends = n + np.cumsum(g + rare)
         outcomes[ends[rare & (ends <= trials)] - 1] = counted_yes
-        n = int(ends[-1])
+        n, done = int(ends[-1]), done + width
     return outcomes
 
 
@@ -342,12 +362,12 @@ def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajecto
     Each trial is "yes" with probability q (true_theory "qm") or r ("lr"),
     and the walk stops by the rule bellodds.law states.  The batch walker
     decides the stop; the outcomes are then expanded from the same doubles
-    of trial_stream (_outcomes) and log D rebuilt from their counts.
+    (_outcomes) and log D rebuilt from their counts.
     """
     index = _check_int("replication_index", replication_index, 0, config.replications - 1)
     p_rare, counted_yes, (step, other, *_), _ = rule = _stop_rule(config)
     (stop,), (code,), (final,) = (column.tolist() for column in _walk(rule, config.master_seed, index, index + 1))
-    outcomes = _outcomes(trial_stream(config.master_seed, index), p_rare, counted_yes, stop)
+    outcomes = _outcomes(config.master_seed, index, p_rare, counted_yes, stop)
     cumulative = _log_d(np.cumsum(outcomes == counted_yes), np.arange(1, stop + 1), step, other)
     cumulative[-1] = final  # +-inf if the last outcome falsified a theory
     return Trajectory(outcomes, cumulative, _DECISIONS[code], stop)

@@ -499,13 +499,13 @@ GOLDEN = {
         '{"scenario": "hardy-naive", "q": 0.09016994374947428, "r": 0.0, "kl_nats": null, "target_d": 10000.0, "n_real": null, "n_ceil": null, "extras": {"naive_trials": 8, "survival_threshold": 0.5, "mean_trials_to_first_coincidence": 11.09016994374947}}\n'
     ),
     ("simulate", "--scenario", "ghz", "--reps", "200", "--seed", "0"): (
-        '{"config": {"scenario": "ghz", "q": 1.0, "r": 0.75, "true_theory": "qm", "prior_ratio": 100.0, "lower": 0.01, "upper": 1000000.0, "max_trials": 100000, "replications": 200, "master_seed": 0}, "generator": "numpy.random.Philox(master_seed).jumped(replication_index), a double per gap to the rarer outcome", "mean_stop": 33.0, "stddev_stop": 0.0, "quantiles": {"p05": 33.0, "p50": 33.0, "p95": 33.0}, "decision_counts": {"lr_rejected": 200, "qm_rejected": 0, "inconclusive": 0}, "mean_log_d_per_trial": 0.28768207245178096}\n'
+        '{"config": {"scenario": "ghz", "q": 1.0, "r": 0.75, "true_theory": "qm", "prior_ratio": 100.0, "lower": 0.01, "upper": 1000000.0, "max_trials": 100000, "replications": 200, "master_seed": 0}, "generator": "numpy.random.Philox(master_seed): doubles 0-63 of replication i from advance(2**192 + 16 * i), the rest from jumped(i); a double per gap to the rarer outcome", "mean_stop": 33.0, "stddev_stop": 0.0, "quantiles": {"p05": 33.0, "p50": 33.0, "p95": 33.0}, "decision_counts": {"lr_rejected": 200, "qm_rejected": 0, "inconclusive": 0}, "mean_log_d_per_trial": 0.28768207245178096}\n'
     ),
     ("simulate", "--scenario", "chained", "--k", "2", "--reps", "200", "--seed", "0"): (
-        '{"config": {"scenario": "chained-k2", "q": 0.1464466094067262, "r": 0.25, "true_theory": "qm", "prior_ratio": 100.0, "lower": 0.01, "upper": 1000000.0, "max_trials": 100000, "replications": 200, "master_seed": 0}, "generator": "numpy.random.Philox(master_seed).jumped(replication_index), a double per gap to the rarer outcome", "mean_stop": 278.465, "stddev_stop": 118.71505844037863, "quantiles": {"p05": 138.0, "p50": 248.5, "p95": 508.2499999999999}, "decision_counts": {"lr_rejected": 200, "qm_rejected": 0, "inconclusive": 0}, "mean_log_d_per_trial": 0.033279612354975924}\n'
+        '{"config": {"scenario": "chained-k2", "q": 0.1464466094067262, "r": 0.25, "true_theory": "qm", "prior_ratio": 100.0, "lower": 0.01, "upper": 1000000.0, "max_trials": 100000, "replications": 200, "master_seed": 0}, "generator": "numpy.random.Philox(master_seed): doubles 0-63 of replication i from advance(2**192 + 16 * i), the rest from jumped(i); a double per gap to the rarer outcome", "mean_stop": 278.375, "stddev_stop": 118.52889889968547, "quantiles": {"p05": 128.0, "p50": 257.0, "p95": 499.7999999999994}, "decision_counts": {"lr_rejected": 200, "qm_rejected": 0, "inconclusive": 0}, "mean_log_d_per_trial": 0.033332058681417254}\n'
     ),
     ("simulate", "--scenario", "chained", "--k", "2", "--true-theory", "lr", "--reps", "200", "--seed", "0"): (
-        '{"config": {"scenario": "chained-k2", "q": 0.1464466094067262, "r": 0.25, "true_theory": "lr", "prior_ratio": 100.0, "lower": 0.01, "upper": 1000000.0, "max_trials": 100000, "replications": 200, "master_seed": 0}, "generator": "numpy.random.Philox(master_seed).jumped(replication_index), a double per gap to the rarer outcome", "mean_stop": 256.66, "stddev_stop": 124.01031080490705, "quantiles": {"p05": 107.75, "p50": 230.0, "p95": 508.04999999999995}, "decision_counts": {"lr_rejected": 0, "qm_rejected": 200, "inconclusive": 0}, "mean_log_d_per_trial": -0.036711770739963075}\n'
+        '{"config": {"scenario": "chained-k2", "q": 0.1464466094067262, "r": 0.25, "true_theory": "lr", "prior_ratio": 100.0, "lower": 0.01, "upper": 1000000.0, "max_trials": 100000, "replications": 200, "master_seed": 0}, "generator": "numpy.random.Philox(master_seed): doubles 0-63 of replication i from advance(2**192 + 16 * i), the rest from jumped(i); a double per gap to the rarer outcome", "mean_stop": 266.7, "stddev_stop": 128.95147308991977, "quantiles": {"p05": 117.85000000000001, "p50": 231.0, "p95": 532.3}, "decision_counts": {"lr_rejected": 0, "qm_rejected": 200, "inconclusive": 0}, "mean_log_d_per_trial": -0.035316774738406484}\n'
     ),
 }
 

@@ -409,7 +409,10 @@ def gap_table(p_rare: float) -> list[float]:
 
 
 def stream_draws(seed: int, index: int):
-    """The doubles of replication index's trial_stream, one at a time."""
+    """The doubles replication index reads, one at a time: its head, the
+    simulate._HEAD doubles of Philox(seed) advanced 2**192 + 16 * index
+    counter steps, then its trial_stream."""
+    yield from np.random.Generator(np.random.Philox(seed).advance(2**192 + 16 * index)).random(simulate._HEAD).tolist()
     rng = trial_stream(seed, index)
     while True:
         yield from rng.random(64).tolist()
@@ -441,7 +444,7 @@ def expand_gaps(draws, p_true: float, trials: int) -> np.ndarray:
 
 def row_outcomes(config: SimulationConfig, index: int, trials: int | None = None) -> np.ndarray:
     """Replication index's first trials outcomes (all max_trials by
-    default), expanded from its trial_stream."""
+    default), expanded from its doubles (stream_draws)."""
     pair = config.resolved_pair()
     p_true = pair.q if config.true_theory == QM else pair.r
     return expand_gaps(stream_draws(config.master_seed, index), p_true, trials or config.max_trials)
@@ -520,6 +523,17 @@ class TestSubstreams:
             jumped = np.random.Generator(np.random.Philox(seed).jumped(index))
             assert np.array_equal(trial_stream(seed, index).random(16), jumped.random(16)), (seed, index)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("start", [0, 4, 60, 64, 1000])
+    def test_fill_reads_the_head_then_the_trial_stream(self, seed, start):
+        # runs of consecutive replications between gaps, up to the last index
+        indices = [0, 1, 2, 5, 99, 100, 101, 2**31, 2**32 - 2, 2**32 - 1]
+        gen = np.random.Generator(np.random.Philox(1))  # the draws take only the key
+        key = np.random.Philox(seed).state["state"]["key"].tolist()
+        for width in (4, 8, 60, 64, 68, 200):
+            expected = [list(itertools.islice(stream_draws(seed, i), start, start + width)) for i in indices]
+            assert simulate._fill(gen, key, indices, start, width).tolist() == expected, width
+
 
 GAP_PS = [
     0.5,
@@ -571,11 +585,12 @@ class TestGaps:
     @pytest.mark.parametrize("p", GAP_PS[:-1])
     def test_outcomes_expand_the_gaps(self, p, rare_yes):
         # run_trajectory's outcomes, with "yes" the rarer outcome or "no",
-        # counted as law._stop_rule counts them
-        p_true = p if rare_yes else 1.0 - p
+        # counted as law._stop_rule counts them; at p = 1/2 "no" is counted
+        # at a p_true one double above 1/2
+        p_true = p if rare_yes else max(1.0 - p, math.nextafter(0.5, 1.0))
         counted_yes = p_true <= 0.5
         trials = 5_000
-        got = simulate._outcomes(trial_stream(SEED, 3), p_true if counted_yes else 1.0 - p_true, counted_yes, trials)
+        got = simulate._outcomes(SEED, 3, p_true if counted_yes else 1.0 - p_true, counted_yes, trials)
         assert np.array_equal(got, expand_gaps(stream_draws(SEED, 3), p_true, trials))
 
     def test_table_length(self):
@@ -695,11 +710,12 @@ class TestCountFormulaWalk:
         # table with no rare outcome; np.log(0.0) would warn
         fill = simulate._fill
 
-        def zeroing(gen, key, indices, step, rows):
-            fill(gen, key, indices, step, rows)
+        def zeroing(gen, key, indices, start, width):
+            rows = fill(gen, key, indices, start, width)
             for j in (0, 10):
-                if 0 <= j - 4 * step < rows.shape[1]:
-                    rows[:, j - 4 * step] = 0.0
+                if 0 <= j - start < width:
+                    rows[:, j - start] = 0.0
+            return rows
 
         monkeypatch.setattr(simulate, "_fill", zeroing)
         cfg = walk_config(name, truth, max_trials=2_001, replications=20)
@@ -711,12 +727,12 @@ class TestCountFormulaWalk:
             expected.append(count_formula_walk(cfg, expand_gaps(zeroed, p_true, cfg.max_trials)))
         assert batch_walk(cfg) == expected
 
-    @pytest.mark.parametrize("index", [i for i in range(20) if trial_stream(SEED, i).random() >= 0.5][:4])
+    @pytest.mark.parametrize("index", [i for i in range(20) if next(stream_draws(SEED, i)) >= 0.5][:4])
     def test_a_first_draw_on_the_first_term(self, index):
         # p = 1 - u for the walk's first draw u >= 1/2, so T_1 = u and the
         # first gap is 0: trial 1 is "yes", the rarer outcome; with T_1 one
         # double above u the draw is below it, and trial 1 is "no"
-        u = trial_stream(SEED, index).random()
+        u = next(stream_draws(SEED, index))
         firsts = []
         for p in (1.0 - u, 1.0 - math.nextafter(u, 1.0)):
             cfg = SimulationConfig(HypothesisPair(p, 0.99 * p), QM, max_trials=10_000, master_seed=SEED,
@@ -839,13 +855,13 @@ def counted_draws(monkeypatch) -> dict:
     tally = {"rows": 0, "draws": 0, "widths": [], "first_widths": []}
     fill = simulate._fill
 
-    def counting(gen, key, indices, step, rows):
+    def counting(gen, key, indices, start, width):
         tally["rows"] += len(indices)
-        tally["draws"] += rows.size
-        tally["widths"].append(rows.shape[1])
-        if step == 0:
-            tally["first_widths"] += [rows.shape[1]] * len(indices)
-        return fill(gen, key, indices, step, rows)
+        tally["draws"] += len(indices) * width
+        tally["widths"].append(width)
+        if start == 0:
+            tally["first_widths"] += [width] * len(indices)
+        return fill(gen, key, indices, start, width)
 
     monkeypatch.setattr(simulate, "_fill", counting)
     return tally
@@ -943,6 +959,33 @@ class TestDrawsPerReplication:
             replication_summaries(WIDE)
         assert built == [(SEED,), (SEED,)]
 
+    def test_a_first_block_sets_the_philox_state_once(self, monkeypatch):
+        # chained k=2 with QM true: the first block is 64 draws a row, the
+        # heads of replications 0..99, one counter range from (0, 0, 0, 1)
+        counters, firsts, philox, fill = [], [], np.random.Philox, simulate._fill
+
+        class Philox(philox):  # the state setter checks the class name
+            @property
+            def state(self):
+                return philox.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                counters.append(list(value["state"]["counter"]))
+                philox.state.__set__(self, value)
+
+        def first_block(gen, key, indices, start, width):
+            before = len(counters)
+            draws = fill(gen, key, indices, start, width)
+            if start == 0:
+                firsts.append((width, counters[before:]))
+            return draws
+
+        monkeypatch.setattr(np.random, "Philox", Philox)
+        monkeypatch.setattr(simulate, "_fill", first_block)
+        replication_summaries(walk_config("chained-k2", QM, replications=100))
+        assert firsts == [(64, [[0, 0, 0, 1]])]
+
     def test_first_block_is_sized_from_the_drift(self, monkeypatch):
         # hardy with QM true draws; 1.5 x q x ln(1e4) / KL = 36.47 rounds up to 40
         tally = counted_draws(monkeypatch)
@@ -1004,9 +1047,9 @@ def traced_peak(run, config: SimulationConfig) -> int:
 class TestMemory:
     def test_peak_does_not_grow_with_replications(self):
         # a block is at most _BLOCK_FLOATS = 16k draws, and each of its
-        # arrays 128 kB, at any rep count; 20k reps add 32 bytes of results
-        # each (0.88 MB in all).  A walker that did not chunk would need
-        # 90 MB here.
+        # arrays 128 kB (its heads 64 kB), at any rep count; 20k reps add 32
+        # bytes of results each (0.87 MB in all).  A walker that did not
+        # chunk would need 90 MB here.
         assert traced_peak(run_replications, walk_config("chained-k2", QM, replications=20_000)) <= 3_000_000
 
     def test_summaries_path_stays_within_the_same_bound(self):
@@ -1017,14 +1060,14 @@ class TestMemory:
     def test_a_long_lr_true_walk(self):
         # lr-long's shape: 10 walks of 3.5k-9k trials in blocks of up to
         # 1636 draws a row, with the rule's count tables cached by the
-        # warm-up (0.99 MB)
+        # warm-up (0.85 MB)
         cfg = walk_config("chained-k2", LR, upper_threshold=1e100, replications=10)
         assert traced_peak(run_replications, cfg) <= 3_000_000
 
     def test_a_walk_past_the_cached_count_tables(self):
         # about 150k "yes" outcomes a walk, far past the counts the cached
         # tables hold, so each block past them builds the counts it reaches
-        # (1.02 MB)
+        # (1.35 MB)
         cfg = SimulationConfig(HypothesisPair(0.5, 0.5), max_trials=300_000, master_seed=SEED, replications=3)
         assert cfg.max_trials > 4 * law._TABLE_COUNTS
         assert traced_peak(run_replications, cfg) <= 3_000_000
@@ -1042,7 +1085,7 @@ class TestPinnedColumns:
     against a per-trial walk of the same gaps; on any numpy the gaps and the
     tables must decide and end every walk as they did, bit for bit."""
 
-    DIGEST = "4b41f210b310056f978f3e17dee74c8e9941481745c0de603c2f6fb7a03dbc2e"
+    DIGEST = "efc0ab95804b0e92c4c9a7d9a901228b6ce69c275e05f887c87cf30d0e9e660c"
     SCENARIOS = [
         ScenarioSpec("ghz"),
         ScenarioSpec("chained", k=2),
