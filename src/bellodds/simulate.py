@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +156,31 @@ _FIRST_BLOCK = 8
 #: Replications walked side by side.
 _CHUNK_ROWS = 128
 #: Most draws a block holds, rows x width, so memory stays flat in the
-#: number of replications.  At least 4 x _CHUNK_ROWS.
+#: number of replications.  A multiple of 4, at least 4 x _CHUNK_ROWS.
 _BLOCK_FLOATS = 2**14
+#: A thread's block buffers (_views), _BLOCK_FLOATS elements each.
+_BUFFERS = {
+    "draws": np.float64, "guess": np.float64, "trials": np.int64, "before": np.int64, "after": np.int64,
+    "gathered": np.int64, "by_run": np.bool_, "stopped": np.bool_, "mask": np.bool_,
+}
+_threads = threading.local()
+
+
+def _views(shape: tuple[int, ...], *names: str) -> list[np.ndarray]:
+    """Contiguous views of shape of this thread's buffers names: those of
+    _BUFFERS (at most _BLOCK_FLOATS elements) and "heads" (at most
+    _CHUNK_ROWS x _HEAD doubles).  The buffers outlive the walk, so its
+    blocks reuse pages the process holds: arrays allocated and freed by each
+    walk (about 1 MB at 10 rows) were trimmed off the heap and page-faulted
+    back in by the next.  They are rebuilt when _BLOCK_FLOATS or _CHUNK_ROWS
+    changes, and each thread has its own, so concurrent walks share none."""
+    sizes = _BLOCK_FLOATS, _CHUNK_ROWS
+    if getattr(_threads, "sizes", None) != sizes:
+        _threads.buffers = {name: np.empty(_BLOCK_FLOATS, dtype) for name, dtype in _BUFFERS.items()}
+        _threads.buffers["heads"] = np.empty(_CHUNK_ROWS * _HEAD)
+        _threads.sizes = sizes
+    size = math.prod(shape)
+    return [_threads.buffers[name][:size].reshape(shape) for name in names]
 
 
 def _sized_block(distance: float, drift: float, p_rare: float) -> int:
@@ -165,12 +189,14 @@ def _sized_block(distance: float, drift: float, p_rare: float) -> int:
     return 4 * max(1, math.ceil(1.5 * p_rare * distance / abs(drift) / 4))
 
 
-def _fill(gen: np.random.Generator, key: list[int], indices: list[int], start: int, width: int) -> np.ndarray:
-    """Doubles start..start + width - 1 (start a multiple of 4) of the
-    replications indices, ascending, a row each, under the run's key: the first
-    _HEAD of replication i, its head, from Philox counter (16 i, 0, 0, 1), one
-    call per run of consecutive replications, and the rest, its trial_stream,
-    from (0, 0, i, 0).  gen is set to each counter; its own seed is not read."""
+def _fill(gen: np.random.Generator, key: list[int], indices: list[int], start: int, out: np.ndarray) -> np.ndarray:
+    """Fills out, a row each of the replications indices (ascending, at most
+    _CHUNK_ROWS), with their doubles start..start + width - 1 (start and the
+    width of out multiples of 4) under the run's key, and returns it: the
+    first _HEAD of replication i, its head, from Philox counter (16 i, 0, 0,
+    1), one call per run of consecutive replications into this thread's
+    heads buffer, and the rest, its trial_stream, from (0, 0, i, 0).  gen is
+    set to each counter; its own seed is not read."""
     bit_generator, inner = gen.bit_generator, {"counter": None, "key": key}
     state = {
         "bit_generator": "Philox",
@@ -180,10 +206,10 @@ def _fill(gen: np.random.Generator, key: list[int], indices: list[int], start: i
         "has_uint32": 0,
         "uinteger": 0,
     }
-    draws = np.empty((len(indices), width))
+    width = out.shape[1]
     head = min(max(_HEAD - start, 0), width)  # draws of each row from its head
     if head:
-        heads = np.empty((len(indices), _HEAD))
+        (heads,) = _views((len(indices), _HEAD), "heads")
         edges = [0, len(indices)]  # of the runs of consecutive replications
         if indices[-1] - indices[0] >= len(indices):
             edges[1:1] = [j for j in range(1, len(indices)) if indices[j] != indices[j - 1] + 1]
@@ -191,14 +217,14 @@ def _fill(gen: np.random.Generator, key: list[int], indices: list[int], start: i
             inner["counter"] = [16 * indices[a], 0, 0, 1]
             bit_generator.state = state
             gen.random(out=heads[a:b])
-        draws[:, :head] = heads[:, start : start + head]
+        out[:, :head] = heads[:, start : start + head]
     if head < width:
         step = (start + head - _HEAD) // 4  # the trial_stream's counter at the first draw past the head
-        for row, index in zip(draws[:, head:], indices):
+        for row, index in zip(out[:, head:], indices):
             inner["counter"] = [step, 0, index, 0]
             bit_generator.state = state
             gen.random(out=row)
-    return draws
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -215,22 +241,27 @@ def _gap_table(p_rare: float) -> tuple[np.ndarray, float]:
     return table, 1.0 / math.log1p(-p_rare)
 
 
-def _gaps(table: np.ndarray, scale: float, draws: np.ndarray) -> np.ndarray:
+def _gaps(table: np.ndarray, scale: float, draws: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Each draw u's gap, G = #{1 <= t <= L : u < T_t} of the gap table
-    (_gap_table): the trials of the majority outcome before the next rare
-    one, or, at G = L, a run of L with no rare one after it.  A guess from
-    ln u is fixed up until T_G > u >= T_{G+1}, so comparisons with the table
-    decide G, not np.log's last bits."""
+    (_gap_table), into out, an int64 array of draws' shape, which it
+    returns: the trials of the majority outcome before the next rare one,
+    or, at G = L, a run of L with no rare one after it.  A guess from ln u is
+    fixed up until T_G > u >= T_{G+1}, so comparisons with the table decide
+    G, not np.log's last bits.  The guess and the fix-up's temporaries are
+    this thread's "guess" and "mask" buffers (at most _BLOCK_FLOATS draws)."""
+    guess, mask = _views(draws.shape, "guess", "mask")
     with np.errstate(divide="ignore"):  # ln 0 = -inf, whose gap is L
-        guess = np.log(draws)
+        np.log(draws, out=guess)
     guess *= scale
-    g = np.empty(draws.shape, dtype=np.int64)
-    np.minimum(guess, table.size - 2, out=g, casting="unsafe")
-    while (up := table[1:].take(g) > draws).any():
-        g += up
-    while (down := table.take(g) <= draws).any():
-        g -= down
-    return g
+    np.minimum(guess, table.size - 2, out=guess)
+    np.copyto(out, guess, casting="unsafe")  # in place of a cast in np.minimum, which buffers it
+    # mode="clip": take into out= under the default "raise" copies out first;
+    # G stays in 0..L, since T_0 = inf and T_{L+1} = 0
+    while np.greater(table[1:].take(out, out=guess, mode="clip"), draws, out=mask).any():
+        out += mask
+    while np.less_equal(table.take(out, out=guess, mode="clip"), draws, out=mask).any():
+        out -= mask
+    return out
 
 
 def _walk(rule: tuple, seed: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
@@ -271,7 +302,8 @@ def _gap_walk(seed: int, bounds: tuple, drift: float, p_rare: float, start: int,
     first block is _FIRST_BLOCK and each later one doubles.  Every block is
     capped at _BLOCK_FLOATS draws, at the draws the horizon leaves and, while
     the cached count tables (_TABLE_COUNTS) hold the counts a row reaches,
-    at the draws that keep it within them.
+    at the draws that keep it within them.  A block's arrays are views of
+    this thread's buffers (_views).
 
     A row with c rare outcomes stops in a gap's run of the other outcome if
     the run reaches R[c], at a rare outcome on a trial at most E[c + 1], and
@@ -294,11 +326,6 @@ def _gap_walk(seed: int, bounds: tuple, drift: float, p_rare: float, start: int,
             width = min(block, _BLOCK_FLOATS // live.size // 4 * 4, (max_trials - int(n.min()) + 3) & -4)
             room = (_TABLE_COUNTS - 1 - int(c.max())) & -4  # draws the cached tables have counts for
             width = min(width, room) if room > 0 else width
-            g = _gaps(table, scale, _fill(gen, key, (live + base).tolist(), done, width))
-            rare = g < table.size - 2
-            g += rare
-            ends = np.cumsum(g, axis=1)  # trials after each gap and its rare outcome
-            ends += n[:, None]
             # the counts this block reaches, from 0 while the cached tables hold them
             low, top = 0, int(c.max()) + width + 1
             if top > _TABLE_COUNTS:
@@ -306,25 +333,40 @@ def _gap_walk(seed: int, bounds: tuple, drift: float, p_rare: float, start: int,
                 r, e = _count_tables(bounds, low, top)
             else:
                 r, e = _cached_tables(bounds, 1 << (top - 1).bit_length())
-            after = np.cumsum(rare, axis=1)  # rare outcomes up to each gap's end, less low
-            after += (c - low)[:, None]
-            before = after - rare
-            run = r.take(before)
+            draws, g, before, after, gathered, by_run, stopped, mask = _views(
+                (live.size, width), "draws", "trials", "before", "after", "gathered", "by_run", "stopped", "mask")
+            _gaps(table, scale, _fill(gen, key, (live + base).tolist(), done, draws), g)
+            # 1 where a rare outcome ends the gap, else 0: int64, since a bool
+            # operand of an int64 sum or cumsum is cast through a buffer
+            rare = np.subtract(table.size - 2, g, out=before)
+            np.minimum(rare, 1, out=rare)
+            g += rare
+            # trials after each gap and its rare outcome, and rare outcomes up
+            # to its end, less low: each row's first column carries its sums
+            # in (a broadcast column add is buffered too)
+            g[:, 0] += n
+            ends = np.cumsum(g, axis=1, out=g)
+            rare[:, 0] += c - low
+            np.cumsum(rare, axis=1, out=after)
+            before[:, 1:] = after[:, :-1]
+            before[:, 0] = c - low
             # a run that leaves the bounds on its last trial before no rare
             # outcome is found in the next gap, whose count and run are the same
-            by_run = run < ends
-            stopped = by_run | (ends >= max_trials)
+            np.less(r.take(before, out=gathered, mode="clip"), ends, out=by_run)
+            np.greater_equal(ends, max_trials, out=stopped)
+            stopped |= by_run
             # E of a count is below every trial after the rare outcome that reached it
-            stopped |= ends <= e.take(after)
-            first = stopped.argmax(axis=1)
-            ended = stopped[np.arange(live.size), first]
-            n, c = ends[:, -1], after[:, -1] + low
+            stopped |= np.less_equal(ends, e.take(after, out=gathered, mode="clip"), out=mask)
+            at = stopped.argmax(axis=1)
+            at += np.arange(0, stopped.size, width)  # each row's first stop, flat
+            ended = stopped.ravel().take(at)
+            n, c = ends[:, -1].copy(), after[:, -1] + low  # the next block reuses the buffers
             if ended.any():
-                rows, first = ended.nonzero()[0], first[ended]
-                at = live[ended] + (base - start)
-                on_run = by_run[rows, first]
-                stops[at] = np.where(on_run, run[rows, first], ends[rows, first])
-                counts[at] = np.where(on_run, before[rows, first], after[rows, first]) + low
+                at = at[ended]
+                row_before, on_run = before.ravel().take(at), by_run.ravel().take(at)
+                rows = live[ended] + (base - start)
+                stops[rows] = np.where(on_run, r.take(row_before), ends.ravel().take(at))
+                counts[rows] = np.where(on_run, row_before, after.ravel().take(at)) + low
                 live, n, c = live[~ended], n[~ended], c[~ended]
             done += width
             if not sized:
@@ -347,8 +389,9 @@ def _outcomes(seed: int, index: int, p_rare: float, counted_yes: bool, trials: i
     table, scale = _gap_table(p_rare)
     n = done = 0
     while n < trials:
-        width = (math.ceil((trials - n) * p_rare) + 7) & -4
-        g = _gaps(table, scale, _fill(gen, key, [index], done, width)[0])
+        width = min((math.ceil((trials - n) * p_rare) + 7) & -4, _BLOCK_FLOATS)
+        draws, g = _views((1, width), "draws", "trials")
+        g = _gaps(table, scale, _fill(gen, key, [index], done, draws), g)[0]
         rare = g < table.size - 2
         ends = n + np.cumsum(g + rare)
         outcomes[ends[rare & (ends <= trials)] - 1] = counted_yes

@@ -5,6 +5,7 @@ import bisect
 import hashlib
 import itertools
 import math
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -532,7 +533,7 @@ class TestSubstreams:
         key = np.random.Philox(seed).state["state"]["key"].tolist()
         for width in (4, 8, 60, 64, 68, 200):
             expected = [list(itertools.islice(stream_draws(seed, i), start, start + width)) for i in indices]
-            assert simulate._fill(gen, key, indices, start, width).tolist() == expected, width
+            assert simulate._fill(gen, key, indices, start, np.empty((len(indices), width))).tolist() == expected, width
 
 
 GAP_PS = [
@@ -547,6 +548,10 @@ GAP_PS = [
     1e-6,
     2.0**-60,  # 1 - p rounds to 1: every draw is a run of L
 ]
+
+
+def gaps(table: np.ndarray, scale: float, draws: np.ndarray) -> np.ndarray:
+    return simulate._gaps(table, scale, draws, np.empty(draws.shape, dtype=np.int64))
 
 
 class TestGaps:
@@ -573,13 +578,13 @@ class TestGaps:
         draws = draws[draws < 1.0]
         rising = [-term for term in terms.tolist()]
         expected = [bisect.bisect_left(rising, -u) for u in draws.tolist()]
-        assert simulate._gaps(table, scale, draws).tolist() == expected
-        assert simulate._gaps(table, scale, draws.reshape(1, -1))[0].tolist() == expected
+        assert gaps(table, scale, draws).tolist() == expected
+        assert gaps(table, scale, draws.reshape(1, -1))[0].tolist() == expected
 
     def test_a_draw_of_zero_is_a_run_of_the_whole_table(self):
         for p in GAP_PS:
             table, scale = simulate._gap_table(p)
-            assert simulate._gaps(table, scale, np.zeros(4)).tolist() == [table.size - 2] * 4
+            assert gaps(table, scale, np.zeros(4)).tolist() == [table.size - 2] * 4
 
     @pytest.mark.parametrize("rare_yes", [True, False])
     @pytest.mark.parametrize("p", GAP_PS[:-1])
@@ -710,10 +715,10 @@ class TestCountFormulaWalk:
         # table with no rare outcome; np.log(0.0) would warn
         fill = simulate._fill
 
-        def zeroing(gen, key, indices, start, width):
-            rows = fill(gen, key, indices, start, width)
+        def zeroing(gen, key, indices, start, out):
+            rows = fill(gen, key, indices, start, out)
             for j in (0, 10):
-                if 0 <= j - start < width:
+                if 0 <= j - start < out.shape[1]:
                     rows[:, j - start] = 0.0
             return rows
 
@@ -855,13 +860,14 @@ def counted_draws(monkeypatch) -> dict:
     tally = {"rows": 0, "draws": 0, "widths": [], "first_widths": []}
     fill = simulate._fill
 
-    def counting(gen, key, indices, start, width):
+    def counting(gen, key, indices, start, out):
+        width = out.shape[1]
         tally["rows"] += len(indices)
         tally["draws"] += len(indices) * width
         tally["widths"].append(width)
         if start == 0:
             tally["first_widths"] += [width] * len(indices)
-        return fill(gen, key, indices, start, width)
+        return fill(gen, key, indices, start, out)
 
     monkeypatch.setattr(simulate, "_fill", counting)
     return tally
@@ -974,11 +980,11 @@ class TestDrawsPerReplication:
                 counters.append(list(value["state"]["counter"]))
                 philox.state.__set__(self, value)
 
-        def first_block(gen, key, indices, start, width):
+        def first_block(gen, key, indices, start, out):
             before = len(counters)
-            draws = fill(gen, key, indices, start, width)
+            draws = fill(gen, key, indices, start, out)
             if start == 0:
-                firsts.append((width, counters[before:]))
+                firsts.append((out.shape[1], counters[before:]))
             return draws
 
         monkeypatch.setattr(np.random, "Philox", Philox)
@@ -1046,10 +1052,11 @@ def traced_peak(run, config: SimulationConfig) -> int:
 
 class TestMemory:
     def test_peak_does_not_grow_with_replications(self):
-        # a block is at most _BLOCK_FLOATS = 16k draws, and each of its
-        # arrays 128 kB (its heads 64 kB), at any rep count; 20k reps add 32
-        # bytes of results each (0.87 MB in all).  A walker that did not
-        # chunk would need 90 MB here.
+        # a block is at most _BLOCK_FLOATS = 16k draws, in the thread's
+        # buffers (128 kB for each float64 or int64 one, 64 kB of heads),
+        # which the warm-up built, at any rep count; 20k reps add 32 bytes
+        # of results each (0.87 MB in all).  A walker that did not chunk
+        # would need 90 MB here.
         assert traced_peak(run_replications, walk_config("chained-k2", QM, replications=20_000)) <= 3_000_000
 
     def test_summaries_path_stays_within_the_same_bound(self):
@@ -1060,23 +1067,61 @@ class TestMemory:
     def test_a_long_lr_true_walk(self):
         # lr-long's shape: 10 walks of 3.5k-9k trials in blocks of up to
         # 1636 draws a row, with the rule's count tables cached by the
-        # warm-up (0.85 MB)
+        # warm-up (6 kB)
         cfg = walk_config("chained-k2", LR, upper_threshold=1e100, replications=10)
         assert traced_peak(run_replications, cfg) <= 3_000_000
 
     def test_a_walk_past_the_cached_count_tables(self):
         # about 150k "yes" outcomes a walk, far past the counts the cached
         # tables hold, so each block past them builds the counts it reaches
-        # (1.35 MB)
+        # (0.36 MB)
         cfg = SimulationConfig(HypothesisPair(0.5, 0.5), max_trials=300_000, master_seed=SEED, replications=3)
         assert cfg.max_trials > 4 * law._TABLE_COUNTS
         assert traced_peak(run_replications, cfg) <= 3_000_000
+
+    def test_a_warmed_walk_allocates_no_block(self):
+        # lr-long's shape again: after the warm-up every block is a view of
+        # the thread's buffers, so the walk allocates less than one
+        # 16k-draw int64 array (6 kB; 0.85 MB with blocks allocated per
+        # walk).  numpy's cast buffers count too: a bool -> int64 cumsum
+        # into out= allocates 128 kB
+        assert traced_peak(run_replications, WIDE) < 131_072
 
     def test_columns_at_many_replications(self):
         # ghz at 200k reps: one row walks, and the stops and finals take
         # 3.2 MB, the int8 codes 0.2 MB (3.40 MB in all); int64 codes from
         # a nested np.where reached 8.72 MB
         assert traced_peak(replication_summaries, ghz_config(replications=200_000, max_trials=100_000)) <= 6_500_000
+
+
+class TestWorkspace:
+    def test_each_thread_walks_in_its_own_buffers(self, monkeypatch):
+        # two threads walk different configurations at once, each waiting
+        # after its first block's draws until the other has drawn its own:
+        # in shared block buffers the later draws would replace the earlier
+        configs = [WIDE, walk_config("chained-k2", QM, replications=300)]
+        alone = [replication_summaries(cfg) for cfg in configs]
+        barrier, waited, fill = threading.Barrier(len(configs)), set(), simulate._fill
+
+        def waiting(gen, key, indices, start, out):
+            draws = fill(gen, key, indices, start, out)
+            if threading.get_ident() not in waited:
+                waited.add(threading.get_ident())
+                barrier.wait(timeout=30)
+            return draws
+
+        monkeypatch.setattr(simulate, "_fill", waiting)
+        walks: dict = {}
+        threads = [threading.Thread(target=lambda i=i: walks.update({i: replication_summaries(configs[i])}))
+                   for i in range(len(configs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(walks) == list(range(len(configs)))
+        for i, columns in enumerate(alone):
+            assert all(np.array_equal(a, b) for a, b in zip(walks[i], columns, strict=True)), i
 
 
 class TestPinnedColumns:
