@@ -1,19 +1,19 @@
 """The stopping rule of the sequential experiment, and the decision at a stop.
 
-A walk counts the outcome that is rarer under the true theory, "yes" at 1/2
-(_stop_rule).  After n trials with c of them counted, its log Bayes factor
-is the float log D = fl(fl(c u) + fl((n - c) v)) (_log_d), where u and v
-are the counted and the other outcome's steps, ln(q/r) for "yes" and
-ln((1-q)/(1-r)) for "no"; float addition commutes, so either count gives the
-same bits.  The walk stops at its first trial that reaches a threshold,
-log D >= ln(prior/lower) (LR rejected) or log D <= ln(prior/upper) (QM
-rejected), that draws the outcome the false theory forbids (final +inf if QM
-is true, -inf if LR is; the true theory's own is never drawn), or that is
-trial max_trials (inconclusive unless a threshold is reached there too);
-_decide reads the decision off the final.  The compare is in float64 logs,
-so a tie can round either way: for the pair (1, 0.1) the decimal odds hit
-0.01 at trial 4, but 4 * (ln 1 - ln 0.1) = 9.210340371976182 is below
-ln(1e4) = 9.210340371976184, and the walk stops at trial 5.
+A walk whose trials are "yes" with probability p counts the outcome rarer at
+p, "yes" at 1/2 (_stop_rule).  After n trials with c of them counted, its
+log Bayes factor is the float log D = fl(fl(c u) + fl((n - c) v)) (_log_d),
+where u and v are the counted and the other outcome's steps, ln(q/r) for
+"yes" and ln((1-q)/(1-r)) for "no"; float addition commutes, so either count
+gives the same bits.  The walk stops at its first trial that reaches a
+threshold, log D >= ln(prior/lower) (LR rejected) or log D <= ln(prior/upper)
+(QM rejected), that draws an outcome of infinite step, one a theory forbids
+(final +inf if LR forbids it, -inf if QM does), or that is trial max_trials
+(inconclusive unless a threshold is reached there too); _decide reads the
+decision off the final.  The compare is in float64 logs, so a tie can round
+either way: for the pair (1, 0.1) the decimal odds hit 0.01 at trial 4, but
+4 * (ln 1 - ln 0.1) = 9.210340371976182 is below ln(1e4) = 9.210340371976184,
+and the walk stops at trial 5.
 
 Float log D is monotone in c for each n, so short of max_trials the stops
 fold into count bounds a(n) < c < b(n) between which the walk goes on.
@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .bayes import QM, TrialTally, _kl, log_bayes_factor
+from .bayes import HypothesisPair, TrialTally, _kl, log_bayes_factor
 
 __all__: list[str] = []
 
@@ -40,26 +40,22 @@ __all__: list[str] = []
 _TABLE_COUNTS = 2**14
 
 
-def _stop_rule(config) -> tuple:
-    """The rule of a simulate.SimulationConfig, counted in the outcome that is
-    rarer under the true theory ("yes" at 1/2): that outcome's probability;
-    whether it is "yes"; the rule _count_tables takes: its log D step and the
-    other outcome's (0 for an infinite one, whose outcome is counted 0 times
-    until it ends the walk, so 0 * inf never forms), ln(prior/upper),
-    ln(prior/lower), the falsifier (True for the counted outcome, False for
-    the other, None) and max_trials; and the drift, the mean log D step:
-    KL(q||r) if QM is true, else -KL(r||q), which is the falsifier's +-inf
-    step if there is one."""
-    pair = config.resolved_pair()
-    p_true, p_false, sign = (pair.q, pair.r, 1.0) if config.true_theory == QM else (pair.r, pair.q, -1.0)
-    counted_yes = p_true <= 0.5
-    steps = (log_bayes_factor(pair, TrialTally(1, yes)) for yes in ((1, 0) if counted_yes else (0, 1)))
+def _stop_rule(pair: HypothesisPair, p: float, prior: float, lower: float, upper: float, max_trials: int) -> tuple:
+    """The rule of pair's walk at "yes" probability p, counted in the outcome
+    rarer at p ("yes" at 1/2): that outcome's probability; whether it is
+    "yes"; the rule _count_tables takes: its log D step and the other's (0
+    for an infinite one, whose outcome is counted 0 times until it ends the
+    walk, so 0 * inf never forms), ln(prior/upper), ln(prior/lower), the
+    falsifier, the outcome of infinite step (True for the counted one, False
+    for the other, also where both are: p is then 0 or 1), and max_trials;
+    and the drift, the mean log D step at p, KL(p||r) - KL(p||q), which is
+    the falsifier's +-inf step where p draws it."""
+    counted_yes = p <= 0.5
+    steps = [log_bayes_factor(pair, TrialTally(1, yes)) for yes in ((1, 0) if counted_yes else (0, 1))]
+    falsifier = False if math.isinf(steps[1]) else True if math.isinf(steps[0]) else None
     step, other = (step if math.isfinite(step) else 0.0 for step in steps)
-    falsifier = None if 0.0 < p_false < 1.0 else (p_false == 0.0) == counted_yes
-    lo = math.log(config.prior_odds / config.upper_threshold)
-    hi = math.log(config.prior_odds / config.lower_threshold)
-    rule = step, other, lo, hi, falsifier, config.max_trials
-    return p_true if counted_yes else 1.0 - p_true, counted_yes, rule, sign * _kl(p_true, p_false)
+    rule = step, other, math.log(prior / upper), math.log(prior / lower), falsifier, max_trials
+    return p if counted_yes else 1.0 - p, counted_yes, rule, _kl(p, pair.r) - _kl(p, pair.q)
 
 
 def _log_d(c, n, step: float, other: float):
@@ -89,10 +85,7 @@ def _count_tables(rule: tuple, start: int, stop: int) -> tuple[np.ndarray, np.nd
         step, other, lo, hi = -step, -other, -hi, -lo
     c = np.arange(start, stop, dtype=np.float64)
     top = float(max_trials)
-
-    def f(n: np.ndarray) -> np.ndarray:
-        return _log_d(c, n, step, other)
-
+    f = functools.partial(_log_d, c, step=step, other=other)  # log D after n trials at each count
     if other == 0.0:  # f = c * step >= 0 > lo at every n
         r = np.full(c.size, top)
         e = np.where(f(c) >= hi, top, c - 1.0)

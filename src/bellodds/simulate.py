@@ -265,7 +265,7 @@ def _gaps(table: np.ndarray, scale: float, draws: np.ndarray, out: np.ndarray) -
 
 
 def _walk(rule: tuple, seed: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
-    """Walk replications [start, stop) side by side by rule, law._stop_rule
+    """Walk replications [start, stop) side by side by rule, _resolved_rule
     of their configuration, on the substreams of master_seed seed.
 
     Returns their stopping trials, int8 decision codes (indices into
@@ -294,16 +294,16 @@ def _gap_walk(seed: int, bounds: tuple, drift: float, p_rare: float, start: int,
     Replications go in chunks of _CHUNK_ROWS, each drawn in blocks of a
     multiple of 4 draws per row (_fill) under the one key of Philox(seed),
     and each draw is a gap (_gaps).  Blocks are sized from the drift, the
-    mean log D step under the true theory.  Where it is finite and non-zero
-    (no outcome of positive probability falsifies a theory), a block holds
-    1.5 x the rare outcomes of the trials the drift takes to cover the
-    farthest live row's distance to the threshold it drifts to, which for
-    the first block is the whole distance from log D = 0.  Otherwise the
-    first block is _FIRST_BLOCK and each later one doubles.  Every block is
-    capped at _BLOCK_FLOATS draws, at the draws the horizon leaves and, while
-    the cached count tables (_TABLE_COUNTS) hold the counts a row reaches,
-    at the draws that keep it within them.  A block's arrays are views of
-    this thread's buffers (_views).
+    mean log D step of a trial.  Where it is finite and non-zero (no outcome
+    of positive probability falsifies a theory), a block holds 1.5 x the rare
+    outcomes of the trials the drift takes to cover the farthest live row's
+    distance to the threshold it drifts to, which for the first block is the
+    whole distance from log D = 0.  Otherwise the first block is _FIRST_BLOCK
+    and each later one doubles.  Every block is capped at _BLOCK_FLOATS
+    draws, at the draws the horizon leaves and, while the cached count tables
+    (_TABLE_COUNTS) hold the counts a row reaches, at the draws that keep it
+    within them.  A block's arrays are views of this thread's buffers
+    (_views).
 
     A row with c rare outcomes stops in a gap's run of the other outcome if
     the run reaches R[c], at a rare outcome on a trial at most E[c + 1], and
@@ -399,6 +399,13 @@ def _outcomes(seed: int, index: int, p_rare: float, counted_yes: bool, trials: i
     return outcomes
 
 
+def _resolved_rule(config: SimulationConfig) -> tuple:
+    """law._stop_rule of config's pair at the true theory's p: q if QM, r if LR."""
+    pair = config.resolved_pair()
+    p = pair.q if config.true_theory == QM else pair.r
+    return _stop_rule(pair, p, config.prior_odds, config.lower_threshold, config.upper_threshold, config.max_trials)
+
+
 def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajectory:
     """Simulate one sequential experiment under the configured true theory.
 
@@ -408,7 +415,7 @@ def run_trajectory(config: SimulationConfig, replication_index: int) -> Trajecto
     (_outcomes) and log D rebuilt from their counts.
     """
     index = _check_int("replication_index", replication_index, 0, config.replications - 1)
-    p_rare, counted_yes, (step, other, *_), _ = rule = _stop_rule(config)
+    p_rare, counted_yes, (step, other, *_), _ = rule = _resolved_rule(config)
     (stop,), (code,), (final,) = (column.tolist() for column in _walk(rule, config.master_seed, index, index + 1))
     outcomes = _outcomes(config.master_seed, index, p_rare, counted_yes, stop)
     cumulative = _log_d(np.cumsum(outcomes == counted_yes), np.arange(1, stop + 1), step, other)
@@ -420,7 +427,7 @@ def replication_summaries(config: SimulationConfig) -> tuple[np.ndarray, np.ndar
     """Every replication's stopping trial, decision code (an int8 index into
     _DECISIONS) and final log Bayes factor: the walker's columns, stopped by
     the rule bellodds.law states."""
-    return _walk(_stop_rule(config), config.master_seed, 0, config.replications)
+    return _walk(_resolved_rule(config), config.master_seed, 0, config.replications)
 
 
 def summarize(walk: tuple[np.ndarray, np.ndarray, np.ndarray]) -> StoppingReport:

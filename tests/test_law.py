@@ -7,10 +7,10 @@ import sys
 
 import numpy as np
 import pytest
-from test_simulate import threshold_at
+from test_simulate import TestPinnedColumns, threshold_at
 
-from bellodds import law
-from bellodds.bayes import LR, QM, HypothesisPair, TrialTally, log_bayes_factor
+from bellodds import law, simulate
+from bellodds.bayes import LR, QM, HypothesisPair, TrialTally, _kl, log_bayes_factor
 from bellodds.scenarios import ScenarioSpec
 from bellodds.simulate import SimulationConfig, replication_summaries
 
@@ -87,8 +87,9 @@ def count_bounds(step: float, other: float, lo: float, hi: float, falsifier: boo
 
 def rule_of(config: SimulationConfig) -> tuple:
     """The (step, other, lo, hi, falsifier, max_trials) that count_bounds and
-    law._count_tables take, counted as law._stop_rule counts it."""
-    return law._stop_rule(config)[2]
+    law._count_tables take, counted as law._stop_rule counts it at the true
+    theory's p (simulate._resolved_rule)."""
+    return simulate._resolved_rule(config)[2]
 
 
 def mirrored(rule: tuple) -> tuple:
@@ -123,8 +124,8 @@ class TestCountBounds:
     @pytest.mark.parametrize("truth", [QM, LR])
     @pytest.mark.parametrize("max_trials", [30, 2_001, 100_000])
     def test_matches_the_scan(self, scenario, truth, max_trials):
-        # the falsifier, if any, is the outcome the false theory forbids, so
-        # the rule depends on which theory is true; horizons inside the scan
+        # the rule counts the outcome rarer at the true theory's p, so it
+        # depends on which theory is true; horizons inside the scan
         # and past it.  The rule is scanned as law._stop_rule counts it and
         # mirrored, so each pair is scanned in its "yes" count and its "no"
         # count, with both falsifier kinds and both zeroed steps
@@ -259,24 +260,35 @@ class TestCountTables:
 
 
 class TestStopRule:
-    """law._stop_rule counts the outcome that is rarer under the true theory,
-    and its rule in that count is the pair's own log D, bit for bit."""
+    """law._stop_rule counts the outcome that is rarer at p, and its rule in
+    that count is the pair's own log D, bit for bit."""
 
     @pytest.mark.parametrize("truth", [QM, LR])
-    @pytest.mark.parametrize("scenario", list(dict.fromkeys(scenario for scenario, _ in TABLE_SWEEP)), ids=repr)
+    @pytest.mark.parametrize(
+        "scenario",
+        # (1, 0) and (0, 1): both outcomes have infinite steps
+        [*dict.fromkeys(scenario for scenario, _ in TABLE_SWEEP), HypothesisPair(1.0, 0.0), HypothesisPair(0.0, 1.0)],
+        ids=repr,
+    )
     def test_counts_the_rarer_outcome(self, scenario, truth):
         cfg = SimulationConfig(scenario, truth)
         pair = cfg.resolved_pair()
         p_true, p_false = (pair.q, pair.r) if truth == QM else (pair.r, pair.q)
-        p, counted_yes, (step, other, _, _, falsifier, _), _ = law._stop_rule(cfg)
+        p, counted_yes, (step, other, _, _, falsifier, _), drift = simulate._resolved_rule(cfg)
         assert counted_yes == (p_true <= 0.5)
         assert p == (p_true if counted_yes else 1.0 - p_true)
-        # the outcome the false theory forbids, "yes" at p_false = 0 and
-        # "no" at 1, is the falsifier: True if it is the counted one
-        forbids_yes = {0.0: True, 1.0: False}.get(p_false)
-        assert falsifier is (None if forbids_yes is None else forbids_yes == counted_yes)
-        # the pair's own steps in "yes" counts m, an infinite one zeroed
+        # the falsifier is the outcome of infinite step, True if it is the
+        # counted one, as the per-trial oracles (reference_walk,
+        # count_formula_walk) end a walk on any outcome of infinite step;
+        # where both steps are infinite, the other (p is 0 or 1, so it is
+        # the one drawn)
         yes, no = (log_bayes_factor(pair, TrialTally(1, m)) for m in (1, 0))
+        counted, majority = (yes, no) if counted_yes else (no, yes)
+        assert falsifier is (False if math.isinf(majority) else True if math.isinf(counted) else None)
+        # the drift is the mean log D step, KL(q||r) if QM is true and
+        # -KL(r||q) if LR is
+        assert drift == (_kl(pair.q, pair.r) if truth == QM else -_kl(pair.r, pair.q))
+        # the pair's own steps in "yes" counts m, an infinite one zeroed
         yes, no = (s if math.isfinite(s) else 0.0 for s in (yes, no))
         rng = np.random.default_rng(38)
         sizes = [(0, 0), (0, 2**53 - 1), (2**53 - 1, 2**53 - 1), (1, 2**53 - 1)]
@@ -286,3 +298,18 @@ class TestStopRule:
         for m, n in sizes:
             c = m if counted_yes else n - m
             assert law._log_d(c, n, step, other).hex() == (m * yes + (n - m) * no).hex(), (m, n)
+
+    @pytest.mark.parametrize("truth", [QM, LR])
+    @pytest.mark.parametrize("scenario", TestPinnedColumns.SCENARIOS, ids=repr)
+    def test_a_falsifier_only_the_true_theory_forbids_is_never_drawn(self, scenario, truth):
+        # the falsifier names an outcome the true theory forbids, as well as
+        # one the false theory forbids; it differs from the false theory's
+        # forbidden outcome only where the rare outcome has probability 0,
+        # a certain walk that reads only R[0] (ghz with QM true, for one)
+        cfg = SimulationConfig(scenario, truth)
+        pair = cfg.resolved_pair()
+        p_false = pair.r if truth == QM else pair.q
+        p_rare, counted_yes, (*_, falsifier, _), _ = simulate._resolved_rule(cfg)
+        forbids_yes = {0.0: True, 1.0: False}.get(p_false)
+        if falsifier is not (None if forbids_yes is None else forbids_yes == counted_yes):
+            assert p_rare == 0.0

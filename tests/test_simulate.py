@@ -512,7 +512,7 @@ class TestSubstreams:
         # LR true, so the walk stops at the first "no" (probability 1/4),
         # which QM forbids: the stop depends on the draws
         cfg = ghz_config(master_seed=seed, replications=2**32, true_theory=LR)
-        rule = law._stop_rule(cfg)
+        rule = simulate._resolved_rule(cfg)
         for index in INDICES:
             stops, codes, _ = simulate._walk(rule, cfg.master_seed, index, index + 1)
             got = (int(stops[0]), simulate._DECISIONS[codes[0]])
@@ -642,7 +642,7 @@ def gap_walk(config: SimulationConfig, index: int) -> tuple[int, str, str]:
 
 
 def batch_walk(config: SimulationConfig) -> list[tuple[int, str, str]]:
-    stops, codes, finals = simulate._walk(law._stop_rule(config), config.master_seed, 0, config.replications)
+    stops, codes, finals = simulate._walk(simulate._resolved_rule(config), config.master_seed, 0, config.replications)
     return [
         (stop, simulate._DECISIONS[code], final.hex())
         for stop, code, final in zip(stops.tolist(), codes.tolist(), finals.tolist())
@@ -697,6 +697,28 @@ class TestCountFormulaWalk:
         walks = batch_walk(cfg)
         assert walks == [gap_walk(cfg, i) for i in range(3)]
         assert {decision for _, decision, _ in walks} == {INCONCLUSIVE}
+
+    def test_a_p_that_is_neither_q_nor_r(self):
+        # the ghz pair (1, 0.75) walked at p = 0.9: "no", rarer at p, is
+        # counted and falsifies QM, so the drift is -inf; a walk of 33 "yes"
+        # rejects LR, one "no" before that rejects QM, so P(QM rejected) is
+        # 1 - 0.9**33 = 0.96910
+        reps, p = 20_000, 0.9
+        cfg = SimulationConfig(ScenarioSpec("ghz"), max_trials=1_000, master_seed=SEED, replications=reps)
+        rule = law._stop_rule(cfg.resolved_pair(), p, cfg.prior_odds, cfg.lower_threshold, cfg.upper_threshold,
+                              cfg.max_trials)
+        p_rare, counted_yes, (*_, falsifier, _), drift = rule
+        assert (p_rare, counted_yes, falsifier, drift) == (1.0 - p, False, True, -math.inf)
+        stops, codes, finals = simulate._walk(rule, SEED, 0, reps)
+        qm_rejected = codes == 2
+        assert (finals[qm_rejected] == -math.inf).all() and (stops[qm_rejected] <= 33).all()
+        assert (stops[codes == 1] == 33).all() and (codes != 0).all()
+        share, exact = qm_rejected.mean(), 1.0 - p**33
+        assert abs(share - exact) <= 4 * math.sqrt(exact * (1.0 - exact) / reps), share
+        walks = [(stop, simulate._DECISIONS[code], final.hex())
+                 for stop, code, final in zip(stops[:20].tolist(), codes[:20].tolist(), finals[:20].tolist())]
+        assert walks == [count_formula_walk(cfg, expand_gaps(stream_draws(SEED, i), p, cfg.max_trials))
+                         for i in range(20)]
 
     @pytest.mark.parametrize("pair", [HypothesisPair(0.001, 0.0), HypothesisPair(0.999, 1.0)])
     def test_a_falsifier_drawn_late(self, pair):
@@ -914,7 +936,7 @@ class TestDrawsPerReplication:
         monkeypatch.setattr(simulate, "_cached_tables", counting)
         monkeypatch.setattr(np.random, "Philox", no_philox)
         cfg = ghz_config(replications=10_000, max_trials=100_000)
-        one = simulate._walk(law._stop_rule(cfg), cfg.master_seed, 0, 1)
+        one = simulate._walk(simulate._resolved_rule(cfg), cfg.master_seed, 0, 1)
         for column, first in zip(replication_summaries(cfg), one, strict=True):
             assert column.dtype == first.dtype
             assert np.array_equal(column, np.full(10_000, first[0]))
@@ -926,9 +948,9 @@ class TestDrawsPerReplication:
         # expansion take the rule their caller resolved
         calls, stop_rule = [], simulate._stop_rule
 
-        def counting(config):
-            calls.append(config)
-            return stop_rule(config)
+        def counting(*args):
+            calls.append(args)
+            return stop_rule(*args)
 
         monkeypatch.setattr(simulate, "_stop_rule", counting)
         cfg = ghz_config(replications=1_000)
